@@ -113,9 +113,6 @@ class BroadcastService:
         self._trace.add(DELIVER, server, self._now(), nxt)
         self._deliver(server, self._log[nxt])
 
-    def delivered_count(self, server: int) -> int:
-        return self._cursor[server]
-
 
 def check_abcast_trace(trace: AbTrace) -> Verdict:
     """Verify the four broadcast guarantees on a completed run's trace.

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .histories import APPEND, GET, Op
-from .ledger import ACK, NACK, Record, ValidityPredicate, evaluate_predicate
+from .ledger import ACK, NACK, Record, ValidityPredicate
 from .verdicts import DIVERGENCE, Verdict, failed, passed
 
 ORACLE_HARD_CAP = 12
@@ -99,24 +99,28 @@ def check_sequential_spec(ops: Sequence[Op]) -> Verdict:
 
 
 def check_validated_spec(ops: Sequence[Op], pred: ValidityPredicate) -> Verdict:
-    """Replay a sequential operation list against the validated ledger behaviour."""
-    state: list[Record] = []
+    """Replay a sequential operation list against the validated ledger behaviour.
+
+    One fold of ``pred`` runs over the acked records.  A nack that the fold
+    would have admitted fails at once, so the state that step updated is
+    never read.
+    """
+    state = pred.start()
+    rids: list[str] = []
     for op in ops:
         if op.kind == GET:
-            if op.seq != tuple(r.rid for r in state):
+            if op.seq != tuple(rids):
                 return failed("SeqSpec", [op.op_id])
             continue
-        r = Record(op.rid, op.client, op.payload or "")
-        valid = evaluate_predicate(pred, state + [r])
+        if op.result not in (ACK, NACK):
+            return failed("SeqSpec", [op.op_id])
+        valid = pred.step(state, Record(op.rid, op.client, op.payload or ""))
         if op.result == ACK:
             if not valid:
                 return failed("Def5-2a", [op.op_id])
-            state.append(r)
-        elif op.result == NACK:
-            if valid:
-                return failed("Def5-2b", [op.op_id])
-        else:
-            return failed("SeqSpec", [op.op_id])
+            rids.append(op.rid)
+        elif valid:
+            return failed("Def5-2b", [op.op_id])
     return passed()
 
 

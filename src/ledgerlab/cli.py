@@ -53,6 +53,14 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     return sim.scenario_from_dict(obj, seed_override=seed_override)
 
 
+def _pair(events) -> tuple[list, list]:
+    """``pair_events``, with a malformed history reported as a corrupt artifact."""
+    try:
+        return pair_events(events)
+    except ValueError as e:
+        raise ConfigError(f"artifact corrupt: {e}") from e
+
+
 def run_checker(name: str, artifact: RunArtifact) -> Verdict:
     """Apply one named checker to a run artifact."""
     if name == "abcast":
@@ -65,14 +73,14 @@ def run_checker(name: str, artifact: RunArtifact) -> Verdict:
                 "eventual checker needs probe gets; re-run with probe_gets > 0")
         workload = [e for e in artifact.history if e.t < probe_from_t]
         probes = [e for e in artifact.history if e.t >= probe_from_t]
-        completed, pending = pair_events(workload)
-        probe_completed, probe_pending = pair_events(probes)
+        completed, pending = _pair(workload)
+        probe_completed, probe_pending = _pair(probes)
         if probe_pending:
             raise checkers.CheckerError("probe phase left incomplete operations")
         return checkers.verify_history(completed, pending, "eventual",
                                        probe_ops=probe_completed)
 
-    completed, pending = pair_events(artifact.history)
+    completed, pending = _pair(artifact.history)
     if name in ("atomic", "sequential"):
         return checkers.verify_history(completed, pending, name)
 
@@ -236,8 +244,6 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_consensus(args) -> int:
-    if args.f >= args.n or 2 * args.f >= args.n:
-        raise ConfigError(f"f={args.f} with n={args.n} violates the majority requirement")
     if args.values:
         values = args.values.split(",")
         if len(values) != args.proposers:

@@ -62,13 +62,18 @@ def make_record(creator: int, counter: int, payload: str) -> Record:
 
 @dataclass(frozen=True)
 class ValidityPredicate:
-    """Deterministic boolean test over a candidate record sequence.
+    """Deterministic boolean test over a record sequence, run as a fold.
 
-    ``account_balance`` replays ``deposit:<acct>:<amount>`` /
-    ``withdraw:<acct>:<amount>`` payloads against the configured starting
-    balances and rejects any sequence that drives an account negative.
-    Predicates are re-evaluated on each candidate extension; no prefix
-    monotonicity is assumed.
+    ``start`` gives the state after the empty sequence and ``step`` either
+    admits a record, updating that state in place, or rejects it and leaves
+    the state untouched.  A sequence is valid iff every record is admitted in
+    turn, so a predicate must be prefix-closed: every prefix of a valid
+    sequence is valid, as it is for all three built-in kinds.
+
+    ``unique_tau`` rejects a record id seen before.  ``account_balance``
+    replays ``deposit:<acct>:<amount>`` / ``withdraw:<acct>:<amount>``
+    payloads against the configured starting balances and rejects any record
+    that drives an account negative or does not fit that grammar.
     """
 
     kind: str
@@ -76,6 +81,32 @@ class ValidityPredicate:
 
     def __call__(self, seq: Iterable[Record]) -> bool:
         return evaluate_predicate(self, seq)
+
+    def start(self):
+        if self.kind == "always_true":
+            return None
+        if self.kind == "unique_tau":
+            return set()
+        if self.kind == "account_balance":
+            return dict(self.balances)
+        raise ValueError(f"unknown predicate kind {self.kind!r}")
+
+    def step(self, state, r: Record) -> bool:
+        if self.kind == "unique_tau":
+            if r.rid in state:
+                return False
+            state.add(r.rid)
+        elif self.kind == "account_balance":
+            parsed = _parse_transfer(r.payload)
+            if parsed is None:
+                log.debug("account_balance: unparseable payload %r (record %s)", r.payload, r.rid)
+                return False
+            action, acct, amount = parsed
+            balance = state.get(acct, 0) + (amount if action == "deposit" else -amount)
+            if balance < 0:
+                return False
+            state[acct] = balance
+        return True
 
 
 ALWAYS_TRUE = ValidityPredicate("always_true")
@@ -126,29 +157,8 @@ def _parse_transfer(payload: str):
 
 
 def evaluate_predicate(pred: ValidityPredicate, seq: Iterable[Record]) -> bool:
-    if pred.kind == "always_true":
-        return True
-    if pred.kind == "unique_tau":
-        seen: set[str] = set()
-        for r in seq:
-            if r.rid in seen:
-                return False
-            seen.add(r.rid)
-        return True
-    if pred.kind == "account_balance":
-        balances = dict(pred.balances)
-        for r in seq:
-            parsed = _parse_transfer(r.payload)
-            if parsed is None:
-                log.debug("account_balance: unparseable payload %r (record %s)", r.payload, r.rid)
-                return False
-            action, acct, amount = parsed
-            current = balances.get(acct, 0)
-            balances[acct] = current + amount if action == "deposit" else current - amount
-            if balances[acct] < 0:
-                return False
-        return True
-    raise ValueError(f"unknown predicate kind {pred.kind!r}")
+    state = pred.start()
+    return all(pred.step(state, r) for r in seq)
 
 
 def filter_valid(seq: Iterable[Record], pred: ValidityPredicate) -> tuple[Record, ...]:
@@ -156,14 +166,11 @@ def filter_valid(seq: Iterable[Record], pred: ValidityPredicate) -> tuple[Record
 
     This is the read-side repair used when invalid records were allowed into
     the underlying sequence: record ``r`` survives iff the predicate accepts
-    ``kept-so-far + [r]``.
+    ``kept-so-far + [r]``, which for a prefix-closed predicate is one fold
+    step from the state of the records kept so far.
     """
-    kept: list[Record] = []
-    for r in seq:
-        kept.append(r)
-        if not evaluate_predicate(pred, kept):
-            kept.pop()
-    return tuple(kept)
+    state = pred.start()
+    return tuple(r for r in seq if pred.step(state, r))
 
 
 class Ledger:
@@ -190,26 +197,19 @@ class Ledger:
         return ACK
 
 
-class ValidatedLedger:
-    """Ledger whose appends are admitted only if the extended sequence is valid."""
+class ValidatedLedger(Ledger):
+    """Ledger whose appends are admitted only if the extended sequence is valid.
+
+    The predicate's fold state for the stored sequence is carried along, so
+    each append costs one fold step.
+    """
 
     def __init__(self, pred: ValidityPredicate) -> None:
+        super().__init__()
         self.pred = pred
-        self._items: list[Record] = []
-        self._rids: set[str] = set()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def get(self) -> tuple[Record, ...]:
-        return tuple(self._items)
+        self._state = pred.start()
 
     def append(self, r: Record) -> str:
-        if r.rid in self._rids:
-            raise DuplicateRecordError(f"record id {r.rid} already in ledger")
-        self._items.append(r)
-        if evaluate_predicate(self.pred, self._items):
-            self._rids.add(r.rid)
-            return ACK
-        self._items.pop()
-        return NACK
+        if r.rid not in self._rids and not self.pred.step(self._state, r):
+            return NACK
+        return super().append(r)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 from typing import NamedTuple
 
-from .ledger import ACK, Record, ValidityPredicate, filter_valid, make_rid
+from .ledger import ACK, Ledger, Record, ValidityPredicate, filter_valid, make_rid
 
 log = logging.getLogger("ledgerlab.protocols")
 
@@ -80,24 +80,14 @@ class Server:
     """Shared replica plumbing; subclasses add the per-mode handlers.
 
     ``net`` provides respond(server, client, msg) and abroadcast(server,
-    payload); handlers run atomically with respect to each other.
+    payload); handlers run atomically with respect to each other.  The
+    replica is a plain ledger; a record delivered again is ignored.
     """
 
     def __init__(self, sid: int, net) -> None:
         self.sid = sid
         self.net = net
-        self.records: list[Record] = []
-        self._rids: set[str] = set()
-
-    def snapshot(self) -> tuple[Record, ...]:
-        return tuple(self.records)
-
-    def _append_new(self, r: Record) -> bool:
-        if r.rid in self._rids:
-            return False
-        self.records.append(r)
-        self._rids.add(r.rid)
-        return True
+        self.replica = Ledger()
 
     def handle_request(self, client: int, msg) -> None:
         raise NotImplementedError
@@ -109,14 +99,15 @@ class Server:
 class EventualServer(Server):
     def handle_request(self, client: int, msg) -> None:
         if isinstance(msg, GetReq):
-            self.net.respond(self.sid, client, GetRes(msg.c, self.snapshot()))
+            self.net.respond(self.sid, client, GetRes(msg.c, self.replica.get()))
         else:
             self.net.abroadcast(self.sid, BcastRecord(msg.record))
             # acked before the record is anywhere: the defining weakness
             self.net.respond(self.sid, client, AppendRes(msg.c, ACK, None))
 
     def handle_adeliver(self, payload) -> None:
-        self._append_new(payload.record)
+        if payload.record not in self.replica:
+            self.replica.append(payload.record)
 
 
 class AtomicServer(Server):
@@ -136,10 +127,11 @@ class AtomicServer(Server):
     def handle_adeliver(self, payload) -> None:
         if isinstance(payload, BcastGet):
             if self.waiting_gets.pop((payload.p, payload.c), None):
-                self.net.respond(self.sid, payload.p, GetRes(payload.c, self.snapshot()))
+                self.net.respond(self.sid, payload.p, GetRes(payload.c, self.replica.get()))
         else:
             r = payload.record
-            self._append_new(r)
+            if r not in self.replica:
+                self.replica.append(r)
             # Acknowledge on any delivery of r while stashed, not only the
             # first: the first copy can land before this server has even seen
             # the client's request, and the client must still get an answer.
@@ -157,8 +149,8 @@ class SequentialServer(Server):
 
     def handle_request(self, client: int, msg) -> None:
         if isinstance(msg, GetReq):
-            if len(self.records) >= msg.min_len:
-                self.net.respond(self.sid, client, GetRes(msg.c, self.snapshot()))
+            if len(self.replica) >= msg.min_len:
+                self.net.respond(self.sid, client, GetRes(msg.c, self.replica.get()))
             else:
                 self.waiting_gets.append((msg.c, client, msg.min_len))
         else:
@@ -167,16 +159,17 @@ class SequentialServer(Server):
 
     def handle_adeliver(self, payload) -> None:
         r = payload.record
-        self._append_new(r)
+        if r not in self.replica:
+            self.replica.append(r)
         entry = self.unacked.pop(r.rid, None)
         if entry is not None:
             c, rec = entry
-            self.net.respond(self.sid, rec.creator, AppendRes(c, ACK, len(self.records)))
+            self.net.respond(self.sid, rec.creator, AppendRes(c, ACK, len(self.replica)))
         if self.waiting_gets:
             still_waiting = []
             for c, client, min_len in self.waiting_gets:
-                if len(self.records) >= min_len:
-                    self.net.respond(self.sid, client, GetRes(c, self.snapshot()))
+                if len(self.replica) >= min_len:
+                    self.net.respond(self.sid, client, GetRes(c, self.replica.get()))
                 else:
                     still_waiting.append((c, client, min_len))
             self.waiting_gets = still_waiting

@@ -12,9 +12,11 @@ extension.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,13 +94,21 @@ def _crashes_to_jsonable(crashes) -> object:
     return [list(x) for x in crashes]
 
 
+def _uint(v, message: str, *, minimum: int = 0, below: float = math.inf) -> int:
+    """Return ``v`` if it is an integer (bools excluded) in [minimum, below).
+
+    Otherwise raise ``ConfigError(message.format(v))``.
+    """
+    if not isinstance(v, int) or isinstance(v, bool) or not minimum <= v < below:
+        raise ConfigError(message.format(v))
+    return v
+
+
 def _require_uint(obj: Mapping, key: str, *, minimum: int = 0) -> int:
     if key not in obj:
         raise ConfigError(f"scenario missing required field {key!r}")
-    v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise ConfigError(f"scenario field {key!r} must be an integer >= {minimum}")
-    return v
+    return _uint(obj[key], f"scenario field {key!r} must be an integer >= {minimum}",
+                 minimum=minimum)
 
 
 def scenario_from_dict(obj: Mapping, seed_override: int | None = None) -> Scenario:
@@ -124,22 +134,17 @@ def scenario_from_dict(obj: Mapping, seed_override: int | None = None) -> Scenar
             f"f={f} with n={n} violates the broadcast service's majority "
             f"requirement (need f < n/2)")
 
-    seed = obj.get("seed", 0)
-    if seed_override is not None:
-        seed = seed_override
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2 ** 64):
-        raise ConfigError("seed must be an unsigned 64-bit integer")
-
-    max_delay = obj.get("max_delay", 10)
-    if not isinstance(max_delay, int) or isinstance(max_delay, bool) or max_delay < 1:
-        raise ConfigError("max_delay must be an integer >= 1")
-    probe_gets = obj.get("probe_gets", 2)
-    if not isinstance(probe_gets, int) or isinstance(probe_gets, bool) or probe_gets < 0:
-        raise ConfigError("probe_gets must be a non-negative integer")
+    seed = obj.get("seed", 0) if seed_override is None else seed_override
+    seed = _uint(seed, "seed must be an unsigned 64-bit integer", below=2 ** 64)
+    max_delay = _uint(obj.get("max_delay", 10), "max_delay must be an integer >= 1", minimum=1)
+    probe_gets = _uint(obj.get("probe_gets", 2), "probe_gets must be a non-negative integer")
 
     workload = _validate_workload(obj.get("workload"), clients)
     crash_schedule = _validate_crashes(obj.get("crash_schedule", []), n, f)
-    client_crashes = _validate_client_crashes(obj.get("client_crashes", []), clients)
+    client_crashes = _crash_entries(
+        obj.get("client_crashes", []), clients, "client",
+        ("malformed client crash entry {!r}", "client crash id {!r} out of range",
+         "client crash time {!r} must be a non-negative integer"))
 
     predicate = None
     if obj.get("predicate") is not None:
@@ -161,9 +166,8 @@ def _validate_workload(workload, clients: int):
         unknown = set(workload) - _WORKLOAD_SPEC_FIELDS
         if unknown:
             raise ConfigError(f"unknown workload fields: {sorted(unknown)}")
-        ops = workload.get("ops_per_client")
-        if not isinstance(ops, int) or isinstance(ops, bool) or ops < 0:
-            raise ConfigError("workload.ops_per_client must be a non-negative integer")
+        ops = _uint(workload.get("ops_per_client"),
+                    "workload.ops_per_client must be a non-negative integer")
         ratio = workload.get("append_ratio", 0.5)
         if not isinstance(ratio, (int, float)) or isinstance(ratio, bool) or not 0 <= ratio <= 1:
             raise ConfigError("workload.append_ratio must be in [0, 1]")
@@ -219,49 +223,39 @@ def _validate_crashes(crashes, n: int, f: int):
         spec = crashes["random"]
         if not isinstance(spec, Mapping) or set(spec) - {"max_crashes", "until"}:
             raise ConfigError("crash generator takes max_crashes and until")
-        max_crashes = spec.get("max_crashes", f)
-        until = spec.get("until", 100)
-        if not isinstance(max_crashes, int) or isinstance(max_crashes, bool) or max_crashes < 0:
-            raise ConfigError("max_crashes must be a non-negative integer")
+        max_crashes = _uint(spec.get("max_crashes", f),
+                            "max_crashes must be a non-negative integer")
         if max_crashes > f:
             raise ConfigError(f"max_crashes={max_crashes} exceeds the tolerance bound f={f}")
-        if not isinstance(until, int) or isinstance(until, bool) or until < 0:
-            raise ConfigError("until must be a non-negative integer")
+        until = _uint(spec.get("until", 100), "until must be a non-negative integer")
         return {"random": {"max_crashes": max_crashes, "until": until}}
-    entries = []
-    seen: set[int] = set()
-    for entry in crashes:
-        if not (isinstance(entry, Sequence) and len(entry) == 2):
-            raise ConfigError(f"malformed crash entry {entry!r}")
-        sid, t = entry
-        if not isinstance(sid, int) or not 0 <= sid < n:
-            raise ConfigError(f"crash server id {sid!r} out of range")
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise ConfigError(f"crash time {t!r} must be a non-negative integer")
-        if sid in seen:
-            raise ConfigError(f"server {sid} crashed twice in the schedule")
-        seen.add(sid)
-        entries.append((sid, t))
+    entries = _crash_entries(
+        crashes, n, "server",
+        ("malformed crash entry {!r}", "crash server id {!r} out of range",
+         "crash time {!r} must be a non-negative integer"))
     if len(entries) > f:
         raise ConfigError(f"{len(entries)} crashes requested but tolerance bound is f={f}")
-    return tuple(entries)
+    return entries
 
 
-def _validate_client_crashes(crashes, clients: int):
+def _crash_entries(crashes, bound: int, label: str, texts: tuple[str, str, str]):
+    """Validate explicit [[id, time], ...] crash entries for servers or clients.
+
+    Ids lie in [0, bound) and appear at most once; ``texts`` are the error
+    messages for a malformed entry, a bad id and a bad time, each formatted
+    with the offending value.
+    """
+    malformed, bad_id, bad_time = texts
     entries = []
     seen: set[int] = set()
     for entry in crashes:
         if not (isinstance(entry, Sequence) and len(entry) == 2):
-            raise ConfigError(f"malformed client crash entry {entry!r}")
-        cid, t = entry
-        if not isinstance(cid, int) or not 0 <= cid < clients:
-            raise ConfigError(f"client crash id {cid!r} out of range")
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise ConfigError(f"client crash time {t!r} must be a non-negative integer")
-        if cid in seen:
-            raise ConfigError(f"client {cid} crashed twice in the schedule")
-        seen.add(cid)
-        entries.append((cid, t))
+            raise ConfigError(malformed.format(entry))
+        pid, t = _uint(entry[0], bad_id, below=bound), _uint(entry[1], bad_time)
+        if pid in seen:
+            raise ConfigError(f"{label} {pid} crashed twice in the schedule")
+        seen.add(pid)
+        entries.append((pid, t))
     return tuple(entries)
 
 
@@ -329,13 +323,12 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
         history = events_from_jsonl((d / "history.jsonl").read_text())
         n = meta["scenario"]["n"]
         abtrace = trace_from_jsonl((d / "abtrace.jsonl").read_text(), n)
-        raw_states = json.loads((d / "states.json").read_text())
+        states = {int(sid): [Record(r["tau"], r["p"], r["v"]) for r in records]
+                  for sid, records in json.loads((d / "states.json").read_text()).items()}
     except FileNotFoundError as e:
         raise ConfigError(f"artifact incomplete: missing {Path(e.filename).name}") from e
-    except (json.JSONDecodeError, KeyError) as e:
-        raise ConfigError(f"artifact corrupt: {e}") from e
-    states = {int(sid): [Record(r["tau"], r["p"], r["v"]) for r in records]
-              for sid, records in raw_states.items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"artifact corrupt: {type(e).__name__}: {e}") from e
     return RunArtifact(history, abtrace, states, meta)
 
 
@@ -352,7 +345,6 @@ class Simulator:
         self.recorder = HistoryRecorder(lambda: self.now)
         self._server_alive = [True] * scenario.n
         self._client_alive = [True] * scenario.clients
-        self.crashes_fired = 0
 
         self.broadcast_service = BroadcastService(
             scenario.n,
@@ -413,7 +405,6 @@ class Simulator:
     def _crash_server(self, sid: int) -> None:
         if self._server_alive[sid]:
             self._server_alive[sid] = False
-            self.crashes_fired += 1
             self.trace.add("crash", sid, self.now)
 
     def _crash_client(self, cid: int) -> None:
@@ -455,7 +446,7 @@ class Simulator:
             "scenario_sha256": self.scenario.sha256(),
             "seed": sc.seed,
         }
-        states = {sid: list(s.records) for sid, s in enumerate(self.servers)}
+        states = {sid: list(s.replica.get()) for sid, s in enumerate(self.servers)}
         return RunArtifact(list(self.recorder.events), self.trace, states, meta)
 
     def _check_liveness(self) -> None:
@@ -482,18 +473,20 @@ def run_consensus(n: int, f: int, proposals: Sequence[str], seed: int,
     """Run the propose/decide reduction over an eventual-mode ledger.
 
     With no explicit schedule, f servers crash at seeded times early in the
-    run (the adversarial case for the polling loop).
+    run (the adversarial case for the polling loop).  The scenario is
+    validated before that draw.
     """
-    if crash_schedule is None:
-        rng = random.Random(f"crash:{seed}")
-        servers = sorted(rng.sample(range(n), f))
-        crash_schedule = tuple((sid, rng.randint(0, 3 * max_delay)) for sid in servers)
     scenario = scenario_from_dict({
         "n": n, "f": f, "clients": len(proposals), "mode": protocols.EVENTUAL,
         "seed": seed, "max_delay": max_delay, "probe_gets": 0,
         "workload": [[] for _ in proposals],
-        "crash_schedule": [list(e) for e in crash_schedule],
+        "crash_schedule": [list(e) for e in crash_schedule or ()],
     })
+    if crash_schedule is None:
+        rng = random.Random(f"crash:{seed}")
+        servers = sorted(rng.sample(range(n), f))
+        scenario = dataclasses.replace(scenario, crash_schedule=tuple(
+            (sid, rng.randint(0, 3 * max_delay)) for sid in servers))
 
     proposers: list[protocols.ProposerClient] = []
 

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from ledgerlab.cli import main
+from ledgerlab.cli import load_scenario, main
 
 BASE = {
     "n": 3, "f": 1, "clients": 2, "mode": "atomic", "seed": 3,
@@ -90,6 +91,35 @@ def test_check_failure_exits_3_with_witness(scen_file, tmp_path):
 
 def test_check_on_missing_artifact_exits_2(tmp_path):
     assert main(["check", str(tmp_path / "nowhere"), "--checker", "atomic"]) == 2
+
+
+def _string_counter_on_first_invoke(history):
+    lines = history.splitlines(keepends=True)
+    first = json.loads(lines[0])
+    assert first["ev"] == "invoke"
+    first["c"] = "c"
+    return json.dumps(first, separators=(",", ":")) + "\n" + "".join(lines[1:])
+
+
+@pytest.mark.parametrize("name,corrupt", [
+    ("history.jsonl", _string_counter_on_first_invoke),
+    ("states.json", lambda _: json.dumps({"0": [1]})),
+    ("meta.json", lambda _: "[]"),
+], ids=["history-string-counter", "states-int-record", "meta-list"])
+def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt):
+    art = tmp_path / "art"
+    main(["run", "--scenario", scen_file(), "--out", str(art)])
+    (art / name).write_text(corrupt((art / name).read_text()))
+    assert main(["check", str(art), "--checker", "atomic"]) == 2
+    assert "artifact corrupt" in capsys.readouterr().err
+
+
+def test_readme_scenario_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "scenario.json"
+    path.write_text(example)
+    assert load_scenario(path).predicate is not None
 
 
 def test_eventual_check_requires_probes(scen_file, tmp_path):
@@ -184,6 +214,7 @@ def test_consensus_with_shared_value(capsys):
 
 def test_consensus_majority_check():
     assert main(["consensus", "--n", "3", "--f", "2", "--proposers", "2"]) == 2
+    assert main(["consensus", "--n", "2", "--f", "3", "--proposers", "2"]) == 2
 
 
 def test_divergence_maps_to_exit_4():

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ledgerlab.checkers import check_validated_spec
+from ledgerlab.histories import Op
 from ledgerlab.ledger import (
     ACK,
     NACK,
@@ -197,3 +199,129 @@ def test_sequential_replay_matches_append_order(stream):
         assert led.append(r) == ACK
         assert led.get() == tuple(stream[:len(led.get())])
     assert led.get() == tuple(stream)
+
+
+# -- reference definition -----------------------------------------------------
+#
+# The library runs each predicate as a fold.  These tests keep the definition
+# it replaced: a sequence is replayed in full, and a record survives iff the
+# replay of `kept + [r]` accepts.  The fold must agree with it everywhere.
+
+def reference_valid(pred, seq):
+    if pred.kind == "always_true":
+        return True
+    if pred.kind == "unique_tau":
+        rids = [r.rid for r in seq]
+        return len(rids) == len(set(rids))
+    balances = dict(pred.balances)
+    for r in seq:
+        parts = r.payload.split(":")
+        if (len(parts) != 3 or parts[0] not in ("deposit", "withdraw") or not parts[1]
+                or not parts[2].isdigit()):
+            return False
+        action, acct, amount = parts
+        sign = 1 if action == "deposit" else -1
+        balances[acct] = balances.get(acct, 0) + sign * int(amount)
+        if balances[acct] < 0:
+            return False
+    return True
+
+
+def reference_filter(seq, pred):
+    kept = []
+    for r in seq:
+        if reference_valid(pred, kept + [r]):
+            kept.append(r)
+    return tuple(kept)
+
+
+def reference_appends(seq, pred):
+    """The ACK/NACK (or 'dup' for a stored id) answer to each append in turn."""
+    kept, out = [], []
+    for r in seq:
+        if r.rid in {k.rid for k in kept}:
+            out.append("dup")
+        elif reference_valid(pred, kept + [r]):
+            kept.append(r)
+            out.append(ACK)
+        else:
+            out.append(NACK)
+    return out
+
+
+def reference_validated_spec(ops, pred):
+    """The verdict of a strict validated replay, by full replays."""
+    state = []
+    for op in ops:
+        if op.kind == "get":
+            if op.seq != tuple(r.rid for r in state):
+                return "SeqSpec", op.op_id
+            continue
+        r = Record(op.rid, op.client, op.payload or "")
+        valid = reference_valid(pred, state + [r])
+        if op.result == ACK:
+            if not valid:
+                return "Def5-2a", op.op_id
+            state.append(r)
+        elif op.result == NACK:
+            if valid:
+                return "Def5-2b", op.op_id
+        else:
+            return "SeqSpec", op.op_id
+    return None
+
+
+# Record ids come from a small pool so that streams repeat them; payloads
+# include ones the account grammar cannot parse.
+any_payloads = st.one_of(account_payloads, st.sampled_from(["junk", "", "deposit:A", "x:A:1"]))
+dup_streams = st.lists(st.tuples(st.integers(1, 6), any_payloads), max_size=25).map(
+    lambda xs: [Record(f"0.{k}", 0, p) for k, p in xs])
+ref_predicates = st.one_of(predicates, st.just(account_balance({})))
+# How each record enters a sequential history: appended with the result the
+# reference gives, with a forced result, or read back by a get (possibly a
+# stale one).
+history_moves = st.sampled_from(["true", "ack", "nack", "other", "get", "stale"])
+
+
+@given(dup_streams, ref_predicates)
+def test_fold_matches_the_full_replay_reference(stream, pred):
+    assert filter_valid(stream, pred) == reference_filter(stream, pred)
+    assert evaluate_predicate(pred, stream) == reference_valid(pred, stream)
+    kept = filter_valid(stream, pred)
+    assert evaluate_predicate(pred, kept) == reference_valid(pred, kept)
+
+    vl, answers = ValidatedLedger(pred), []
+    for r in stream:
+        try:
+            answers.append(vl.append(r))
+        except DuplicateRecordError:
+            answers.append("dup")
+    assert answers == reference_appends(stream, pred)
+
+
+@given(st.lists(st.tuples(st.integers(1, 6), any_payloads, history_moves), max_size=20),
+       ref_predicates)
+def test_validated_spec_matches_the_full_replay_reference(moves, pred):
+    ops, model = [], []
+    for i, (k, payload, move) in enumerate(moves):
+        common = dict(op_id=f"9.{i}", client=0, c=i, invoke_i=2 * i, invoke_t=2 * i,
+                      response_i=2 * i + 1, response_t=2 * i + 1)
+        if move in ("get", "stale"):
+            seq = tuple(r.rid for r in model)
+            ops.append(Op(kind="get", seq=seq[:-1] if move == "stale" else seq, **common))
+            continue
+        r = Record(f"0.{k}", 0, payload)
+        if move == "true":
+            result = ACK if reference_valid(pred, model + [r]) else NACK
+        else:
+            result = {"ack": ACK, "nack": NACK, "other": None}[move]
+        if result == ACK:
+            model.append(r)
+        ops.append(Op(kind="append", payload=payload, rid=r.rid, result=result, **common))
+
+    v = check_validated_spec(ops, pred)
+    expected = reference_validated_spec(ops, pred)
+    if expected is None:
+        assert v.ok
+    else:
+        assert (v.violated, v.witness) == (expected[0], [expected[1]])

@@ -49,14 +49,14 @@ class TestEventualServer:
         s.handle_request(3, AppendReq(1, r))
         assert net.broadcasts == [(0, BcastRecord(r))]
         assert net.responses == [(0, 3, AppendRes(1, ACK, None))]
-        assert s.records == []  # nothing applied until delivery
+        assert s.replica.get() == ()  # nothing applied until delivery
 
     def test_duplicate_delivery_is_discarded(self):
         s = EventualServer(0, FakeNet())
         r = rec(1)
         s.handle_adeliver(BcastRecord(r))
         s.handle_adeliver(BcastRecord(r))
-        assert s.records == [r]
+        assert s.replica.get() == (r,)
 
 
 class TestAtomicServer:
@@ -82,7 +82,7 @@ class TestAtomicServer:
         s.handle_request(3, AppendReq(1, r))
         assert net.responses == []
         s.handle_adeliver(BcastAppend(r))
-        assert s.records == [r]
+        assert s.replica.get() == (r,)
         assert net.responses == [(0, 3, AppendRes(1, ACK, None))]
 
     def test_stashed_append_is_acked_even_on_a_duplicate_delivery(self):
@@ -96,7 +96,7 @@ class TestAtomicServer:
         assert net.responses == []
         s.handle_request(3, AppendReq(1, r))
         s.handle_adeliver(BcastAppend(r))  # own copy, record already present
-        assert s.records == [r]
+        assert s.replica.get() == (r,)
         assert net.responses == [(0, 3, AppendRes(1, ACK, None))]
 
 

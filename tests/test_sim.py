@@ -19,10 +19,18 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="unknown scenario fields"):
             scenario(bogus=1)
 
-    @pytest.mark.parametrize("n,f", [(3, 3), (3, 2), (4, 2), (1, 1)])
-    def test_crash_bounds_rejected(self, n, f):
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"n": 3, "f": 3}, id="3-3"),
+        pytest.param({"n": 3, "f": 2}, id="3-2"),
+        pytest.param({"n": 4, "f": 2}, id="4-2"),
+        pytest.param({"n": 1, "f": 1}, id="1-1"),
+        # bool is an int subclass: True must not pass as server or client 1
+        pytest.param({"crash_schedule": [[True, 5]]}, id="bool-server-id"),
+        pytest.param({"client_crashes": [[False, 3]]}, id="bool-client-id"),
+    ])
+    def test_crash_bounds_rejected(self, overrides):
         with pytest.raises(ConfigError):
-            scenario(n=n, f=f)
+            scenario(**overrides)
 
     def test_majority_requirement_named_in_error(self):
         with pytest.raises(ConfigError, match="majority"):
