@@ -12,16 +12,18 @@ deliberately independent in spirit:
   accepts iff some permutation reproduces every recorded return value.
 
 When both run and disagree, the verdict is `divergence` rather than silently
-trusting either side.  Incomplete histories are handled by candidate
-completion: pending gets are dropped, and each pending append is tried both
-as taking effect and as never having happened; the history passes if any
-candidate does.
+trusting either side.  An incomplete history is judged through one canonical
+completion: pending gets are dropped, and a pending append is kept iff some
+completed get or probe get returned its record id.  An unread pending append
+precedes nothing and appears in no read, so it can always be linearized last
+or left out; a read one must be kept, or its id is a fabrication.  So the
+canonical candidate passes iff any include/exclude candidate does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .histories import APPEND, GET, Op
 from .ledger import ACK, NACK, Record, ValidityPredicate
@@ -29,7 +31,6 @@ from .verdicts import DIVERGENCE, Verdict, failed, passed
 
 ORACLE_HARD_CAP = 12
 ORACLE_AUTO_LIMIT = 10
-PENDING_CAP = 8
 
 REALTIME = "realtime"
 PER_PROCESS = "per-process"
@@ -59,27 +60,22 @@ class CompletedHistory:
 
 
 def complete_history(completed: Sequence[Op], pending: Sequence[Op],
-                     cap: int = PENDING_CAP) -> list[CompletedHistory]:
-    """Expand an incomplete history into complete candidates.
+                     probe_ops: Sequence[Op] = ()) -> list[CompletedHistory]:
+    """The canonical completion of an incomplete history, as a one-item list.
 
-    Pending gets are removed outright.  Each pending append either took
-    effect (kept, with an unreachable response index so it precedes nothing)
-    or did not (dropped); all 2^k combinations are produced, most-inclusive
-    first.  k is capped because candidates are checked exhaustively.
+    Pending gets are removed.  A pending append is kept, with an unreachable
+    response index so it precedes nothing, iff its record id appears in the
+    returned sequence of a completed get or of a probe get; otherwise it is
+    dropped.
     """
-    pending_appends = [op for op in pending if op.kind == APPEND]
-    k = len(pending_appends)
-    if k > cap:
-        raise CapacityError(
-            f"{k} pending appends exceed the completion cap of {cap}; "
-            f"re-run with a smaller workload")
-    base = list(completed)
-    out = []
-    for mask in range((1 << k) - 1, -1, -1):
-        chosen = [op for i, op in enumerate(pending_appends) if mask >> i & 1]
-        ops = sorted(base + chosen, key=lambda op: op.invoke_i)
-        out.append(CompletedHistory(tuple(ops)))
-    return out
+    pending_rids = {op.rid for op in pending if op.kind == APPEND}
+    read: set[str] = set()
+    if pending_rids:
+        for g in (*completed, *probe_ops):
+            if g.kind == GET:
+                read.update(pending_rids.intersection(g.seq or ()))
+    kept = [op for op in pending if op.rid in read]
+    return [CompletedHistory(tuple(sorted((*completed, *kept), key=lambda op: op.invoke_i)))]
 
 
 # -- sequential replays ------------------------------------------------------
@@ -252,8 +248,7 @@ def check_eventual(h: CompletedHistory, probe_ops: Sequence[Op]) -> Verdict:
 
 # -- exhaustive oracle -------------------------------------------------------
 
-def linearize(h: CompletedHistory, constraint: str = REALTIME,
-              limit: int = ORACLE_HARD_CAP) -> list[Op] | None:
+def linearize(h: CompletedHistory, constraint: str = REALTIME) -> list[Op] | None:
     """Search for a precedence-respecting permutation that replays correctly.
 
     DFS over schedulable operations with the ledger state carried along:
@@ -263,9 +258,9 @@ def linearize(h: CompletedHistory, constraint: str = REALTIME,
     """
     ops = h.ops
     n = len(ops)
-    if n > limit:
+    if n > ORACLE_HARD_CAP:
         raise CapacityError(
-            f"{n} operations exceed the oracle bound of {limit}; "
+            f"{n} operations exceed the oracle bound of {ORACLE_HARD_CAP}; "
             f"use the property checks instead")
     if constraint not in (REALTIME, PER_PROCESS):
         raise ValueError(f"unknown constraint {constraint!r}")
@@ -312,49 +307,28 @@ def linearize(h: CompletedHistory, constraint: str = REALTIME,
     return None
 
 
-# -- candidate aggregation ---------------------------------------------------
+# -- verification ------------------------------------------------------------
 
 def verify_history(completed: Sequence[Op], pending: Sequence[Op], checker: str,
-                   *, probe_ops: Sequence[Op] = (),
-                   oracle_limit: int = ORACLE_AUTO_LIMIT,
-                   cap: int = PENDING_CAP) -> Verdict:
-    """Run a named checker over all completion candidates of a history.
+                   *, probe_ops: Sequence[Op] = ()) -> Verdict:
+    """Run a named checker over the canonical completion of a history.
 
-    ``checker`` is one of atomic / sequential / eventual.  The history passes
-    if any candidate does.  For atomic and sequential the permutation oracle
-    also runs when every candidate fits under ``oracle_limit``; a property/
-    oracle disagreement yields a divergence verdict.
+    ``checker`` is one of atomic / sequential / eventual.  For atomic and
+    sequential the permutation oracle also runs when the completion has at
+    most ``ORACLE_AUTO_LIMIT`` operations; a property/oracle disagreement
+    yields a divergence verdict.
     """
-    candidates = complete_history(completed, pending, cap=cap)
+    [h] = complete_history(completed, pending, probe_ops)
     if checker == "atomic":
-        prop: Callable[[CompletedHistory], Verdict] = check_atomic
-        constraint = REALTIME
+        v, constraint = check_atomic(h), REALTIME
     elif checker == "sequential":
-        prop = check_sequential_consistency
-        constraint = PER_PROCESS
+        v, constraint = check_sequential_consistency(h), PER_PROCESS
     elif checker == "eventual":
-        def prop(h: CompletedHistory) -> Verdict:
-            return check_eventual(h, probe_ops)
-        constraint = None
+        return check_eventual(h, probe_ops)
     else:
         raise ValueError(f"unknown checker {checker!r}")
-
-    verdicts = []
-    prop_ok = False
-    for cand in candidates:
-        v = prop(cand)
-        verdicts.append(v)
-        if v.ok:
-            prop_ok = True
-            break
-    result = verdicts[-1] if prop_ok else verdicts[0]
-
-    if constraint is not None and max(len(c.ops) for c in candidates) <= oracle_limit:
-        oracle_ok = any(linearize(c, constraint) is not None for c in candidates)
-        if oracle_ok != prop_ok:
-            return Verdict(DIVERGENCE,
-                           violated=result.violated if not prop_ok else None,
-                           witness=list(result.witness) if not prop_ok else [],
-                           oracle_used=True)
-        result.oracle_used = True
-    return result
+    if len(h.ops) <= ORACLE_AUTO_LIMIT:
+        if (linearize(h, constraint) is not None) != v.ok:
+            return Verdict(DIVERGENCE, v.violated, list(v.witness), oracle_used=True)
+        v.oracle_used = True
+    return v

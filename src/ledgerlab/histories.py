@@ -56,13 +56,24 @@ def events_to_jsonl(events: Iterable[HistoryEvent]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def is_int(v) -> bool:
+    """An integer that is not a bool (JSON ``true`` loads as one)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def events_from_jsonl(text: str) -> list[HistoryEvent]:
+    """Parse history JSONL; raises ValueError on a field of the wrong type or value."""
     events = []
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         obj = json.loads(line)
         seq = obj.get("seq")
+        if not (isinstance(obj["op"], str) and all(is_int(obj[k]) for k in ("client", "c", "t"))
+                and obj["ev"] in (INVOKE, RESPONSE) and obj["kind"] in (GET, APPEND)
+                and all(isinstance(obj.get(k), (str, type(None))) for k in ("payload", "result"))
+                and (seq is None or isinstance(seq, list) and all(isinstance(r, str) for r in seq))):
+            raise ValueError(f"malformed history event on line {n}")
         events.append(HistoryEvent(
             op_id=obj["op"], client=obj["client"], ev=obj["ev"], kind=obj["kind"],
             c=obj["c"], t=obj["t"], payload=obj.get("payload"),
@@ -119,10 +130,11 @@ def pair_events(events: Sequence[HistoryEvent]) -> tuple[list[Op], list[Op]]:
     """Match invokes with responses; returns (completed ops, pending ops).
 
     Raises ValueError on malformed histories (response without invoke,
-    duplicate events for one op id, or a client with two operations in
-    flight at once).
+    duplicate events for one op id, a client with two operations in flight
+    at once, or two appends minting one record id).
     """
     open_ops: dict[str, tuple[int, HistoryEvent]] = {}
+    minted: set[str] = set()
     client_inflight: dict[int, str] = {}
     completed: list[Op] = []
     for i, e in enumerate(events):
@@ -132,6 +144,11 @@ def pair_events(events: Sequence[HistoryEvent]) -> tuple[list[Op], list[Op]]:
             inflight = client_inflight.get(e.client)
             if inflight is not None:
                 raise ValueError(f"client {e.client} invoked {e.op_id} while {inflight} pending")
+            if e.kind == APPEND:
+                rid = make_rid(e.client, e.c)
+                if rid in minted:
+                    raise ValueError(f"append {e.op_id} mints record id {rid} a second time")
+                minted.add(rid)
             open_ops[e.op_id] = (i, e)
             client_inflight[e.client] = e.op_id
         elif e.ev == RESPONSE:

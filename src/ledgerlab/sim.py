@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from . import protocols
 from .abcast import AbTrace, BroadcastService, trace_from_jsonl
-from .histories import HistoryEvent, HistoryRecorder, events_from_jsonl, events_to_jsonl
+from .histories import HistoryEvent, HistoryRecorder, events_from_jsonl, events_to_jsonl, is_int
 from .ledger import Record, ValidityPredicate, predicate_from_config, predicate_to_config
 
 
@@ -99,7 +99,7 @@ def _uint(v, message: str, *, minimum: int = 0, below: float = math.inf) -> int:
 
     Otherwise raise ``ConfigError(message.format(v))``.
     """
-    if not isinstance(v, int) or isinstance(v, bool) or not minimum <= v < below:
+    if not is_int(v) or not minimum <= v < below:
         raise ConfigError(message.format(v))
     return v
 

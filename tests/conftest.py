@@ -1,9 +1,14 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from ledgerlab.histories import Op
 from ledgerlab.sim import scenario_from_dict
+
+# `--hypothesis-profile=ci` replays the same examples on every run, so a
+# failure seen in a CI log reproduces locally.
+settings.register_profile("ci", derandomize=True)
 
 
 def op(op_id, kind, inv, res=math.inf, *, seq=None, result="ack", payload=None):

@@ -112,8 +112,8 @@ def test_criterion_3_sequential_soundness(sequential_campaign):
 def _history_verdicts(scenario, seed):
     art = sim.run(scenario.with_seed(seed))
     completed, pending = pair_events(art.history)
-    atomic = checkers.verify_history(completed, pending, "atomic", oracle_limit=0)
-    seq = checkers.verify_history(completed, pending, "sequential", oracle_limit=0)
+    atomic = checkers.verify_history(completed, pending, "atomic")
+    seq = checkers.verify_history(completed, pending, "sequential")
     eventual = run_checker("eventual", art)
     return atomic, seq, eventual
 

@@ -1,9 +1,14 @@
+import dataclasses
 import math
+import random
 
 import pytest
 
 from ledgerlab import checkers
 from ledgerlab.checkers import (
+    ORACLE_AUTO_LIMIT,
+    PER_PROCESS,
+    REALTIME,
     CapacityError,
     CheckerError,
     CompletedHistory,
@@ -19,7 +24,7 @@ from ledgerlab.checkers import (
 from ledgerlab.histories import pair_events
 from ledgerlab.ledger import account_balance
 from ledgerlab.sim import run
-from ledgerlab.verdicts import passed
+from ledgerlab.verdicts import DIVERGENCE, Verdict, passed
 
 from conftest import op, scenario
 
@@ -41,25 +46,145 @@ class TestCompletion:
         assert all(o.kind == "append" for o in out[0].ops)
 
     def test_pending_appends_fork_into_include_and_exclude(self):
-        pending = [op("1.1", "append", 4)]
-        out = complete_history([], pending)
-        assert [len(c.ops) for c in out] == [1, 0]  # most-inclusive first
-        assert out[0].ops[0].response_i == math.inf
+        # the read pending append is kept and precedes nothing; the unread one
+        # is dropped
+        completed = [op("0.1", "get", 3, 6, seq=["1.1"])]
+        pending = [op("1.1", "append", 1), op("2.1", "append", 2)]
+        [h] = complete_history(completed, pending)
+        assert [o.op_id for o in h.ops] == ["1.1", "0.1"]
+        assert h.ops[0].response_i == math.inf
+        # a probe read keeps a pending append too
+        [h] = complete_history([], pending, [op("0.2", "get", 7, 8, seq=["2.1"])])
+        assert [o.op_id for o in h.ops] == ["2.1"]
 
-    def test_capacity_cap_on_pending_appends(self):
-        pending = [op(f"{i}.1", "append", i) for i in range(9)]
-        with pytest.raises(CapacityError):
-            complete_history([], pending)
+    def test_forty_pending_appends_get_a_verdict(self):
+        pending = [op(f"{i}.1", "append", i) for i in range(40)]
+        read = [f"{i}.1" for i in range(0, 40, 2)]
+        completed = [op("40.1", "get", 40, 41, seq=read)]
+        probes = [op("40.2", "get", 42, 43, seq=read)]
+        assert verify_history(completed, pending, "atomic").ok
+        assert verify_history(completed, pending, "sequential").ok
+        assert verify_history(completed, pending, "eventual", probe_ops=probes).ok
+        bad = [op("40.1", "get", 40, 41, seq=[*read, "9.9"])]
+        assert verify_history(bad, pending, "atomic").violated == "Fabrication"
 
     def test_include_candidate_saves_a_history_whose_record_was_read(self):
         completed = [op("0.1", "get", 1, 6, seq=["1.1"])]
         pending = [op("1.1", "append", 0, payload="x")]
-        v = verify_history(completed, pending, "atomic")
-        assert v.ok
-        # while the exclude candidate alone is a fabrication
-        excluded = complete_history(completed, pending)[1]
-        assert check_atomic(excluded).violated == "Fabrication"
+        [h] = complete_history(completed, pending)
+        assert [o.op_id for o in h.ops] == ["1.1", "0.1"]
+        assert verify_history(completed, pending, "atomic").ok
+        # while the history without the read record is a fabrication
+        assert check_atomic(hist(*completed)).violated == "Fabrication"
 
+
+def enumerated_completions(completed, pending):
+    """Reference: all 2^k include/exclude completions, most-inclusive first."""
+    appends = [o for o in pending if o.kind == "append"]
+    out = []
+    for mask in range((1 << len(appends)) - 1, -1, -1):
+        chosen = [o for i, o in enumerate(appends) if mask >> i & 1]
+        out.append(hist(*sorted([*completed, *chosen], key=lambda o: o.invoke_i)))
+    return out
+
+
+def enumerated_verdict(completed, pending, checker, probe_ops=()):
+    """Reference aggregation over the enumeration: pass iff some candidate
+    passes, else the most-inclusive candidate's failure; the oracle runs over
+    every candidate when all fit under ORACLE_AUTO_LIMIT."""
+    candidates = enumerated_completions(completed, pending)
+    prop = {"atomic": check_atomic, "sequential": check_sequential_consistency,
+            "eventual": lambda h: check_eventual(h, probe_ops)}[checker]
+    verdicts = []
+    for cand in candidates:
+        verdicts.append(prop(cand))
+        if verdicts[-1].ok:
+            break
+    result = verdicts[-1] if verdicts[-1].ok else verdicts[0]
+    constraint = {"atomic": REALTIME, "sequential": PER_PROCESS}.get(checker)
+    if constraint and max(len(c.ops) for c in candidates) <= ORACLE_AUTO_LIMIT:
+        oracle_ok = any(linearize(c, constraint) is not None for c in candidates)
+        if oracle_ok != result.ok:
+            return Verdict(DIVERGENCE, result.violated, list(result.witness), oracle_used=True)
+        result.oracle_used = True
+    return result
+
+
+def crashy_split(rng, seed):
+    """A simulator run with most of its clients (at most 8) crashing early,
+    split into (completed, pending, probe gets); one client always survives so
+    the probe phase has a reader."""
+    clients = rng.randint(2, 9)
+    crashed = rng.sample(range(clients), rng.randint(max(1, clients - 3), min(clients - 1, 8)))
+    art = run(scenario(
+        seed=seed, clients=clients, mode=rng.choice(("atomic", "sequential", "eventual")),
+        max_delay=rng.choice((3, 10, 30)),
+        client_crashes=[[c, rng.randint(1, 15)] for c in crashed],
+        workload={"ops_per_client": rng.randint(1, 5), "append_ratio": rng.choice((0.6, 0.9))}))
+    probe_from_t = art.meta["probe_from_t"]
+    completed, pending = pair_events([e for e in art.history if e.t < probe_from_t])
+    probes, _ = pair_events([e for e in art.history if e.t >= probe_from_t])
+    return completed, pending, probes
+
+
+def mutate_reads(rng, completed, pending, probes):
+    """Either erase one pending append's id from every returned sequence, or
+    drop, swap or inject one id in one or two of them; half the injected ids
+    are pending rids, the rest completed or fabricated ones."""
+    pending_rids = [o.rid for o in pending if o.kind == "append"]
+    pool = [o.rid for o in completed if o.kind == "append"] + ["9.99"]
+
+    def mutate(g):
+        seq = list(g.seq)
+        how = rng.choice(("drop", "swap", "inject"))
+        if how == "drop" and seq:
+            del seq[rng.randrange(len(seq))]
+        elif how == "swap" and len(seq) > 1:
+            i = rng.randrange(len(seq) - 1)
+            seq[i], seq[i + 1] = seq[i + 1], seq[i]
+        else:
+            rid = rng.choice(pending_rids if pending_rids and rng.random() < 0.5 else pool)
+            seq.insert(rng.randint(0, len(seq)), rid)
+        return dataclasses.replace(g, seq=tuple(seq))
+
+    ops = [*completed, *probes]
+    gets = [i for i, o in enumerate(ops) if o.kind == "get"]
+    if pending_rids and rng.random() < 0.3:
+        rid = rng.choice(pending_rids)
+        for i in gets:
+            ops[i] = dataclasses.replace(ops[i], seq=tuple(r for r in ops[i].seq if r != rid))
+    else:
+        for i in rng.sample(gets, min(len(gets), rng.randint(1, 2))):
+            ops[i] = mutate(ops[i])
+    return ops[:len(completed)], ops[len(completed):]
+
+
+class TestCanonicalCompletion:
+    def test_agrees_with_the_enumeration(self):
+        rng = random.Random("canonical-vs-enumeration")
+        stats = {"pending": 0, "read_pending": 0, "max_k": 0, "oracle": 0, "pass": 0, "fail": 0}
+        for seed in range(300):
+            completed, pending, probes = crashy_split(rng, seed)
+            k = sum(o.kind == "append" for o in pending)
+            assert k <= 8
+            [h] = complete_history(completed, pending, probes)
+            stats["pending"] += k > 0
+            stats["max_k"] = max(stats["max_k"], k)
+            stats["read_pending"] += any(o.response_i == math.inf for o in h.ops)
+            for variant in ((completed, probes), mutate_reads(rng, completed, pending, probes)):
+                c, p = variant
+                for checker in ("atomic", "sequential", "eventual"):
+                    got = verify_history(c, pending, checker, probe_ops=p)
+                    want = enumerated_verdict(c, pending, checker, p)
+                    assert got.status == want.status, (seed, checker, got, want)
+                    if checker != "eventual":
+                        assert (got.violated, got.witness) == (want.violated, want.witness), \
+                            (seed, checker, got, want)
+                    stats["oracle"] += got.oracle_used
+                    stats[got.status] += 1
+        # every route is represented
+        assert stats["read_pending"] > 30 and stats["pending"] > 150 and stats["max_k"] == 8
+        assert stats["oracle"] > 50 and stats["pass"] > 300 and stats["fail"] > 300, stats
 
 class TestSequentialSpecReplay:
     def test_append_then_get_passes(self):
@@ -207,8 +332,8 @@ class TestSequentialConsistencyChecker:
             art = run(scenario(seed=seed, mode="eventual",
                                workload={"ops_per_client": 8, "append_ratio": 0.6}))
             completed, pending = pair_events(art.history)
-            va = verify_history(completed, pending, "atomic", oracle_limit=0)
-            vs = verify_history(completed, pending, "sequential", oracle_limit=0)
+            va = verify_history(completed, pending, "atomic")
+            vs = verify_history(completed, pending, "sequential")
             if va.ok:
                 assert vs.ok
 
@@ -245,6 +370,13 @@ class TestEventualChecker:
     def test_probe_fabrication_is_caught(self):
         probes = [op("0.2", "get", 4, 5, seq=["9.9"])]
         assert check_eventual(hist(), probes).violated == "Fabrication"
+
+    def test_unread_pending_append_is_not_blamed(self):
+        completed = [op("0.1", "append", 1, 2)]
+        pending = [op("1.1", "append", 0)]
+        probes = [op("0.2", "get", 4, 5, seq=())]
+        v = verify_history(completed, pending, "eventual", probe_ops=probes)
+        assert v.violated == "ProbeCompleteness" and v.witness == ["0.1", "0.2"]
 
     def test_refuses_without_probes(self):
         with pytest.raises(CheckerError):

@@ -93,24 +93,41 @@ def test_check_on_missing_artifact_exits_2(tmp_path):
     assert main(["check", str(tmp_path / "nowhere"), "--checker", "atomic"]) == 2
 
 
-def _string_counter_on_first_invoke(history):
-    lines = history.splitlines(keepends=True)
-    first = json.loads(lines[0])
-    assert first["ev"] == "invoke"
-    first["c"] = "c"
-    return json.dumps(first, separators=(",", ":")) + "\n" + "".join(lines[1:])
+def _history_field(key, value):
+    """Set ``key`` to ``value`` on the first history line that carries it."""
+    def corrupt(history):
+        lines = history.splitlines()
+        i = next(i for i, line in enumerate(lines) if f'"{key}":' in line)
+        obj = json.loads(lines[i])
+        obj[key] = value
+        lines[i] = json.dumps(obj, separators=(",", ":"))
+        return "\n".join(lines) + "\n"
+    return corrupt
 
 
-@pytest.mark.parametrize("name,corrupt", [
-    ("history.jsonl", _string_counter_on_first_invoke),
-    ("states.json", lambda _: json.dumps({"0": [1]})),
-    ("meta.json", lambda _: "[]"),
-], ids=["history-string-counter", "states-int-record", "meta-list"])
-def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt):
+@pytest.mark.parametrize("name,corrupt,checker", [
+    ("history.jsonl", _history_field("c", "c"), "atomic"),
+    ("states.json", lambda _: json.dumps({"0": [1]}), "atomic"),
+    ("meta.json", lambda _: "[]", "atomic"),
+    ("history.jsonl", _history_field("client", [0]), "atomic"),
+    ("history.jsonl", _history_field("op", ["x"]), "atomic"),
+    ("history.jsonl", _history_field("t", "x"), "eventual"),
+    ("history.jsonl", _history_field("c", True), "atomic"),
+    ("history.jsonl", _history_field("ev", "done"), "atomic"),
+    ("history.jsonl", _history_field("kind", "put"), "atomic"),
+    ("history.jsonl", _history_field("seq", "0.1"), "atomic"),
+    ("history.jsonl", _history_field("seq", [1]), "atomic"),
+    ("history.jsonl", _history_field("payload", 5), "atomic"),
+    ("history.jsonl", _history_field("result", ["ack"]), "atomic"),
+], ids=["history-string-counter", "states-int-record", "meta-list", "history-list-client",
+        "history-list-op", "history-string-time-eventual", "history-bool-counter",
+        "history-unknown-ev", "history-unknown-kind", "history-string-seq",
+        "history-int-in-seq", "history-int-payload", "history-list-result"])
+def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt, checker):
     art = tmp_path / "art"
     main(["run", "--scenario", scen_file(), "--out", str(art)])
     (art / name).write_text(corrupt((art / name).read_text()))
-    assert main(["check", str(art), "--checker", "atomic"]) == 2
+    assert main(["check", str(art), "--checker", checker]) == 2
     assert "artifact corrupt" in capsys.readouterr().err
 
 

@@ -69,6 +69,10 @@ def test_real_time_precedence_comes_from_event_positions():
      "duplicate invoke"),
     ([ev("0.1", 0, "invoke", "get", 1, 0), ev("0.2", 0, "invoke", "get", 2, 1)],
      "while"),
+    ([ev("0.1", 0, "invoke", "append", 1, 0, payload="x"),
+      ev("0.1", 0, "response", "append", 1, 1, result="ack"),
+      ev("0.2", 0, "invoke", "append", 1, 2, payload="y")],
+     "mints record id 0.1 a second time"),
 ])
 def test_malformed_histories_rejected(events, msg):
     with pytest.raises(ValueError, match=msg):
