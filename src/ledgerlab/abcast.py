@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .histories import is_int
 from .verdicts import Verdict, failed, passed
 
 BROADCAST = "broadcast"
@@ -52,12 +53,17 @@ class AbTrace:
 
 
 def trace_from_jsonl(text: str, n: int) -> AbTrace:
+    """Parse trace JSONL for ``n`` servers; raises ValueError on a malformed event."""
     trace = AbTrace(n)
-    for line in text.splitlines():
+    for k, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         obj = json.loads(line)
-        trace.add(obj["ev"], obj["server"], obj["t"], obj.get("msg"))
+        ev, server, msg = obj["ev"], obj["server"], obj.get("msg")
+        if not (ev in (BROADCAST, DELIVER, CRASH) and is_int(server) and 0 <= server < n
+                and is_int(obj["t"]) and (msg is None if ev == CRASH else is_int(msg))):
+            raise ValueError(f"malformed trace event on line {k}")
+        trace.add(ev, server, obj["t"], msg)
     return trace
 
 

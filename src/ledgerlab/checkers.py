@@ -3,27 +3,35 @@
 Two routes are provided for the strong consistency levels and they are kept
 deliberately independent in spirit:
 
-* property screens -- necessary ordering conditions checked pairwise
-  (append/append, append/get, get/get, get/append, under real-time or
-  same-client precedence) together with global integrity: no fabricated or
-  duplicated record ids and all returned sequences pairwise prefix-related.
+* property screens -- integrity (every append acked, no fabricated or
+  duplicated record ids, all returned sequences prefix-related), then one
+  rank rule under real-time or same-client precedence: the longest returned
+  sequence ranks a get ``2*len(seq)``, an append ``2*pos+1`` (+inf if
+  unread), and x preceding y requires rank(x) <= rank(y).  One sweep checks
+  it in O(n log n) for n ops, after one pass over the returned ids.
 * an exhaustive oracle -- for small histories, a pruned DFS over all
   precedence-respecting permutations that replays the sequential ledger and
   accepts iff some permutation reproduces every recorded return value.
 
 When both run and disagree, the verdict is `divergence` rather than silently
-trusting either side.  An incomplete history is judged through one canonical
-completion: pending gets are dropped, and a pending append is kept iff some
-completed get or probe get returned its record id.  An unread pending append
-precedes nothing and appears in no read, so it can always be linearized last
-or left out; a read one must be kept, or its id is a fabrication.  So the
-canonical candidate passes iff any include/exclude candidate does.
+trusting either side; it marks a bug, as the screens are exact.  Each screen
+is necessary, and when all pass, sorting the ops by (rank, invoke index)
+respects precedence and replays the ledger (the appends at positions
+0..m-1, in order, come just before the gets of length m): a linearization.
+
+An incomplete history is judged through one canonical completion: pending
+gets are dropped, and a pending append is kept iff some completed get or
+probe get returned its record id.  An unread pending append precedes nothing
+and appears in no read, so it can always be linearized last or left out; a
+read one must be kept, or its id is a fabrication.  So the canonical
+candidate passes iff any include/exclude candidate does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .histories import APPEND, GET, Op
 from .ledger import ACK, NACK, Record, ValidityPredicate
@@ -122,8 +130,12 @@ def check_validated_spec(ops: Sequence[Op], pred: ValidityPredicate) -> Verdict:
 
 # -- property screens --------------------------------------------------------
 
-def _acked_appends(h: CompletedHistory) -> list[Op]:
-    return [op for op in h.appends if op.result == ACK or op.result is None]
+def _non_ack_append(h: CompletedHistory) -> Verdict | None:
+    """A completed append answered with anything but ack breaks the plain ledger."""
+    for op in h.appends:
+        if op.result not in (ACK, None):
+            return failed("SeqSpec", [op.op_id])
+    return None
 
 
 def _integrity_and_chain(gets: Sequence[Op], appended: dict[str, Op]) -> Verdict | None:
@@ -143,78 +155,64 @@ def _integrity_and_chain(gets: Sequence[Op], appended: dict[str, Op]) -> Verdict
     return None
 
 
+_TAGS = {
+    False: {(APPEND, APPEND): "A1", (APPEND, GET): "A2", (GET, GET): "A3", (GET, APPEND): "A4"},
+    True: {(APPEND, APPEND): "S1", (GET, APPEND): "S2", (APPEND, GET): "S3", (GET, GET): "S4"},
+}
+
+
 def _ordering_violation(h: CompletedHistory, same_client_only: bool) -> Verdict | None:
-    """The four pairwise conditions, under real-time or same-client precedence.
+    """The rank rule as one sweep: A1..A4 under real-time precedence, S1..S4
+    under same-client precedence.  Assumes the prefix chain passed.
 
-    Tags are A1..A4 for the real-time variant and S1..S4 for the same-client
-    one.  Assumes the prefix chain already passed, so membership and position
-    can be read off the longest returned sequence, and prefix direction
-    reduces to length comparison.
+    Ops are visited by invoke index while a pointer over the response order
+    folds each op that precedes the visited one into its group's running max
+    rank.  The first op ranked below that max fails, with the earliest-
+    responding holder of the max; A1/S1 add the longest get as witness.
     """
-    tag = {"aa": "S1", "ga": "S2", "ag": "S3", "gg": "S4"} if same_client_only \
-        else {"aa": "A1", "ag": "A2", "gg": "A3", "ga": "A4"}
-    gets = h.gets
-    appends = _acked_appends(h)
-    longest: tuple[str, ...] = ()
     longest_get = None
-    for g in gets:
-        if len(g.seq or ()) >= len(longest):
-            longest = g.seq or ()
+    for g in h.gets:
+        if longest_get is None or len(g.seq or ()) >= len(longest_get.seq or ()):
             longest_get = g
-    pos = {rid: i for i, rid in enumerate(longest)}
-    membership = {g.op_id: frozenset(g.seq or ()) for g in gets}
-
-    def pairs(xs: Iterable[Op], ys: Iterable[Op]):
-        for x in xs:
-            for y in ys:
-                if x is y or not x.precedes(y):
-                    continue
-                if same_client_only and x.client != y.client:
-                    continue
-                yield x, y
-
-    # append -> append: the earlier record sits earlier in every sequence that
-    # has the later one (so the later record also implies the earlier one).
-    for a1, a2 in pairs(appends, appends):
-        p2 = pos.get(a2.rid)
-        if p2 is None:
-            continue
-        p1 = pos.get(a1.rid)
-        if p1 is None or p1 > p2:
-            return failed(tag["aa"], [a1.op_id, a2.op_id, longest_get.op_id])
-    # append -> get: the record is visible.
-    for a, g in pairs(appends, gets):
-        if a.rid not in membership[g.op_id]:
-            return failed(tag["ag"], [a.op_id, g.op_id])
-    # get -> get: the earlier one returned a prefix.
-    for g1, g2 in pairs(gets, gets):
-        if len(g1.seq or ()) > len(g2.seq or ()):
-            return failed(tag["gg"], [g1.op_id, g2.op_id])
-    # get -> append: the record cannot have been visible yet.
-    for g, a in pairs(gets, appends):
-        if a.rid in membership[g.op_id]:
-            return failed(tag["ga"], [g.op_id, a.op_id])
+    pos = {rid: i for i, rid in enumerate(longest_get.seq or ())} if longest_get else {}
+    ops = sorted(h.ops, key=lambda op: op.invoke_i)
+    rank = [2 * len(op.seq or ()) if op.kind == GET else 2 * pos.get(op.rid, math.inf) + 1
+            for op in ops]
+    by_response = sorted(range(len(ops)), key=lambda i: ops[i].response_i)
+    top: dict[int | None, int] = {}  # group -> index of its max-rank op
+    k = 0
+    for j, y in enumerate(ops):
+        while k < len(ops) and ops[by_response[k]].response_i < y.invoke_i:
+            i = by_response[k]
+            k += 1
+            group = ops[i].client if same_client_only else None
+            if group not in top or rank[i] > rank[top[group]]:
+                top[group] = i
+        i = top.get(y.client if same_client_only else None)
+        if i is not None and rank[i] > rank[j]:
+            x = ops[i]
+            tag = _TAGS[same_client_only][x.kind, y.kind]
+            witness = [x.op_id, y.op_id]
+            if x.kind == y.kind == APPEND:
+                witness.append(longest_get.op_id)
+            return failed(tag, witness)
     return None
 
 
 def _property_check(h: CompletedHistory, same_client_only: bool) -> Verdict:
-    appended = {op.rid: op for op in _acked_appends(h)}
-    v = _integrity_and_chain(h.gets, appended)
-    if v is not None:
-        return v
-    v = _ordering_violation(h, same_client_only)
-    if v is not None:
-        return v
-    return passed()
+    v = (_non_ack_append(h)
+         or _integrity_and_chain(h.gets, {op.rid: op for op in h.appends})
+         or _ordering_violation(h, same_client_only))
+    return v or passed()
 
 
 def check_atomic(h: CompletedHistory) -> Verdict:
-    """Necessary conditions for linearizability of a ledger history."""
+    """Linearizability of a ledger history (real-time precedence)."""
     return _property_check(h, same_client_only=False)
 
 
 def check_sequential_consistency(h: CompletedHistory) -> Verdict:
-    """Necessary conditions for sequential consistency of a ledger history."""
+    """Sequential consistency of a ledger history (same-client precedence)."""
     return _property_check(h, same_client_only=True)
 
 
@@ -229,14 +227,12 @@ def check_eventual(h: CompletedHistory, probe_ops: Sequence[Op]) -> Verdict:
     """
     if not probe_ops:
         raise CheckerError("eventual checker needs at least one probe get")
-    appends = _acked_appends(h)
-    appended = {op.rid: op for op in appends}
-    all_gets = list(h.gets) + list(probe_ops)
-    v = _integrity_and_chain(all_gets, appended)
+    v = (_non_ack_append(h)
+         or _integrity_and_chain([*h.gets, *probe_ops], {op.rid: op for op in h.appends}))
     if v is not None:
         return v
     probe_pos = [(p, {rid: i for i, rid in enumerate(p.seq or ())}) for p in probe_ops]
-    for a in appends:
+    for a in h.appends:
         expected = None
         for p, pos in probe_pos:
             i = pos.get(a.rid)

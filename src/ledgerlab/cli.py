@@ -18,7 +18,6 @@ from pathlib import Path
 from . import checkers, sim
 from .abcast import check_abcast_trace
 from .histories import pair_events
-from .ledger import predicate_from_config
 from .sim import ConfigError, RunArtifact, Scenario
 from .verdicts import DIVERGENCE, FAIL, Verdict
 
@@ -85,10 +84,9 @@ def run_checker(name: str, artifact: RunArtifact) -> Verdict:
         return checkers.verify_history(completed, pending, name)
 
     if name == "vspec":
-        pred_cfg = artifact.meta.get("scenario", {}).get("predicate")
-        if pred_cfg is None:
+        pred = sim.scenario_from_dict(artifact.meta["scenario"]).predicate
+        if pred is None:
             raise checkers.CheckerError("vspec checker needs a scenario predicate")
-        pred = predicate_from_config(pred_cfg)
         if pending:
             raise checkers.CheckerError("vspec checker needs a complete history")
         ordered = sorted(completed, key=lambda op: op.invoke_i)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ledger import make_rid
+from .ledger import ACK, NACK, make_rid
 
 INVOKE = "invoke"
 RESPONSE = "response"
@@ -71,7 +71,8 @@ def events_from_jsonl(text: str) -> list[HistoryEvent]:
         seq = obj.get("seq")
         if not (isinstance(obj["op"], str) and all(is_int(obj[k]) for k in ("client", "c", "t"))
                 and obj["ev"] in (INVOKE, RESPONSE) and obj["kind"] in (GET, APPEND)
-                and all(isinstance(obj.get(k), (str, type(None))) for k in ("payload", "result"))
+                and isinstance(obj.get("payload"), (str, type(None)))
+                and obj.get("result") in (ACK, NACK, None)
                 and (seq is None or isinstance(seq, list) and all(isinstance(r, str) for r in seq))):
             raise ValueError(f"malformed history event on line {n}")
         events.append(HistoryEvent(
@@ -129,18 +130,20 @@ class Op:
 def pair_events(events: Sequence[HistoryEvent]) -> tuple[list[Op], list[Op]]:
     """Match invokes with responses; returns (completed ops, pending ops).
 
-    Raises ValueError on malformed histories (response without invoke,
-    duplicate events for one op id, a client with two operations in flight
-    at once, or two appends minting one record id).
+    Raises ValueError on malformed histories (response without invoke, an
+    op id invoked twice, a client with two operations in flight at once, or
+    two appends minting one record id).
     """
     open_ops: dict[str, tuple[int, HistoryEvent]] = {}
+    invoked: set[str] = set()
     minted: set[str] = set()
     client_inflight: dict[int, str] = {}
     completed: list[Op] = []
     for i, e in enumerate(events):
         if e.ev == INVOKE:
-            if e.op_id in open_ops:
+            if e.op_id in invoked:
                 raise ValueError(f"duplicate invoke for op {e.op_id}")
+            invoked.add(e.op_id)
             inflight = client_inflight.get(e.client)
             if inflight is not None:
                 raise ValueError(f"client {e.client} invoked {e.op_id} while {inflight} pending")

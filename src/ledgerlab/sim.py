@@ -320,14 +320,16 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
     d = Path(artifact_dir)
     try:
         meta = json.loads((d / "meta.json").read_text())
+        n = scenario_from_dict(meta["scenario"]).n
+        if not (meta.get("probe_from_t") is None or is_int(meta["probe_from_t"])):
+            raise ValueError("probe_from_t must be an integer or null")
         history = events_from_jsonl((d / "history.jsonl").read_text())
-        n = meta["scenario"]["n"]
         abtrace = trace_from_jsonl((d / "abtrace.jsonl").read_text(), n)
         states = {int(sid): [Record(r["tau"], r["p"], r["v"]) for r in records]
                   for sid, records in json.loads((d / "states.json").read_text()).items()}
     except FileNotFoundError as e:
         raise ConfigError(f"artifact incomplete: missing {Path(e.filename).name}") from e
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"artifact corrupt: {type(e).__name__}: {e}") from e
     return RunArtifact(history, abtrace, states, meta)
 

@@ -24,7 +24,7 @@ from ledgerlab.checkers import (
 from ledgerlab.histories import pair_events
 from ledgerlab.ledger import account_balance
 from ledgerlab.sim import run
-from ledgerlab.verdicts import DIVERGENCE, Verdict, passed
+from ledgerlab.verdicts import DIVERGENCE, Verdict, failed, passed
 
 from conftest import op, scenario
 
@@ -478,7 +478,12 @@ class TestVerifyHistory:
 
 
 def violates_named_property(tag, witness_ops):
-    """Evaluate a property's defining condition on the witness ops alone."""
+    """Evaluate a property's defining condition on the witness ops alone.
+
+    The S tags are the A conditions under same-client precedence, so their
+    ordered pair must come from one client."""
+    if tag.startswith("S") and witness_ops[0].client != witness_ops[1].client:
+        return False
     if tag in ("A2", "S3"):
         a, g = witness_ops
         return a.precedes(g) and a.rid not in g.seq
@@ -500,11 +505,15 @@ def violates_named_property(tag, witness_ops):
     raise NotImplementedError(tag)
 
 
-def random_history(rng, n_clients, n_ops):
+def random_history(rng, n_clients, n_ops, noise=None):
     """A well-formed but otherwise arbitrary concurrent history.
 
     Per-client operations stay serial; gets return random (often wrong)
     orderings of the appended record ids, so violations of every kind occur.
+    With a ``noise`` probability, gets instead read prefixes of one order,
+    the order of a random point inside each op's interval (a linearization);
+    then each adjacent pair of that order swaps, and each get's length moves
+    by one, with probability ``noise``.
     """
     from ledgerlab.histories import Op
 
@@ -528,10 +537,22 @@ def random_history(rng, n_clients, n_ops):
     for i, (_, _, _, op_id, ev) in enumerate(points):
         idx.setdefault(op_id, {})[ev] = i
     rids = [op_id for _, _, op_id, _, k in intervals if k == "append"]
+    if noise is not None:
+        point = {op_id: start + rng.uniform(0.01, 0.99) * (end - start)
+                 for start, end, op_id, _, _ in intervals}
+        order = sorted(rids, key=point.get)
+        for i in range(len(order) - 1):
+            if rng.random() < noise:
+                order[i], order[i + 1] = order[i + 1], order[i]
     ops = []
     for start, end, op_id, cid, kind in intervals:
         seq = None
-        if kind == "get":
+        if kind == "get" and noise is not None:
+            n = sum(point[r] < point[op_id] for r in rids)
+            if rng.random() < noise:
+                n = min(max(n + rng.choice((-1, 1)), 0), len(order))
+            seq = tuple(order[:n])
+        elif kind == "get":
             pool = list(rids)
             rng.shuffle(pool)
             seq = tuple(pool[:rng.randrange(0, len(pool) + 1)])
@@ -541,9 +562,10 @@ def random_history(rng, n_clients, n_ops):
 
 class TestPropertyOracleEquivalence:
     def test_screens_agree_with_the_oracle_on_arbitrary_histories(self):
-        # The pairwise screens are necessary conditions by construction; this
-        # exercises the converse empirically on histories the protocols would
-        # never produce.
+        # The screens are exact (see the checkers module docstring): each is
+        # a necessary condition, and when all pass the (rank, invoke) order
+        # is a linearization.  This checks that claim on histories the
+        # protocols would never produce.
         import random as _random
         rng = _random.Random("screen-vs-oracle")
         passes = 0
@@ -571,11 +593,155 @@ class TestWitnessMinimality:
         ((op("0.1", "append", 0, 1), op("1.1", "append", 0, 1),
           op("0.2", "get", 2, 3, seq=["0.1", "1.1"]),
           op("1.2", "get", 2, 3, seq=["1.1", "0.1"])), "PrefixChain"),
+        ((op("0.1", "append", 0, 1), op("0.2", "append", 2, 3),
+          op("1.1", "get", 4, 5, seq=["0.2"])), "S1"),
+        ((op("0.1", "get", 0, 1, seq=["0.2"]), op("0.2", "append", 2, 3)), "S2"),
+        ((op("1.1", "append", 0, 1), op("0.1", "append", 2, 3),
+          op("0.2", "get", 4, 5, seq=["1.1"])), "S3"),
+        ((op("1.1", "append", 0, 1), op("0.1", "get", 2, 3, seq=["1.1"]),
+          op("0.2", "get", 4, 5, seq=())), "S4"),
     ])
     def test_witnesses_exhibit_the_named_violation_in_isolation(self, ops, tag):
         h = hist(*ops)
-        v = check_atomic(h)
+        v = (check_sequential_consistency if tag.startswith("S") else check_atomic)(h)
         assert v.violated == tag
         by_id = {o.op_id: o for o in h.ops}
         witness_ops = [by_id[w] for w in v.witness if w in by_id]
         assert violates_named_property(tag, witness_ops)
+
+
+def pairwise_ordering_violation(h, same_client_only):
+    """Reference: the four ordering conditions checked over every precedence
+    pair, as the screens did before the rank sweep."""
+    tag = {"aa": "S1", "ga": "S2", "ag": "S3", "gg": "S4"} if same_client_only \
+        else {"aa": "A1", "ag": "A2", "gg": "A3", "ga": "A4"}
+    gets = h.gets
+    appends = [op for op in h.appends if op.result == "ack" or op.result is None]
+    longest = ()
+    longest_get = None
+    for g in gets:
+        if len(g.seq or ()) >= len(longest):
+            longest = g.seq or ()
+            longest_get = g
+    pos = {rid: i for i, rid in enumerate(longest)}
+    membership = {g.op_id: frozenset(g.seq or ()) for g in gets}
+
+    def pairs(xs, ys):
+        for x in xs:
+            for y in ys:
+                if x is y or not x.precedes(y):
+                    continue
+                if same_client_only and x.client != y.client:
+                    continue
+                yield x, y
+
+    # append -> append: the earlier record sits earlier in every sequence that
+    # has the later one (so the later record also implies the earlier one).
+    for a1, a2 in pairs(appends, appends):
+        p2 = pos.get(a2.rid)
+        if p2 is None:
+            continue
+        p1 = pos.get(a1.rid)
+        if p1 is None or p1 > p2:
+            return failed(tag["aa"], [a1.op_id, a2.op_id, longest_get.op_id])
+    # append -> get: the record is visible.
+    for a, g in pairs(appends, gets):
+        if a.rid not in membership[g.op_id]:
+            return failed(tag["ag"], [a.op_id, g.op_id])
+    # get -> get: the earlier one returned a prefix.
+    for g1, g2 in pairs(gets, gets):
+        if len(g1.seq or ()) > len(g2.seq or ()):
+            return failed(tag["gg"], [g1.op_id, g2.op_id])
+    # get -> append: the record cannot have been visible yet.
+    for g, a in pairs(gets, appends):
+        if a.rid in membership[g.op_id]:
+            return failed(tag["ga"], [g.op_id, a.op_id])
+    return None
+
+
+def pairwise_check(h, same_client_only):
+    """Reference screen: shared integrity and chain checks, then the pairwise loop."""
+    appended = {o.rid: o for o in h.appends}
+    return (checkers._integrity_and_chain(h.gets, appended)
+            or pairwise_ordering_violation(h, same_client_only) or passed())
+
+
+def rank_order(h):
+    """The ops sorted by (rank, invoke index), ranks read off the longest get."""
+    longest = max((g.seq for g in h.gets), key=len, default=())
+    pos = {rid: i for i, rid in enumerate(longest)}
+
+    def rank(o):
+        return 2 * len(o.seq) if o.kind == "get" else 2 * pos.get(o.rid, math.inf) + 1
+    return sorted(h.ops, key=lambda o: (rank(o), o.invoke_i))
+
+
+def sweep_corpus(rng):
+    """Near-linearizable random histories of 20-200 ops, then simulator
+    histories (some pending appends, eventual-mode staleness) with and
+    without mutated reads."""
+    for _ in range(200):
+        yield random_history(rng, rng.randint(1, 8), rng.randint(20, 200),
+                             noise=rng.choice((0, 0.002, 0.005, 0.01, 0.03)))
+    for seed in range(60):
+        completed, pending, probes = crashy_split(rng, seed)
+        for c, p in ((completed, probes), mutate_reads(rng, completed, pending, probes)):
+            [h] = complete_history(c, pending, p)
+            yield h
+
+
+ORDER_TAGS = {"A1", "A2", "A3", "A4", "S1", "S2", "S3", "S4"}
+
+
+class TestRankSweep:
+    def test_agrees_with_the_pairwise_reference(self):
+        rng = random.Random("sweep-vs-pairwise")
+        stats = {"pass": 0, "fail": 0, "order_fail": 0, "sequential_only": 0}
+        for h in sweep_corpus(rng):
+            by_id = {o.op_id: o for o in h.ops}
+            oks = []
+            for checkfn, same_client_only in ((check_atomic, False),
+                                              (check_sequential_consistency, True)):
+                got = checkfn(h)
+                want = pairwise_check(h, same_client_only)
+                assert got.ok == want.ok, (h, same_client_only, got, want)
+                if got.violated in ORDER_TAGS:
+                    witness_ops = [by_id[w] for w in got.witness]
+                    assert violates_named_property(got.violated, witness_ops), (h, got)
+                    stats["order_fail"] += 1
+                stats["pass" if got.ok else "fail"] += 1
+                oks.append(got.ok)
+            stats["sequential_only"] += oks == [False, True]
+        assert stats["pass"] > 200 and stats["order_fail"] > 60, stats
+        assert stats["sequential_only"] > 10, stats
+
+    def test_passing_histories_replay_in_rank_order(self):
+        rng = random.Random("rank-order")
+        passed_by = {False: 0, True: 0}
+        for _ in range(800):
+            h = random_history(rng, rng.randint(1, 4), rng.randint(2, 40),
+                               noise=rng.choice((None, 0, 0.05, 0.2)))
+            for checkfn, same_client_only in ((check_atomic, False),
+                                              (check_sequential_consistency, True)):
+                if not checkfn(h).ok:
+                    continue
+                order = rank_order(h)
+                at = {o.op_id: i for i, o in enumerate(order)}
+                for x in h.ops:
+                    for y in h.ops:
+                        if x.precedes(y) and (not same_client_only or x.client == y.client):
+                            assert at[x.op_id] < at[y.op_id], (h, x, y)
+                assert check_sequential_spec(order).ok, h
+                passed_by[same_client_only] += 1
+        assert min(passed_by.values()) > 150, passed_by
+
+
+class TestNonAckAppend:
+    @pytest.mark.parametrize("checker", ["atomic", "sequential"])
+    @pytest.mark.parametrize("empty_gets", [0, 10])
+    def test_nacked_append_fails_seqspec_with_or_without_the_oracle(self, checker, empty_gets):
+        completed = [op("0.1", "append", 0, 1, result="nack"), op("1.1", "get", 2, 3, seq=()),
+                     *(op(f"1.{k}", "get", 2 * k, 2 * k + 1, seq=()) for k in range(2, 2 + empty_gets))]
+        v = verify_history(completed, [], checker)
+        assert (v.status, v.violated, v.witness) == ("fail", "SeqSpec", ["0.1"])
+        assert v.oracle_used == (len(completed) <= ORACLE_AUTO_LIMIT)

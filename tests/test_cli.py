@@ -93,10 +93,10 @@ def test_check_on_missing_artifact_exits_2(tmp_path):
     assert main(["check", str(tmp_path / "nowhere"), "--checker", "atomic"]) == 2
 
 
-def _history_field(key, value):
-    """Set ``key`` to ``value`` on the first history line that carries it."""
-    def corrupt(history):
-        lines = history.splitlines()
+def _jsonl_field(key, value):
+    """Set ``key`` to ``value`` on the first JSONL line that carries it."""
+    def corrupt(text):
+        lines = text.splitlines()
         i = next(i for i, line in enumerate(lines) if f'"{key}":' in line)
         obj = json.loads(lines[i])
         obj[key] = value
@@ -105,30 +105,67 @@ def _history_field(key, value):
     return corrupt
 
 
+def _meta_field(path, value):
+    """Set the meta.json field at the key path ``path`` to ``value``."""
+    def corrupt(text):
+        meta = json.loads(text)
+        obj = meta
+        for k in path[:-1]:
+            obj = obj[k]
+        obj[path[-1]] = value
+        return json.dumps(meta)
+    return corrupt
+
+
 @pytest.mark.parametrize("name,corrupt,checker", [
-    ("history.jsonl", _history_field("c", "c"), "atomic"),
+    ("history.jsonl", _jsonl_field("c", "c"), "atomic"),
     ("states.json", lambda _: json.dumps({"0": [1]}), "atomic"),
     ("meta.json", lambda _: "[]", "atomic"),
-    ("history.jsonl", _history_field("client", [0]), "atomic"),
-    ("history.jsonl", _history_field("op", ["x"]), "atomic"),
-    ("history.jsonl", _history_field("t", "x"), "eventual"),
-    ("history.jsonl", _history_field("c", True), "atomic"),
-    ("history.jsonl", _history_field("ev", "done"), "atomic"),
-    ("history.jsonl", _history_field("kind", "put"), "atomic"),
-    ("history.jsonl", _history_field("seq", "0.1"), "atomic"),
-    ("history.jsonl", _history_field("seq", [1]), "atomic"),
-    ("history.jsonl", _history_field("payload", 5), "atomic"),
-    ("history.jsonl", _history_field("result", ["ack"]), "atomic"),
+    ("history.jsonl", _jsonl_field("client", [0]), "atomic"),
+    ("history.jsonl", _jsonl_field("op", ["x"]), "atomic"),
+    ("history.jsonl", _jsonl_field("t", "x"), "eventual"),
+    ("history.jsonl", _jsonl_field("c", True), "atomic"),
+    ("history.jsonl", _jsonl_field("ev", "done"), "atomic"),
+    ("history.jsonl", _jsonl_field("kind", "put"), "atomic"),
+    ("history.jsonl", _jsonl_field("seq", "0.1"), "atomic"),
+    ("history.jsonl", _jsonl_field("seq", [1]), "atomic"),
+    ("history.jsonl", _jsonl_field("payload", 5), "atomic"),
+    ("history.jsonl", _jsonl_field("result", ["ack"]), "atomic"),
+    ("history.jsonl", _jsonl_field("result", "zzz"), "atomic"),
+    ("abtrace.jsonl", _jsonl_field("server", [0]), "abcast"),
+    ("abtrace.jsonl", _jsonl_field("server", "x"), "abcast"),
+    ("abtrace.jsonl", _jsonl_field("server", 3), "abcast"),
+    ("abtrace.jsonl", _jsonl_field("t", "x"), "abcast"),
+    ("abtrace.jsonl", _jsonl_field("ev", "zz"), "abcast"),
+    ("abtrace.jsonl", _jsonl_field("msg", None), "abcast"),
+    ("meta.json", _meta_field(("scenario", "predicate"), {"kind": "bogus"}), "vspec"),
+    ("meta.json", _meta_field(("probe_from_t",), "x"), "eventual"),
+    ("meta.json", _meta_field(("scenario", "n"), "x"), "abcast"),
 ], ids=["history-string-counter", "states-int-record", "meta-list", "history-list-client",
         "history-list-op", "history-string-time-eventual", "history-bool-counter",
         "history-unknown-ev", "history-unknown-kind", "history-string-seq",
-        "history-int-in-seq", "history-int-payload", "history-list-result"])
+        "history-int-in-seq", "history-int-payload", "history-list-result",
+        "history-unknown-result", "abtrace-list-server", "abtrace-string-server",
+        "abtrace-server-out-of-range", "abtrace-string-time", "abtrace-unknown-ev",
+        "abtrace-null-msg", "meta-bogus-predicate-vspec", "meta-string-probe-from-t-eventual",
+        "meta-string-n-abcast"])
 def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt, checker):
     art = tmp_path / "art"
     main(["run", "--scenario", scen_file(), "--out", str(art)])
     (art / name).write_text(corrupt((art / name).read_text()))
     assert main(["check", str(art), "--checker", checker]) == 2
     assert "artifact corrupt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checker", ["atomic", "sequential", "eventual"])
+def test_nacked_append_fails_seqspec(scen_file, tmp_path, checker):
+    art = tmp_path / "art"
+    main(["run", "--scenario", scen_file(), "--out", str(art)])
+    history = art / "history.jsonl"
+    history.write_text(_jsonl_field("result", "nack")(history.read_text()))
+    assert main(["check", str(art), "--checker", checker]) == 3
+    verdict = json.loads((art / "verdict.json").read_text())
+    assert verdict["violated"] == "SeqSpec" and len(verdict["witness"]) == 1
 
 
 def test_readme_scenario_example_loads(tmp_path):
