@@ -219,6 +219,8 @@ def cmd_campaign(args) -> int:
         raise ConfigError(f"--seeds must look like start:count, got {args.seeds!r}")
     if count < 1:
         raise ConfigError("campaign needs at least one seed")
+    if not 0 <= start <= start + count <= 2 ** 64:
+        raise ConfigError(f"--seeds {args.seeds} leaves the unsigned 64-bit seed range")
     names = tuple(args.checker or ("atomic",))
     for name in names:
         if name not in CHECKER_NAMES:

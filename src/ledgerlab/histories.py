@@ -7,8 +7,8 @@ real-time order.  Events serialize to JSONL with a fixed field layout:
      "c":<int>,"t":<int>,"payload":"<str>"?,"result":"ack"|"nack"?,"seq":["<rid>",...]?}
 
 Appends carry their payload on the invoke and their ack/nack on the response;
-gets carry the returned record-id sequence on the response.  The record id of
-an append is derived as `<client>.<c>`.
+gets carry the returned record-id sequence on the response.  No event carries
+any other field.  The record id of an append is derived as `<client>.<c>`.
 """
 
 from __future__ import annotations
@@ -61,20 +61,41 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_seq(v) -> bool:
+    return isinstance(v, list) and all(isinstance(r, str) for r in v)
+
+
+_REQUIRED = {"op", "client", "ev", "kind", "c", "t"}
+# The fields each (ev, kind) carries beyond the required ones, with their checks.
+_CARRIED = {
+    (INVOKE, GET): {},
+    (INVOKE, APPEND): {"payload": lambda v: isinstance(v, str)},
+    (RESPONSE, GET): {"seq": _is_seq},
+    (RESPONSE, APPEND): {"result": lambda v: v in (ACK, NACK)},
+}
+
+
+def _well_formed(obj: dict) -> bool:
+    carried = _CARRIED.get((obj.get("ev"), obj.get("kind")))
+    return (carried is not None and obj.keys() == _REQUIRED | carried.keys()
+            and isinstance(obj["op"], str) and all(is_int(obj[k]) for k in ("client", "c", "t"))
+            and all(check(obj[k]) for k, check in carried.items()))
+
+
 def events_from_jsonl(text: str) -> list[HistoryEvent]:
-    """Parse history JSONL; raises ValueError on a field of the wrong type or value."""
+    """Parse history JSONL.
+
+    Raises ValueError on an event whose fields differ from the layout in the
+    module docstring: a field missing, out of place or of the wrong type or value.
+    """
     events = []
     for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         obj = json.loads(line)
-        seq = obj.get("seq")
-        if not (isinstance(obj["op"], str) and all(is_int(obj[k]) for k in ("client", "c", "t"))
-                and obj["ev"] in (INVOKE, RESPONSE) and obj["kind"] in (GET, APPEND)
-                and isinstance(obj.get("payload"), (str, type(None)))
-                and obj.get("result") in (ACK, NACK, None)
-                and (seq is None or isinstance(seq, list) and all(isinstance(r, str) for r in seq))):
+        if not _well_formed(obj):
             raise ValueError(f"malformed history event on line {n}")
+        seq = obj.get("seq")
         events.append(HistoryEvent(
             op_id=obj["op"], client=obj["client"], ev=obj["ev"], kind=obj["kind"],
             c=obj["c"], t=obj["t"], payload=obj.get("payload"),

@@ -1,16 +1,18 @@
-"""Client interfaces and replicated-server state machines.
+"""Client interfaces and the replicated-server state machine.
 
-Three server variants implement the ledger at different consistency levels
-on top of the total-order broadcast service:
+All three consistency levels run one replica state machine on top of the
+total-order broadcast service.  Every append broadcasts its record; a
+delivered record joins the replica once, acks the append if this server
+stashed it, and releases any parked get whose floor the replica now meets.
+The levels differ in two decisions only:
 
-* eventual  -- appends are acknowledged as soon as the record is handed to
-  the broadcast service; gets answer from the local replica immediately.
-* atomic    -- both gets and appends are routed through the broadcast
-  service and answered only at delivery, so every response reflects a
-  totally-ordered prefix.
-* sequential -- appends go through the broadcast service; gets answer
-  locally but carry the client's last observed length and are parked until
-  the replica has caught up to it.
+* an eventual append is acked at request time, before its record is
+  anywhere; sequential and atomic appends are acked at its delivery;
+* an atomic get is broadcast and answered at its own delivery, so it
+  reflects a totally-ordered prefix.  Eventual and sequential gets are
+  answered from the local replica once it reaches the client's floor: the
+  length of the client's last observed sequence in sequential mode, 0
+  otherwise.
 
 Clients fan every request out to a fixed set of f+1 servers and take the
 first response; later responses for the same request counter are dropped.
@@ -37,7 +39,7 @@ MODES = (EVENTUAL, SEQUENTIAL, ATOMIC)
 # Client -> server requests.
 class GetReq(NamedTuple):
     c: int
-    min_len: int | None  # sequential mode: serve only once the replica is this long
+    floor: int  # serve only once the replica is this long; 0 outside sequential mode
 
 
 class AppendReq(NamedTuple):
@@ -54,130 +56,72 @@ class GetRes(NamedTuple):
 class AppendRes(NamedTuple):
     c: int
     result: str
-    pos: int | None  # sequential mode: replica length when the record landed
+    pos: int | None  # replica length when the record landed; None for an eventual ack
 
 
-# Broadcast payloads.
-class BcastRecord(NamedTuple):  # eventual mode
-    record: Record
-
-
-class BcastGet(NamedTuple):  # atomic mode
+# Broadcast payloads: an append broadcasts its bare Record, an atomic get this.
+class BcastGet(NamedTuple):
     p: int
     c: int
 
 
-class BcastAppend(NamedTuple):  # atomic mode
-    record: Record
-
-
-class BcastSeqAppend(NamedTuple):  # sequential mode
-    c: int
-    record: Record
-
-
 class Server:
-    """Shared replica plumbing; subclasses add the per-mode handlers.
+    """One replica of the ledger, in any of the three modes.
 
     ``net`` provides respond(server, client, msg) and abroadcast(server,
-    payload); handlers run atomically with respect to each other.  The
-    replica is a plain ledger; a record delivered again is ignored.
+    payload); handlers run atomically with respect to each other.
     """
 
-    def __init__(self, sid: int, net) -> None:
+    def __init__(self, mode: str, sid: int, net) -> None:
+        self.mode = mode
         self.sid = sid
         self.net = net
         self.replica = Ledger()
+        self.stashed_appends: dict[str, tuple[int, int]] = {}  # rid -> (client, c)
+        self.stashed_gets: set[tuple[int, int]] = set()  # atomic mode: (client, c)
+        self.parked_gets: list[tuple[int, int, int]] = []  # (client, c, floor)
 
     def handle_request(self, client: int, msg) -> None:
-        raise NotImplementedError
-
-    def handle_adeliver(self, payload) -> None:
-        raise NotImplementedError
-
-
-class EventualServer(Server):
-    def handle_request(self, client: int, msg) -> None:
-        if isinstance(msg, GetReq):
+        if isinstance(msg, AppendReq):
+            self.net.abroadcast(self.sid, msg.record)
+            if self.mode == EVENTUAL:
+                # acked before the record is anywhere: the defining weakness
+                self.net.respond(self.sid, client, AppendRes(msg.c, ACK, None))
+            else:
+                self.stashed_appends[msg.record.rid] = (client, msg.c)
+        elif self.mode == ATOMIC:
+            self.net.abroadcast(self.sid, BcastGet(client, msg.c))
+            self.stashed_gets.add((client, msg.c))
+        elif len(self.replica) >= msg.floor:
             self.net.respond(self.sid, client, GetRes(msg.c, self.replica.get()))
         else:
-            self.net.abroadcast(self.sid, BcastRecord(msg.record))
-            # acked before the record is anywhere: the defining weakness
-            self.net.respond(self.sid, client, AppendRes(msg.c, ACK, None))
-
-    def handle_adeliver(self, payload) -> None:
-        if payload.record not in self.replica:
-            self.replica.append(payload.record)
-
-
-class AtomicServer(Server):
-    def __init__(self, sid: int, net) -> None:
-        super().__init__(sid, net)
-        self.waiting_gets: dict[tuple[int, int], bool] = {}  # (client, c) -> stashed
-        self.unacked: dict[str, tuple[int, Record]] = {}  # rid -> (c, record)
-
-    def handle_request(self, client: int, msg) -> None:
-        if isinstance(msg, GetReq):
-            self.net.abroadcast(self.sid, BcastGet(client, msg.c))
-            self.waiting_gets[(client, msg.c)] = True
-        else:
-            self.net.abroadcast(self.sid, BcastAppend(msg.record))
-            self.unacked[msg.record.rid] = (msg.c, msg.record)
+            self.parked_gets.append((client, msg.c, msg.floor))
 
     def handle_adeliver(self, payload) -> None:
         if isinstance(payload, BcastGet):
-            if self.waiting_gets.pop((payload.p, payload.c), None):
+            key = (payload.p, payload.c)
+            if key in self.stashed_gets:
+                self.stashed_gets.remove(key)
                 self.net.respond(self.sid, payload.p, GetRes(payload.c, self.replica.get()))
-        else:
-            r = payload.record
-            if r not in self.replica:
-                self.replica.append(r)
-            # Acknowledge on any delivery of r while stashed, not only the
-            # first: the first copy can land before this server has even seen
-            # the client's request, and the client must still get an answer.
-            entry = self.unacked.pop(r.rid, None)
-            if entry is not None:
-                c, rec = entry
-                self.net.respond(self.sid, rec.creator, AppendRes(c, ACK, None))
-
-
-class SequentialServer(Server):
-    def __init__(self, sid: int, net) -> None:
-        super().__init__(sid, net)
-        self.waiting_gets: list[tuple[int, int, int]] = []  # (c, client, min_len)
-        self.unacked: dict[str, tuple[int, Record]] = {}
-
-    def handle_request(self, client: int, msg) -> None:
-        if isinstance(msg, GetReq):
-            if len(self.replica) >= msg.min_len:
-                self.net.respond(self.sid, client, GetRes(msg.c, self.replica.get()))
-            else:
-                self.waiting_gets.append((msg.c, client, msg.min_len))
-        else:
-            self.net.abroadcast(self.sid, BcastSeqAppend(msg.c, msg.record))
-            self.unacked[msg.record.rid] = (msg.c, msg.record)
-
-    def handle_adeliver(self, payload) -> None:
-        r = payload.record
-        if r not in self.replica:
-            self.replica.append(r)
-        entry = self.unacked.pop(r.rid, None)
+            return
+        if payload not in self.replica:
+            self.replica.append(payload)
+        # Acknowledge on any delivery of the record while stashed, not only
+        # the first: the first copy can land before this server has even seen
+        # the client's request, and the client must still get an answer.
+        entry = self.stashed_appends.pop(payload.rid, None)
         if entry is not None:
-            c, rec = entry
-            self.net.respond(self.sid, rec.creator, AppendRes(c, ACK, len(self.replica)))
-        if self.waiting_gets:
-            still_waiting = []
-            for c, client, min_len in self.waiting_gets:
-                if len(self.replica) >= min_len:
+            client, c = entry
+            self.net.respond(self.sid, client, AppendRes(c, ACK, len(self.replica)))
+        if self.parked_gets:
+            length = len(self.replica)
+            still_parked = []
+            for client, c, floor in self.parked_gets:
+                if length >= floor:
                     self.net.respond(self.sid, client, GetRes(c, self.replica.get()))
                 else:
-                    still_waiting.append((c, client, min_len))
-            self.waiting_gets = still_waiting
-
-
-def make_server(mode: str, sid: int, net) -> Server:
-    cls = {EVENTUAL: EventualServer, ATOMIC: AtomicServer, SEQUENTIAL: SequentialServer}[mode]
-    return cls(sid, net)
+                    still_parked.append((client, c, floor))
+            self.parked_gets = still_parked
 
 
 def server_subset(cid: int, n: int, f: int) -> list[int]:
@@ -204,7 +148,7 @@ class Client:
         self.queue = list(ops or [])
         self.pred = pred
         self.c = 0
-        self.last_len = 0  # sequential mode: length of the last observed sequence
+        self.last_len = 0  # every get's floor: the last observed length, sequential mode only
         self.pending: tuple[int, str, str] | None = None  # (c, kind, op_id)
         self.crashed = False
 
@@ -232,8 +176,7 @@ class Client:
             record = Record(op_id, self.cid, payload)
             req = AppendReq(self.c, record)
         else:
-            min_len = self.last_len if self.mode == SEQUENTIAL else None
-            req = GetReq(self.c, min_len)
+            req = GetReq(self.c, self.last_len)
         self.recorder.invoke(op_id, self.cid, kind, self.c, payload=payload)
         self.pending = (self.c, kind, op_id)
         for sid in self.targets:

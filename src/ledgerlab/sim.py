@@ -346,7 +346,6 @@ class Simulator:
         self.trace = AbTrace(scenario.n)
         self.recorder = HistoryRecorder(lambda: self.now)
         self._server_alive = [True] * scenario.n
-        self._client_alive = [True] * scenario.clients
 
         self.broadcast_service = BroadcastService(
             scenario.n,
@@ -357,7 +356,7 @@ class Simulator:
             trace=self.trace,
             now=lambda: self.now,
         )
-        self.servers = [protocols.make_server(scenario.mode, sid, self)
+        self.servers = [protocols.Server(scenario.mode, sid, self)
                         for sid in range(scenario.n)]
 
         if client_factory is None:
@@ -396,8 +395,7 @@ class Simulator:
 
     def respond(self, sid: int, cid: int, msg) -> None:
         delay = self._draw_delay()
-        self.schedule(delay, "msg_deliver",
-                      lambda: self._client_alive[cid] and self.clients[cid].on_response(msg))
+        self.schedule(delay, "msg_deliver", lambda: self.clients[cid].on_response(msg))
 
     def abroadcast(self, sid: int, payload) -> None:
         self.broadcast_service.broadcast(sid, payload)
@@ -408,11 +406,6 @@ class Simulator:
         if self._server_alive[sid]:
             self._server_alive[sid] = False
             self.trace.add("crash", sid, self.now)
-
-    def _crash_client(self, cid: int) -> None:
-        if self._client_alive[cid]:
-            self._client_alive[cid] = False
-            self.clients[cid].crash()
 
     def _drain(self) -> None:
         heap = self._heap
@@ -426,7 +419,7 @@ class Simulator:
         for sid, t in expand_crashes(sc.crash_schedule, sc.n, sc.f, sc.seed):
             self.schedule(t, "crash", lambda s=sid: self._crash_server(s))
         for cid, t in sc.client_crashes:
-            self.schedule(t, "crash", lambda c=cid: self._crash_client(c))
+            self.schedule(t, "crash", self.clients[cid].crash)
         for client in self.clients:
             self.schedule(0, "client_invoke", client.start)
         self._drain()

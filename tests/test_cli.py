@@ -93,16 +93,26 @@ def test_check_on_missing_artifact_exits_2(tmp_path):
     assert main(["check", str(tmp_path / "nowhere"), "--checker", "atomic"]) == 2
 
 
-def _jsonl_field(key, value):
-    """Set ``key`` to ``value`` on the first JSONL line that carries it."""
+def _jsonl_edit(has, edit):
+    """Apply ``edit`` to the first JSONL object for which ``has`` holds."""
     def corrupt(text):
         lines = text.splitlines()
-        i = next(i for i, line in enumerate(lines) if f'"{key}":' in line)
+        i = next(i for i, line in enumerate(lines) if has(json.loads(line)))
         obj = json.loads(lines[i])
-        obj[key] = value
+        edit(obj)
         lines[i] = json.dumps(obj, separators=(",", ":"))
         return "\n".join(lines) + "\n"
     return corrupt
+
+
+def _jsonl_field(key, value):
+    """Set ``key`` to ``value`` on the first JSONL line that carries it."""
+    return _jsonl_edit(lambda obj: key in obj, lambda obj: obj.__setitem__(key, value))
+
+
+def _jsonl_without(key):
+    """Delete ``key`` from the first JSONL line that carries it."""
+    return _jsonl_edit(lambda obj: key in obj, lambda obj: obj.pop(key))
 
 
 def _meta_field(path, value):
@@ -141,6 +151,11 @@ def _meta_field(path, value):
     ("meta.json", _meta_field(("scenario", "predicate"), {"kind": "bogus"}), "vspec"),
     ("meta.json", _meta_field(("probe_from_t",), "x"), "eventual"),
     ("meta.json", _meta_field(("scenario", "n"), "x"), "abcast"),
+    ("history.jsonl", _jsonl_without("result"), "atomic"),
+    ("history.jsonl", _jsonl_without("result"), "sequential"),
+    ("history.jsonl", _jsonl_without("seq"), "atomic"),
+    ("history.jsonl", _jsonl_edit(lambda obj: obj["kind"] == "get",  # a get invoke
+                                  lambda obj: obj.__setitem__("payload", "x")), "atomic"),
 ], ids=["history-string-counter", "states-int-record", "meta-list", "history-list-client",
         "history-list-op", "history-string-time-eventual", "history-bool-counter",
         "history-unknown-ev", "history-unknown-kind", "history-string-seq",
@@ -148,7 +163,8 @@ def _meta_field(path, value):
         "history-unknown-result", "abtrace-list-server", "abtrace-string-server",
         "abtrace-server-out-of-range", "abtrace-string-time", "abtrace-unknown-ev",
         "abtrace-null-msg", "meta-bogus-predicate-vspec", "meta-string-probe-from-t-eventual",
-        "meta-string-n-abcast"])
+        "meta-string-n-abcast", "history-missing-result", "history-missing-result-sequential",
+        "history-missing-seq", "history-payload-on-get-invoke"])
 def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt, checker):
     art = tmp_path / "art"
     main(["run", "--scenario", scen_file(), "--out", str(art)])
@@ -251,6 +267,12 @@ def test_campaign_with_failures_exits_3(scen_file, tmp_path):
 def test_campaign_rejects_bad_seed_spec(scen_file):
     assert main(["campaign", "--scenario", scen_file(), "--seeds", "abc"]) == 2
     assert main(["campaign", "--scenario", scen_file(), "--seeds", "0:0"]) == 2
+
+
+@pytest.mark.parametrize("seeds", ["-1:2", f"{2 ** 64 - 1}:2"])
+def test_campaign_rejects_seeds_outside_u64(scen_file, capsys, seeds):
+    assert main(["campaign", "--scenario", scen_file(), f"--seeds={seeds}", "--jobs", "1"]) == 2
+    assert "unsigned 64-bit seed range" in capsys.readouterr().err
 
 
 def test_consensus_command(capsys):

@@ -89,3 +89,32 @@ def file_hashes(out):
 def test_artifact_bytes_match_the_pinned_hashes(name, tmp_path):
     out = artifact_for(name).write(tmp_path / name)
     assert file_hashes(out) == PINNED[name]
+
+
+# One digest per mode over the artifact files of seeds 0..29 in the campaign
+# shape (random server crash, client 3 crashing mid-run).  Thirty seeds reach
+# parked sequential gets, duplicate deliveries and appends left pending by a
+# crash far more often than the single-seed scenarios above.
+CAMPAIGN_SEEDS = range(30)
+
+CAMPAIGN_DIGESTS = {
+    "atomic": "9c4caba624277571966406cd15aba575b2c7d1c025cd96a3683b5dd6d5b2a012",
+    "sequential": "d4f3d464d5b7c1010c2af9029aea050d7ede84cafbf21e664cd56de5977327ae",
+    "eventual": "2b9b7688899e70683b6b83a25530fa59562b13aaae0b1a47fb9e0fcc99902e92",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CAMPAIGN_DIGESTS))
+def test_campaign_seeds_match_the_pinned_digest(mode, tmp_path):
+    base = scenario_from_dict({
+        "n": 3, "f": 1, "clients": 4, "mode": mode, "seed": 0,
+        "workload": {"ops_per_client": 20, "append_ratio": 0.6},
+        "crash_schedule": {"random": {"max_crashes": 1, "until": 150}},
+        "client_crashes": [[3, 60]],
+    })
+    digest = hashlib.sha256()
+    for seed in CAMPAIGN_SEEDS:
+        out = run(base.with_seed(seed)).write(tmp_path / str(seed))
+        for f in FILES:
+            digest.update((out / f).read_bytes())
+    assert digest.hexdigest() == CAMPAIGN_DIGESTS[mode]

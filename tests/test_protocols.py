@@ -1,17 +1,15 @@
 from ledgerlab.histories import pair_events
 from ledgerlab.ledger import ACK, account_balance, filter_valid, make_record
 from ledgerlab.protocols import (
+    ATOMIC,
+    EVENTUAL,
+    SEQUENTIAL,
     AppendReq,
     AppendRes,
-    AtomicServer,
-    BcastAppend,
     BcastGet,
-    BcastRecord,
-    BcastSeqAppend,
-    EventualServer,
     GetReq,
     GetRes,
-    SequentialServer,
+    Server,
     server_subset,
 )
 from ledgerlab.sim import run, run_consensus
@@ -38,32 +36,32 @@ def rec(i, payload="x", creator=0):
 class TestEventualServer:
     def test_get_answers_from_local_state_immediately(self):
         net = FakeNet()
-        s = EventualServer(0, net)
-        s.handle_request(3, GetReq(1, None))
+        s = Server(EVENTUAL, 0, net)
+        s.handle_request(3, GetReq(1, 0))
         assert net.responses == [(0, 3, GetRes(1, ()))]
 
     def test_append_acks_before_any_delivery(self):
         net = FakeNet()
-        s = EventualServer(0, net)
+        s = Server(EVENTUAL, 0, net)
         r = rec(1)
         s.handle_request(3, AppendReq(1, r))
-        assert net.broadcasts == [(0, BcastRecord(r))]
+        assert net.broadcasts == [(0, r)]
         assert net.responses == [(0, 3, AppendRes(1, ACK, None))]
         assert s.replica.get() == ()  # nothing applied until delivery
 
     def test_duplicate_delivery_is_discarded(self):
-        s = EventualServer(0, FakeNet())
+        s = Server(EVENTUAL, 0, FakeNet())
         r = rec(1)
-        s.handle_adeliver(BcastRecord(r))
-        s.handle_adeliver(BcastRecord(r))
+        s.handle_adeliver(r)
+        s.handle_adeliver(r)
         assert s.replica.get() == (r,)
 
 
 class TestAtomicServer:
     def test_get_is_deferred_until_its_broadcast_returns(self):
         net = FakeNet()
-        s = AtomicServer(0, net)
-        s.handle_request(3, GetReq(1, None))
+        s = Server(ATOMIC, 0, net)
+        s.handle_request(3, GetReq(1, 0))
         assert net.responses == []
         assert net.broadcasts == [(0, BcastGet(3, 1))]
         s.handle_adeliver(BcastGet(3, 1))
@@ -71,63 +69,63 @@ class TestAtomicServer:
 
     def test_unstashed_get_delivery_is_ignored(self):
         net = FakeNet()
-        s = AtomicServer(0, net)
+        s = Server(ATOMIC, 0, net)
         s.handle_adeliver(BcastGet(3, 1))
         assert net.responses == []
 
     def test_append_acks_only_at_delivery(self):
         net = FakeNet()
-        s = AtomicServer(0, net)
+        s = Server(ATOMIC, 0, net)
         r = rec(1, creator=3)
         s.handle_request(3, AppendReq(1, r))
         assert net.responses == []
-        s.handle_adeliver(BcastAppend(r))
+        s.handle_adeliver(r)
         assert s.replica.get() == (r,)
-        assert net.responses == [(0, 3, AppendRes(1, ACK, None))]
+        assert net.responses == [(0, 3, AppendRes(1, ACK, 1))]
 
     def test_stashed_append_is_acked_even_on_a_duplicate_delivery(self):
         # The first copy of a record can land before this server has seen the
         # client's request; the ack must still go out when the second copy
         # arrives, or the client could wait forever.
         net = FakeNet()
-        s = AtomicServer(0, net)
+        s = Server(ATOMIC, 0, net)
         r = rec(1, creator=3)
-        s.handle_adeliver(BcastAppend(r))  # other server's copy, nothing stashed
+        s.handle_adeliver(r)  # other server's copy, nothing stashed
         assert net.responses == []
         s.handle_request(3, AppendReq(1, r))
-        s.handle_adeliver(BcastAppend(r))  # own copy, record already present
+        s.handle_adeliver(r)  # own copy, record already present
         assert s.replica.get() == (r,)
-        assert net.responses == [(0, 3, AppendRes(1, ACK, None))]
+        assert net.responses == [(0, 3, AppendRes(1, ACK, 1))]
 
 
 class TestSequentialServer:
     def test_get_with_zero_floor_answers_immediately(self):
         net = FakeNet()
-        s = SequentialServer(0, net)
+        s = Server(SEQUENTIAL, 0, net)
         s.handle_request(3, GetReq(1, 0))
         assert net.responses == [(0, 3, GetRes(1, ()))]
 
     def test_get_waits_until_the_replica_is_long_enough(self):
         net = FakeNet()
-        s = SequentialServer(0, net)
+        s = Server(SEQUENTIAL, 0, net)
         r1, r2, r3 = (rec(i, creator=9) for i in (1, 2, 3))
-        s.handle_adeliver(BcastSeqAppend(1, r1))
+        s.handle_adeliver(r1)
         net.responses.clear()
         s.handle_request(3, GetReq(5, 3))  # replica has 1 record, floor is 3
         assert net.responses == []
-        s.handle_adeliver(BcastSeqAppend(2, r2))
+        s.handle_adeliver(r2)
         assert net.responses == []
-        s.handle_adeliver(BcastSeqAppend(3, r3))  # third delivery releases it
+        s.handle_adeliver(r3)  # third delivery releases it
         assert [m for _, cid, m in net.responses if cid == 3] == [
             GetRes(5, (r1, r2, r3))]
 
     def test_append_ack_reports_the_landing_position(self):
         net = FakeNet()
-        s = SequentialServer(0, net)
-        s.handle_adeliver(BcastSeqAppend(7, rec(1, creator=8)))
+        s = Server(SEQUENTIAL, 0, net)
+        s.handle_adeliver(rec(1, creator=8))
         r = rec(1, creator=3)
         s.handle_request(3, AppendReq(1, r))
-        s.handle_adeliver(BcastSeqAppend(1, r))
+        s.handle_adeliver(r)
         assert (0, 3, AppendRes(1, ACK, 2)) in net.responses
 
 
