@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .histories import is_int
 from .verdicts import Verdict, failed, passed
@@ -21,6 +20,8 @@ from .verdicts import Verdict, failed, passed
 BROADCAST = "broadcast"
 DELIVER = "deliver"
 CRASH = "crash"
+_FIELDS = {BROADCAST: {"ev", "server", "t", "msg"}, DELIVER: {"ev", "server", "t", "msg"},
+           CRASH: {"ev", "server", "t"}}
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,16 @@ class AbTrace:
 
 
 def trace_from_jsonl(text: str, n: int) -> AbTrace:
-    """Parse trace JSONL for ``n`` servers; raises ValueError on a malformed event."""
+    """Parse trace JSONL for ``n`` servers; raises ValueError on an event whose
+    fields are not exactly its kind's ``_FIELDS`` or have the wrong type."""
     trace = AbTrace(n)
     for k, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         obj = json.loads(line)
         ev, server, msg = obj["ev"], obj["server"], obj.get("msg")
-        if not (ev in (BROADCAST, DELIVER, CRASH) and is_int(server) and 0 <= server < n
-                and is_int(obj["t"]) and (msg is None if ev == CRASH else is_int(msg))):
+        if not (obj.keys() == _FIELDS.get(ev) and is_int(server) and 0 <= server < n
+                and is_int(obj["t"]) and (ev == CRASH or is_int(msg))):
             raise ValueError(f"malformed trace event on line {k}")
         trace.add(ev, server, obj["t"], msg)
     return trace
@@ -75,49 +77,36 @@ class BroadcastService:
     the lowest-numbered message it has not yet delivered, so per-server
     delivery order always follows the global order even when wake-ups fire
     out of order; one wake-up exists per (message, alive server) pair, so
-    every pending message is eventually drained.
+    every pending message is eventually drained.  ``net`` is the simulator.
     """
 
-    def __init__(
-        self,
-        n: int,
-        *,
-        schedule: Callable,  # schedule(delay, kind, fn)
-        alive: Callable[[int], bool],
-        draw_delay: Callable[[], int],
-        deliver: Callable[[int, object], None],
-        trace: AbTrace,
-        now: Callable[[], int],
-    ) -> None:
+    def __init__(self, n: int, net) -> None:
         self.n = n
-        self._schedule = schedule
-        self._alive = alive
-        self._draw_delay = draw_delay
-        self._deliver = deliver
-        self._trace = trace
-        self._now = now
+        self.net = net
         self._log: list[object] = []
         self._cursor = [0] * n  # next sequence number each server will deliver
 
     def broadcast(self, server: int, payload: object) -> int:
-        assert self._alive(server), "broadcast from a crashed server"
+        net = self.net
+        assert net.server_alive(server), "broadcast from a crashed server"
         seq = len(self._log)
         self._log.append(payload)
-        self._trace.add(BROADCAST, server, self._now(), seq)
+        net.trace.add(BROADCAST, server, net.now, seq)
         for sid in range(self.n):
-            if self._alive(sid):
-                self._schedule(self._draw_delay(), "ab_deliver", lambda s=sid: self._wake(s))
+            if net.server_alive(sid):
+                net.schedule(net.draw_delay(), "ab_deliver", lambda s=sid: self._wake(s))
         return seq
 
     def _wake(self, server: int) -> None:
-        if not self._alive(server):
+        # A server's j-th wake-up was scheduled by a broadcast that found it
+        # alive, so a live server always has an undelivered message here.
+        net = self.net
+        if not net.server_alive(server):
             return
         nxt = self._cursor[server]
-        if nxt >= len(self._log):
-            return
         self._cursor[server] = nxt + 1
-        self._trace.add(DELIVER, server, self._now(), nxt)
-        self._deliver(server, self._log[nxt])
+        net.trace.add(DELIVER, server, net.now, nxt)
+        net.adeliver(server, self._log[nxt])
 
 
 def check_abcast_trace(trace: AbTrace) -> Verdict:
@@ -147,20 +136,15 @@ def check_abcast_trace(trace: AbTrace) -> Verdict:
 
     # Validity
     for sid, msg, _ in broadcasts:
-        if sid in crashed:
-            continue
-        if msg not in delivered_sets.get(sid, ()):
+        if sid not in crashed and msg not in delivered_sets.get(sid, ()):
             return failed("Validity", [f"m{msg}", f"s{sid}"])
 
     # Uniform Agreement
-    everywhere = set()
-    for s in delivered_sets.values():
-        everywhere |= s
+    everywhere = set().union(*delivered_sets.values())
     for sid in correct:
         missing = everywhere - delivered_sets.get(sid, set())
         if missing:
-            m = min(missing)
-            return failed("UniformAgreement", [f"m{m}", f"s{sid}"])
+            return failed("UniformAgreement", [f"m{min(missing)}", f"s{sid}"])
 
     # Uniform Integrity
     broadcast_time = {}
@@ -169,11 +153,9 @@ def check_abcast_trace(trace: AbTrace) -> Verdict:
     for sid, evs in deliveries.items():
         seen: set[int] = set()
         for msg, t in evs:
-            if msg in seen:
+            if msg in seen or msg not in broadcast_time or t < broadcast_time[msg]:
                 return failed("UniformIntegrity", [f"m{msg}", f"s{sid}"])
             seen.add(msg)
-            if msg not in broadcast_time or t < broadcast_time[msg]:
-                return failed("UniformIntegrity", [f"m{msg}", f"s{sid}"])
 
     # Uniform Total Order: every pair of delivery orders must agree on the
     # relative order of their common messages.

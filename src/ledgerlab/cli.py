@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import checkers, sim
 from .abcast import check_abcast_trace
-from .histories import pair_events
+from .histories import GET, pair_events
 from .sim import ConfigError, RunArtifact, Scenario
 from .verdicts import DIVERGENCE, FAIL, Verdict
 
@@ -72,6 +72,8 @@ def run_checker(name: str, artifact: RunArtifact) -> Verdict:
                 "eventual checker needs probe gets; re-run with probe_gets > 0")
         workload = [e for e in artifact.history if e.t < probe_from_t]
         probes = [e for e in artifact.history if e.t >= probe_from_t]
+        if any(e.kind != GET for e in probes):
+            raise ConfigError("artifact corrupt: the probe phase holds an append")
         completed, pending = _pair(workload)
         probe_completed, probe_pending = _pair(probes)
         if probe_pending:

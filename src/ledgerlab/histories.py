@@ -104,24 +104,6 @@ def events_from_jsonl(text: str) -> list[HistoryEvent]:
     return events
 
 
-class HistoryRecorder:
-    """Appends events in execution order; the simulator supplies the clock."""
-
-    def __init__(self, now) -> None:
-        self._now = now
-        self.events: list[HistoryEvent] = []
-
-    def invoke(self, op_id: str, client: int, kind: str, c: int,
-               payload: str | None = None) -> None:
-        self.events.append(HistoryEvent(op_id, client, INVOKE, kind, c, self._now(),
-                                        payload=payload))
-
-    def respond(self, op_id: str, client: int, kind: str, c: int,
-                result: str | None = None, seq: tuple[str, ...] | None = None) -> None:
-        self.events.append(HistoryEvent(op_id, client, RESPONSE, kind, c, self._now(),
-                                        result=result, seq=seq))
-
-
 @dataclass(frozen=True)
 class Op:
     """One operation reconstructed from its invoke/response event pair.

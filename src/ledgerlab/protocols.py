@@ -18,7 +18,8 @@ Clients fan every request out to a fixed set of f+1 servers and take the
 first response; later responses for the same request counter are dropped.
 A consensus client is layered on the eventual-mode interface: propose by
 appending, then poll until the ledger is non-empty and decide its first
-payload.
+payload.  Servers and clients reach the world only through ``net``, the
+`ledgerlab.sim.Simulator`, whose docstring lists what it provides.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import logging
 from typing import NamedTuple
 
+from .histories import INVOKE, RESPONSE, HistoryEvent
 from .ledger import ACK, Ledger, Record, ValidityPredicate, filter_valid, make_rid
 
 log = logging.getLogger("ledgerlab.protocols")
@@ -68,8 +70,7 @@ class BcastGet(NamedTuple):
 class Server:
     """One replica of the ledger, in any of the three modes.
 
-    ``net`` provides respond(server, client, msg) and abroadcast(server,
-    payload); handlers run atomically with respect to each other.
+    Handlers run atomically with respect to each other.
     """
 
     def __init__(self, mode: str, sid: int, net) -> None:
@@ -137,14 +138,13 @@ class Client:
     bookkeeping still uses the raw replica sequence.
     """
 
-    def __init__(self, cid: int, mode: str, targets: list[int], net, recorder,
+    def __init__(self, cid: int, mode: str, targets: list[int], net,
                  ops: list[tuple[str, str | None]] | None = None,
                  pred: ValidityPredicate | None = None) -> None:
         self.cid = cid
         self.mode = mode
         self.targets = targets
         self.net = net
-        self.recorder = recorder
         self.queue = list(ops or [])
         self.pred = pred
         self.c = 0
@@ -155,9 +155,6 @@ class Client:
     def start(self) -> None:
         if not self.crashed and self.pending is None:
             self._next()
-
-    def push_ops(self, ops) -> None:
-        self.queue.extend(ops)
 
     @property
     def done(self) -> bool:
@@ -177,7 +174,8 @@ class Client:
             req = AppendReq(self.c, record)
         else:
             req = GetReq(self.c, self.last_len)
-        self.recorder.invoke(op_id, self.cid, kind, self.c, payload=payload)
+        self.net.history.append(HistoryEvent(op_id, self.cid, INVOKE, kind, self.c,
+                                             self.net.now, payload=payload))
         self.pending = (self.c, kind, op_id)
         for sid in self.targets:
             self.net.request(self.cid, sid, req)
@@ -192,16 +190,16 @@ class Client:
         view: tuple[Record, ...] = ()
         if isinstance(msg, GetRes):
             if self.mode == SEQUENTIAL:
-                assert len(msg.seq) >= self.last_len
                 self.last_len = len(msg.seq)
             view = filter_valid(msg.seq, self.pred) if self.pred else msg.seq
-            self.recorder.respond(op_id, self.cid, kind, msg.c,
-                                  seq=tuple(r.rid for r in view))
+            event = HistoryEvent(op_id, self.cid, RESPONSE, kind, msg.c, self.net.now,
+                                 seq=tuple(r.rid for r in view))
         else:
             if self.mode == SEQUENTIAL:
-                assert msg.pos >= self.last_len
                 self.last_len = msg.pos
-            self.recorder.respond(op_id, self.cid, kind, msg.c, result=msg.result)
+            event = HistoryEvent(op_id, self.cid, RESPONSE, kind, msg.c, self.net.now,
+                                 result=msg.result)
+        self.net.history.append(event)
         self.pending = None
         self._after_response(kind, view)
 
@@ -216,8 +214,8 @@ class ProposerClient(Client):
     """Consensus by reduction: append the proposal, poll get until non-empty,
     decide the first payload."""
 
-    def __init__(self, cid: int, targets: list[int], net, recorder, value: str) -> None:
-        super().__init__(cid, EVENTUAL, targets, net, recorder)
+    def __init__(self, cid: int, targets: list[int], net, value: str) -> None:
+        super().__init__(cid, EVENTUAL, targets, net)
         self.value = value
         self.decision: str | None = None
 

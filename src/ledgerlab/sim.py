@@ -2,12 +2,13 @@
 
 A run is a pure function of its scenario: logical integer time, a seeded RNG
 per concern (network delays, workload expansion, crash generation), and a
-single-threaded event loop with a tie-break counter.  Point-to-point channels
-are reliable between live processes; messages to a process that has crashed
-by delivery time are dropped.  After the workload drains, surviving clients
-issue a configurable number of probe gets; these land in the same history and
-their start time is recorded so checkers can treat them as the failure-free
-extension.
+single-threaded event loop with a tie-break counter.  The `Simulator` is the
+one network: every server, client and the broadcast service reaches the rest
+of the run through it.  Point-to-point channels are reliable between live
+processes; messages to a process that has crashed by delivery time are
+dropped.  After the workload drains, surviving clients issue a configurable
+number of probe gets; these land in the same history and their start time is
+recorded so checkers can treat them as the failure-free extension.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Mapping, Sequence
 
 from . import protocols
 from .abcast import AbTrace, BroadcastService, trace_from_jsonl
-from .histories import HistoryEvent, HistoryRecorder, events_from_jsonl, events_to_jsonl, is_int
+from .histories import HistoryEvent, events_from_jsonl, events_to_jsonl, is_int
 from .ledger import Record, ValidityPredicate, predicate_from_config, predicate_to_config
 
 
@@ -178,6 +179,13 @@ def _validate_workload(workload, clients: int):
             extra = set(payloads) - {"kind", "accounts", "max_amount"}
             if extra:
                 raise ConfigError(f"unknown payload fields: {sorted(extra)}")
+            accounts = payloads.get("accounts", ["A"])
+            if not (isinstance(accounts, list) and accounts and all(
+                    isinstance(a, str) and a and ":" not in a for a in accounts)):
+                raise ConfigError("workload.payloads.accounts must be a non-empty list "
+                                  "of non-empty account names without ':'")
+            _uint(payloads.get("max_amount", 10),
+                  "workload.payloads.max_amount must be a non-negative integer")
         elif set(payloads) - {"kind"}:
             raise ConfigError("token payloads take no extra fields")
         return {"ops_per_client": ops, "append_ratio": float(ratio),
@@ -320,11 +328,18 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
     d = Path(artifact_dir)
     try:
         meta = json.loads((d / "meta.json").read_text())
-        n = scenario_from_dict(meta["scenario"]).n
-        if not (meta.get("probe_from_t") is None or is_int(meta["probe_from_t"])):
+        fields = {"probe_from_t", "scenario", "scenario_sha256", "seed"}
+        if not (isinstance(meta, dict) and meta.keys() == fields):
+            raise ValueError(f"meta.json must hold exactly the fields {sorted(fields)}")
+        scenario = scenario_from_dict(meta["scenario"])
+        if meta["scenario_sha256"] != scenario.sha256():
+            raise ValueError("scenario_sha256 does not match the scenario")
+        if not (is_int(meta["seed"]) and meta["seed"] == scenario.seed):
+            raise ValueError("seed does not match the scenario")
+        if not (meta["probe_from_t"] is None or is_int(meta["probe_from_t"])):
             raise ValueError("probe_from_t must be an integer or null")
         history = events_from_jsonl((d / "history.jsonl").read_text())
-        abtrace = trace_from_jsonl((d / "abtrace.jsonl").read_text(), n)
+        abtrace = trace_from_jsonl((d / "abtrace.jsonl").read_text(), scenario.n)
         states = {int(sid): [Record(r["tau"], r["p"], r["v"]) for r in records]
                   for sid, records in json.loads((d / "states.json").read_text()).items()}
     except FileNotFoundError as e:
@@ -335,52 +350,44 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
 
 
 class Simulator:
-    """Single-threaded event loop over (time, tie-break) ordered events."""
+    """Single-threaded event loop over (time, tie-break) ordered events.
 
-    def __init__(self, scenario: Scenario, client_factory=None) -> None:
+    It is the ``net`` of every server, client and the broadcast service:
+    ``now`` (sim time), ``trace`` (the `AbTrace`), ``history`` (the clients'
+    `HistoryEvent` list), ``schedule(delay, kind, fn)``, ``draw_delay()``,
+    ``server_alive(sid)``, ``request(cid, sid, msg)``, ``respond(sid, cid,
+    msg)``, ``abroadcast(sid, payload)`` and ``adeliver(sid, payload)``.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
         self.now = 0
         self._heap: list[tuple[int, int, str, object]] = []
         self._tiebreak = 0
         self._net_rng = random.Random(f"net:{scenario.seed}")
         self.trace = AbTrace(scenario.n)
-        self.recorder = HistoryRecorder(lambda: self.now)
+        self.history: list[HistoryEvent] = []
         self._server_alive = [True] * scenario.n
 
-        self.broadcast_service = BroadcastService(
-            scenario.n,
-            schedule=self.schedule,
-            alive=self.server_alive,
-            draw_delay=self._draw_delay,
-            deliver=lambda sid, payload: self.servers[sid].handle_adeliver(payload),
-            trace=self.trace,
-            now=lambda: self.now,
-        )
+        self.broadcast_service = BroadcastService(scenario.n, self)
         self.servers = [protocols.Server(scenario.mode, sid, self)
                         for sid in range(scenario.n)]
 
-        if client_factory is None:
-            workload = scenario.workload
-            if isinstance(workload, dict):
-                workload = generate_workload(workload, scenario.clients, scenario.seed)
-            self.clients = [
-                protocols.Client(
-                    cid, scenario.mode,
-                    protocols.server_subset(cid, scenario.n, scenario.f),
-                    self, self.recorder, ops=list(workload[cid]),
-                    pred=scenario.predicate,
-                )
-                for cid in range(scenario.clients)
-            ]
-        else:
-            self.clients = [client_factory(cid, self) for cid in range(scenario.clients)]
+        workload = scenario.workload
+        if isinstance(workload, dict):
+            workload = generate_workload(workload, scenario.clients, scenario.seed)
+        self.clients = [
+            protocols.Client(cid, scenario.mode,
+                             protocols.server_subset(cid, scenario.n, scenario.f),
+                             self, ops=list(workload[cid]), pred=scenario.predicate)
+            for cid in range(scenario.clients)]
 
-    # -- facilities used by protocol code (the "network") -------------------
+    # -- the network: what servers, clients and the broadcast service call -----
 
     def server_alive(self, sid: int) -> bool:
         return self._server_alive[sid]
 
-    def _draw_delay(self) -> int:
+    def draw_delay(self) -> int:
         return self._net_rng.randint(1, self.scenario.max_delay)
 
     def schedule(self, delay: int, kind: str, fn) -> None:
@@ -389,16 +396,17 @@ class Simulator:
         heapq.heappush(self._heap, (self.now + delay, self._tiebreak, kind, fn))
 
     def request(self, cid: int, sid: int, msg) -> None:
-        delay = self._draw_delay()
-        self.schedule(delay, "msg_deliver",
+        self.schedule(self.draw_delay(), "msg_deliver",
                       lambda: self._server_alive[sid] and self.servers[sid].handle_request(cid, msg))
 
     def respond(self, sid: int, cid: int, msg) -> None:
-        delay = self._draw_delay()
-        self.schedule(delay, "msg_deliver", lambda: self.clients[cid].on_response(msg))
+        self.schedule(self.draw_delay(), "msg_deliver", lambda: self.clients[cid].on_response(msg))
 
     def abroadcast(self, sid: int, payload) -> None:
         self.broadcast_service.broadcast(sid, payload)
+
+    def adeliver(self, sid: int, payload) -> None:
+        self.servers[sid].handle_adeliver(payload)
 
     # -- run control ---------------------------------------------------------
 
@@ -430,19 +438,15 @@ class Simulator:
             probe_from_t = self.now + 1
             for client in self.clients:
                 if not client.crashed:
-                    client.push_ops([("get", None)] * sc.probe_gets)
+                    client.queue.extend([("get", None)] * sc.probe_gets)
                     self.schedule(probe_from_t - self.now, "probe", client.start)
             self._drain()
             self._check_liveness()
 
-        meta = {
-            "probe_from_t": probe_from_t,
-            "scenario": self.scenario.to_dict(),
-            "scenario_sha256": self.scenario.sha256(),
-            "seed": sc.seed,
-        }
+        meta = {"probe_from_t": probe_from_t, "scenario": sc.to_dict(),
+                "scenario_sha256": sc.sha256(), "seed": sc.seed}
         states = {sid: list(s.replica.get()) for sid, s in enumerate(self.servers)}
-        return RunArtifact(list(self.recorder.events), self.trace, states, meta)
+        return RunArtifact(self.history, self.trace, states, meta)
 
     def _check_liveness(self) -> None:
         for client in self.clients:
@@ -483,16 +487,11 @@ def run_consensus(n: int, f: int, proposals: Sequence[str], seed: int,
         scenario = dataclasses.replace(scenario, crash_schedule=tuple(
             (sid, rng.randint(0, 3 * max_delay)) for sid in servers))
 
-    proposers: list[protocols.ProposerClient] = []
-
-    def factory(cid: int, sim: Simulator) -> protocols.ProposerClient:
-        client = protocols.ProposerClient(
-            cid, protocols.server_subset(cid, n, f), sim, sim.recorder,
-            value=proposals[cid])
-        proposers.append(client)
-        return client
-
-    simulator = Simulator(scenario, client_factory=factory)
+    simulator = Simulator(scenario)
+    proposers = [protocols.ProposerClient(cid, protocols.server_subset(cid, n, f),
+                                          simulator, value=value)
+                 for cid, value in enumerate(proposals)]
+    simulator.clients = proposers
     artifact = simulator.run()
     return ConsensusResult(
         proposals={p.cid: p.value for p in proposers},

@@ -7,16 +7,30 @@ from ledgerlab.abcast import AbTrace, BroadcastService, check_abcast_trace, trac
 
 
 class Loop:
-    """Minimal (time, tiebreak) event loop for driving the service directly."""
+    """A fake net: a minimal (time, tiebreak) event loop for driving the service directly."""
 
-    def __init__(self):
+    def __init__(self, n, seed, max_delay):
         self.now = 0
         self._heap = []
         self._seq = 0
+        self.alive = [True] * n
+        self.delivered = []
+        self.trace = AbTrace(n)
+        self._rng = random.Random(seed)
+        self._max_delay = max_delay
 
     def schedule(self, delay, kind, fn):
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
+
+    def draw_delay(self):
+        return self._rng.randint(1, self._max_delay)
+
+    def server_alive(self, sid):
+        return self.alive[sid]
+
+    def adeliver(self, sid, payload):
+        self.delivered.append((sid, payload))
 
     def drain(self):
         while self._heap:
@@ -25,21 +39,9 @@ class Loop:
 
 
 def make_service(n=3, seed=0, max_delay=5):
-    loop = Loop()
-    alive = [True] * n
-    delivered = []
-    rng = random.Random(seed)
-    trace = AbTrace(n)
-    svc = BroadcastService(
-        n,
-        schedule=loop.schedule,
-        alive=lambda sid: alive[sid],
-        draw_delay=lambda: rng.randint(1, max_delay),
-        deliver=lambda sid, payload: delivered.append((sid, payload)),
-        trace=trace,
-        now=lambda: loop.now,
-    )
-    return loop, alive, delivered, trace, svc
+    loop = Loop(n, seed, max_delay)
+    svc = BroadcastService(n, loop)
+    return loop, loop.alive, loop.delivered, loop.trace, svc
 
 
 def deliveries_by_server(trace, n):

@@ -55,6 +55,14 @@ def test_majority_violation_exits_2(scen_file, tmp_path, capsys):
     assert "majority" in capsys.readouterr().err
 
 
+def test_bad_account_payloads_exit_2(scen_file, tmp_path, capsys):
+    workload = {"ops_per_client": 4, "append_ratio": 1.0,
+                "payloads": {"kind": "account", "accounts": []}}
+    code = main(["run", "--scenario", scen_file(workload=workload), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "workload.payloads.accounts" in capsys.readouterr().err
+
+
 def test_missing_scenario_exits_2(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "x")]) == 2
@@ -156,6 +164,12 @@ def _meta_field(path, value):
     ("history.jsonl", _jsonl_without("seq"), "atomic"),
     ("history.jsonl", _jsonl_edit(lambda obj: obj["kind"] == "get",  # a get invoke
                                   lambda obj: obj.__setitem__("payload", "x")), "atomic"),
+    ("meta.json", _meta_field(("scenario_sha256",), "0" * 64), "atomic"),
+    ("meta.json", _meta_field(("seed",), 999), "abcast"),
+    ("meta.json", _meta_field(("bogus",), 1), "atomic"),
+    ("abtrace.jsonl", _jsonl_edit(lambda obj: True, lambda obj: obj.__setitem__("bogus", 1)),
+     "abcast"),
+    ("meta.json", _meta_field(("probe_from_t",), 0), "eventual"),
 ], ids=["history-string-counter", "states-int-record", "meta-list", "history-list-client",
         "history-list-op", "history-string-time-eventual", "history-bool-counter",
         "history-unknown-ev", "history-unknown-kind", "history-string-seq",
@@ -164,7 +178,9 @@ def _meta_field(path, value):
         "abtrace-server-out-of-range", "abtrace-string-time", "abtrace-unknown-ev",
         "abtrace-null-msg", "meta-bogus-predicate-vspec", "meta-string-probe-from-t-eventual",
         "meta-string-n-abcast", "history-missing-result", "history-missing-result-sequential",
-        "history-missing-seq", "history-payload-on-get-invoke"])
+        "history-missing-seq", "history-payload-on-get-invoke", "meta-zero-hash",
+        "meta-other-seed-abcast", "meta-unknown-key", "abtrace-extra-field",
+        "meta-probe-from-t-zero-eventual"])
 def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt, checker):
     art = tmp_path / "art"
     main(["run", "--scenario", scen_file(), "--out", str(art)])

@@ -55,6 +55,22 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             scenario(workload=[[op], []])
 
+    @pytest.mark.parametrize("payloads", [
+        pytest.param({"accounts": 5}, id="int-accounts"),
+        pytest.param({"accounts": []}, id="no-accounts"),
+        pytest.param({"accounts": "AB"}, id="string-accounts"),
+        pytest.param({"accounts": [""]}, id="empty-name"),
+        pytest.param({"accounts": [1]}, id="int-name"),
+        pytest.param({"accounts": ["A:B"]}, id="separator-in-name"),
+        pytest.param({"max_amount": "x"}, id="string-max-amount"),
+        pytest.param({"max_amount": -1}, id="negative-max-amount"),
+        pytest.param({"max_amount": True}, id="bool-max-amount"),
+    ])
+    def test_bad_account_payloads_rejected(self, payloads):
+        with pytest.raises(ConfigError, match="workload.payloads"):
+            scenario(workload={"ops_per_client": 4, "append_ratio": 1.0,
+                               "payloads": {"kind": "account", **payloads}})
+
     def test_bad_predicate_rejected(self):
         with pytest.raises(ConfigError, match="predicate"):
             scenario(predicate={"kind": "nonsense"})
