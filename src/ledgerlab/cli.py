@@ -21,8 +21,6 @@ from .histories import GET, pair_events
 from .sim import ConfigError, RunArtifact, Scenario
 from .verdicts import DIVERGENCE, FAIL, Verdict
 
-log = logging.getLogger("ledgerlab.cli")
-
 CHECKER_NAMES = ("atomic", "sequential", "eventual", "vspec", "abcast")
 
 EXIT_OK = 0
@@ -33,23 +31,18 @@ EXIT_DIVERGENCE = 4
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("LEDGERLAB_LOG", "off").lower()
-    if level == "debug":
-        logging.basicConfig(level=logging.DEBUG)
-    elif level == "info":
-        logging.basicConfig(level=logging.INFO)
-    else:
-        logging.basicConfig(level=logging.WARNING)
+    level = os.environ.get("LEDGERLAB_LOG", "off").upper()
+    logging.basicConfig(level=level if level in ("DEBUG", "INFO") else logging.WARNING)
 
 
-def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
+def load_scenario(path: str | Path) -> Scenario:
     try:
         obj = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"scenario file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"scenario file unreadable: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"scenario file is not valid JSON: {e}")
-    return sim.scenario_from_dict(obj, seed_override=seed_override)
+    return sim.scenario_from_dict(obj)
 
 
 def _pair(events) -> tuple[list, list]:
@@ -60,6 +53,17 @@ def _pair(events) -> tuple[list, list]:
         raise ConfigError(f"artifact corrupt: {e}") from e
 
 
+_NO_PROBES = "eventual checker needs probe gets; re-run with probe_gets > 0"
+
+
+def _refuse_unusable(name: str, scenario: Scenario) -> None:
+    """Refuse a checker that no run of ``scenario`` can feed."""
+    if name == "eventual" and scenario.probe_gets == 0:
+        raise checkers.CheckerError(_NO_PROBES)
+    if name == "vspec" and scenario.predicate is None:
+        raise checkers.CheckerError("vspec checker needs a scenario predicate")
+
+
 def run_checker(name: str, artifact: RunArtifact) -> Verdict:
     """Apply one named checker to a run artifact."""
     if name == "abcast":
@@ -68,8 +72,7 @@ def run_checker(name: str, artifact: RunArtifact) -> Verdict:
     probe_from_t = artifact.meta.get("probe_from_t")
     if name == "eventual":
         if probe_from_t is None:
-            raise checkers.CheckerError(
-                "eventual checker needs probe gets; re-run with probe_gets > 0")
+            raise checkers.CheckerError(_NO_PROBES)
         workload = [e for e in artifact.history if e.t < probe_from_t]
         probes = [e for e in artifact.history if e.t >= probe_from_t]
         if any(e.kind != GET for e in probes):
@@ -86,9 +89,8 @@ def run_checker(name: str, artifact: RunArtifact) -> Verdict:
         return checkers.verify_history(completed, pending, name)
 
     if name == "vspec":
-        pred = sim.scenario_from_dict(artifact.meta["scenario"]).predicate
-        if pred is None:
-            raise checkers.CheckerError("vspec checker needs a scenario predicate")
+        scenario = sim.scenario_from_dict(artifact.meta["scenario"])
+        _refuse_unusable(name, scenario)
         if pending:
             raise checkers.CheckerError("vspec checker needs a complete history")
         ordered = sorted(completed, key=lambda op: op.invoke_i)
@@ -96,7 +98,7 @@ def run_checker(name: str, artifact: RunArtifact) -> Verdict:
             if not a.precedes(b):
                 raise checkers.CheckerError(
                     "vspec checker needs a sequential (non-concurrent) history")
-        return checkers.check_validated_spec(ordered, pred)
+        return checkers.check_validated_spec(ordered, scenario.predicate)
 
     raise ConfigError(f"unknown checker {name!r}; choose from {CHECKER_NAMES}")
 
@@ -112,9 +114,14 @@ def _verdict_exit(v: Verdict) -> int:
 # -- subcommands --------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario, args.seed)
+    scenario = load_scenario(args.scenario)
+    if args.seed is not None:
+        scenario = scenario.with_seed(args.seed)
     artifact = sim.run(scenario)
-    out = artifact.write(args.out)
+    try:
+        out = artifact.write(args.out)
+    except OSError as e:
+        raise ConfigError(f"cannot write the artifact: {e}") from e
     events = artifact.history
     invoked = sum(1 for e in events if e.ev == "invoke")
     completed = sum(1 for e in events if e.ev == "response")
@@ -138,12 +145,11 @@ def cmd_check(args) -> int:
     return _verdict_exit(verdict)
 
 
-def _campaign_worker(payload: tuple[str, int, tuple[str, ...]]) -> dict:
-    scenario_json, seed, names = payload
+def _campaign_worker(payload: tuple[Scenario, int, tuple[str, ...]]) -> dict:
+    scenario, seed, names = payload
     row: dict = {"seed": seed, "verdicts": {}}
     try:
-        scenario = sim.scenario_from_dict(json.loads(scenario_json), seed_override=seed)
-        artifact = sim.run(scenario)
+        artifact = sim.run(scenario.with_seed(seed))
         for name in names:
             row["verdicts"][name] = run_checker(name, artifact).to_json(name)
     except Exception as e:  # recorded, campaign continues
@@ -155,8 +161,7 @@ def run_campaign(scenario: Scenario, start: int, count: int,
                  names: tuple[str, ...], jobs: int = 1) -> dict:
     """Run `count` seeded scenarios and the requested checkers on each."""
     t0 = time.monotonic()
-    scenario_json = json.dumps(scenario.to_dict())
-    payloads = [(scenario_json, start + i, names) for i in range(count)]
+    payloads = [(scenario, start + i, names) for i in range(count)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_campaign_worker, payloads, chunksize=16))
@@ -227,6 +232,7 @@ def cmd_campaign(args) -> int:
     for name in names:
         if name not in CHECKER_NAMES:
             raise ConfigError(f"unknown checker {name!r}; choose from {CHECKER_NAMES}")
+        _refuse_unusable(name, scenario)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
 
     report = run_campaign(scenario, start, count, names, jobs=jobs)

@@ -79,9 +79,6 @@ class ValidityPredicate:
     kind: str
     balances: Mapping[str, int] = field(default_factory=dict)
 
-    def __call__(self, seq: Iterable[Record]) -> bool:
-        return evaluate_predicate(self, seq)
-
     def start(self):
         if self.kind == "always_true":
             return None

@@ -78,9 +78,8 @@ class Scenario:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def with_seed(self, seed: int) -> "Scenario":
-        d = self.to_dict()
-        d["seed"] = seed
-        return scenario_from_dict(d)
+        return dataclasses.replace(
+            self, seed=_uint(seed, "seed must be an unsigned 64-bit integer", below=2 ** 64))
 
 
 def _workload_to_jsonable(workload) -> object:
@@ -112,7 +111,7 @@ def _require_uint(obj: Mapping, key: str, *, minimum: int = 0) -> int:
                  minimum=minimum)
 
 
-def scenario_from_dict(obj: Mapping, seed_override: int | None = None) -> Scenario:
+def scenario_from_dict(obj: Mapping) -> Scenario:
     """Parse and validate a scenario object; unknown fields are rejected."""
     if not isinstance(obj, Mapping):
         raise ConfigError("scenario must be a JSON object")
@@ -135,8 +134,7 @@ def scenario_from_dict(obj: Mapping, seed_override: int | None = None) -> Scenar
             f"f={f} with n={n} violates the broadcast service's majority "
             f"requirement (need f < n/2)")
 
-    seed = obj.get("seed", 0) if seed_override is None else seed_override
-    seed = _uint(seed, "seed must be an unsigned 64-bit integer", below=2 ** 64)
+    seed = _uint(obj.get("seed", 0), "seed must be an unsigned 64-bit integer", below=2 ** 64)
     max_delay = _uint(obj.get("max_delay", 10), "max_delay must be an integer >= 1", minimum=1)
     probe_gets = _uint(obj.get("probe_gets", 2), "probe_gets must be a non-negative integer")
 
@@ -304,11 +302,13 @@ def expand_crashes(schedule, n: int, f: int, seed: int) -> list[tuple[int, int]]
 
 @dataclass
 class RunArtifact:
-    """Everything a run produces, sufficient for offline checking and replay."""
+    """Everything a run produces.  `write` stores what the checkers read: the
+    history, the broadcast trace and the meta block.  ``states`` (each server's
+    final replica) is never written, and it is None on a loaded artifact."""
 
     history: list[HistoryEvent]
     abtrace: AbTrace
-    states: dict[int, list[Record]]
+    states: dict[int, list[Record]] | None
     meta: dict
 
     def write(self, outdir: str | Path) -> Path:
@@ -316,10 +316,6 @@ class RunArtifact:
         out.mkdir(parents=True, exist_ok=True)
         (out / "history.jsonl").write_text(events_to_jsonl(self.history))
         (out / "abtrace.jsonl").write_text(self.abtrace.to_jsonl())
-        states = {str(sid): [{"tau": r.rid, "p": r.creator, "v": r.payload}
-                             for r in records]
-                  for sid, records in sorted(self.states.items())}
-        (out / "states.json").write_text(json.dumps(states, indent=1) + "\n")
         (out / "meta.json").write_text(json.dumps(self.meta, sort_keys=True, indent=1) + "\n")
         return out
 
@@ -340,13 +336,13 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
             raise ValueError("probe_from_t must be an integer or null")
         history = events_from_jsonl((d / "history.jsonl").read_text())
         abtrace = trace_from_jsonl((d / "abtrace.jsonl").read_text(), scenario.n)
-        states = {int(sid): [Record(r["tau"], r["p"], r["v"]) for r in records]
-                  for sid, records in json.loads((d / "states.json").read_text()).items()}
     except FileNotFoundError as e:
         raise ConfigError(f"artifact incomplete: missing {Path(e.filename).name}") from e
+    except OSError as e:
+        raise ConfigError(f"artifact unreadable: {e}") from e
     except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"artifact corrupt: {type(e).__name__}: {e}") from e
-    return RunArtifact(history, abtrace, states, meta)
+    return RunArtifact(history, abtrace, None, meta)
 
 
 class Simulator:

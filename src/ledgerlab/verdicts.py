@@ -35,10 +35,10 @@ class Verdict:
         return out
 
 
-def passed(oracle_used: bool = False) -> Verdict:
-    return Verdict(PASS, oracle_used=oracle_used)
+def passed() -> Verdict:
+    return Verdict(PASS)
 
 
-def failed(violated: str, witness: list[str], oracle_used: bool = False) -> Verdict:
+def failed(violated: str, witness: list[str]) -> Verdict:
     assert witness, "fail verdicts must carry a witness"
-    return Verdict(FAIL, violated, witness, oracle_used)
+    return Verdict(FAIL, violated, witness)

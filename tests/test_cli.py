@@ -25,8 +25,8 @@ def scen_file(tmp_path):
 def test_run_writes_the_artifact_layout(scen_file, tmp_path, capsys):
     out = tmp_path / "art"
     assert main(["run", "--scenario", scen_file(), "--out", str(out)]) == 0
-    for name in ("history.jsonl", "abtrace.jsonl", "states.json", "meta.json"):
-        assert (out / name).exists()
+    assert sorted(p.name for p in out.iterdir()) == ["abtrace.jsonl", "history.jsonl",
+                                                     "meta.json"]
     line = capsys.readouterr().out
     assert "ops=" in line and "appended=" in line and "crashes=" in line
     history = (out / "history.jsonl").read_text()
@@ -137,7 +137,6 @@ def _meta_field(path, value):
 
 @pytest.mark.parametrize("name,corrupt,checker", [
     ("history.jsonl", _jsonl_field("c", "c"), "atomic"),
-    ("states.json", lambda _: json.dumps({"0": [1]}), "atomic"),
     ("meta.json", lambda _: "[]", "atomic"),
     ("history.jsonl", _jsonl_field("client", [0]), "atomic"),
     ("history.jsonl", _jsonl_field("op", ["x"]), "atomic"),
@@ -170,7 +169,7 @@ def _meta_field(path, value):
     ("abtrace.jsonl", _jsonl_edit(lambda obj: True, lambda obj: obj.__setitem__("bogus", 1)),
      "abcast"),
     ("meta.json", _meta_field(("probe_from_t",), 0), "eventual"),
-], ids=["history-string-counter", "states-int-record", "meta-list", "history-list-client",
+], ids=["history-string-counter", "meta-list", "history-list-client",
         "history-list-op", "history-string-time-eventual", "history-bool-counter",
         "history-unknown-ev", "history-unknown-kind", "history-string-seq",
         "history-int-in-seq", "history-int-payload", "history-list-result",
@@ -187,6 +186,16 @@ def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt, 
     (art / name).write_text(corrupt((art / name).read_text()))
     assert main(["check", str(art), "--checker", checker]) == 2
     assert "artifact corrupt" in capsys.readouterr().err
+
+
+def test_path_mistakes_exit_2(scen_file, tmp_path, capsys):
+    scenario = scen_file()
+    assert main(["check", scenario, "--checker", "atomic"]) == 2
+    assert "artifact unreadable" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "a")]) == 2
+    assert "scenario file unreadable" in capsys.readouterr().err
+    assert main(["run", "--scenario", scenario, "--out", scenario]) == 2
+    assert "cannot write the artifact" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("checker", ["atomic", "sequential", "eventual"])
@@ -278,6 +287,19 @@ def test_campaign_with_failures_exits_3(scen_file, tmp_path):
                                                       "append_ratio": 0.6}),
                  "--seeds", "0:30", "--checker", "atomic", "--jobs", "1"])
     assert code == 3
+
+
+@pytest.mark.parametrize("checker,overrides,text", [
+    ("eventual", {"probe_gets": 0}, "eventual checker needs probe gets"),
+    ("vspec", {}, "vspec checker needs a scenario predicate"),
+])
+def test_campaign_refuses_an_unusable_checker_before_any_seed(scen_file, tmp_path, capsys,
+                                                              checker, overrides, text):
+    rep = tmp_path / "rep"
+    assert main(["campaign", "--scenario", scen_file(**overrides), "--seeds", "0:3",
+                 "--checker", checker, "--jobs", "1", "--out", str(rep)]) == 2
+    captured = capsys.readouterr()
+    assert text in captured.err and not captured.out and not rep.exists()
 
 
 def test_campaign_rejects_bad_seed_spec(scen_file):

@@ -12,7 +12,7 @@ import pytest
 
 from ledgerlab.sim import run, run_consensus, scenario_from_dict
 
-FILES = ("history.jsonl", "abtrace.jsonl", "states.json", "meta.json")
+FILES = ("history.jsonl", "abtrace.jsonl", "meta.json")
 
 SCENARIOS = {
     "atomic": {
@@ -45,31 +45,26 @@ PINNED = {
     "atomic": {
         "history.jsonl": "0cf13a18617fd08c067a1f1e9ca8c85462625cb4b31373b83084838b41d6008a",
         "abtrace.jsonl": "d574a10201d160a0cc3c42d62da33550cbddd485d525bafd19a9e73e082faf63",
-        "states.json": "7946ca1f4aa780404f45c93068befccb37ce8aee9bd6108f276850c74bb4dc8a",
         "meta.json": "e0a937c34e15ca075946bea6b4fe580173353709a9702c34a12e831c8e6875f8",
     },
     "sequential": {
         "history.jsonl": "b421b932edb0bed99f73e2d6d62666a438dc29793a11a5558bb5a6f4709402e0",
         "abtrace.jsonl": "7d37f89ff26eb0010080283fbe7273129a2bc3c01ccda62351a2091256c4b222",
-        "states.json": "42bebd4b21e248135ac91cb979e46ac4e54c39f6f15bec607095ce10bac4a23c",
         "meta.json": "830675e96d5f51df90d76d327bafbb8eabaffa6760592795bfb4590b59f447bd",
     },
     "eventual": {
         "history.jsonl": "55ca697b29978cdcc49e68159cf3ee51dec77f7a97a24ef162294c1b59b4e39c",
         "abtrace.jsonl": "976ad3be98c50fe2f5dea4ce014433e7c61de0e6ac99c78d964db2eea54e2520",
-        "states.json": "0d395ed3c5cc14ad17c7051c3954bcb5c608210d110e3d4cb2a84dac1569ef7c",
         "meta.json": "78016f77a199c113bd45a414672e3dab119b7e69e29400aeff64e0d780bb8702",
     },
     "read-repair": {
         "history.jsonl": "e485ddc832da04ee16c8025a8a338263808a7461d9f3e653d85887c70e15dbfa",
         "abtrace.jsonl": "b08eecf5e0723adb5a1bec6c909d76f4ba0c137b898a7c791b22dfcd5bd005af",
-        "states.json": "fd31974b2191997c2b7b6760d1c6d18f2a8a1ccb2ed6d3ef34d2438635fb5ba1",
         "meta.json": "bde38bbeaeb06c55ecc096d772738200420121a95260322714842d4e9a7878a5",
     },
     "consensus": {
         "history.jsonl": "4e7e0a04fe9ffe1be66b4d269bcb13c2a8547a455f754fa51f9f19a64c4d84fe",
         "abtrace.jsonl": "d3767030925fe01f4245d1f2b86ab4ea3cf8002d5d897769e855b5caa4d874d4",
-        "states.json": "fba401bffc87e4d173cf23b86e75e8451c278be97ca2a68df68a239291c36427",
         "meta.json": "9ec2a45864c23b6edf294918f4cd906d8322734d09524adb2151955004961b7a",
     },
 }
@@ -98,9 +93,9 @@ def test_artifact_bytes_match_the_pinned_hashes(name, tmp_path):
 CAMPAIGN_SEEDS = range(30)
 
 CAMPAIGN_DIGESTS = {
-    "atomic": "9c4caba624277571966406cd15aba575b2c7d1c025cd96a3683b5dd6d5b2a012",
-    "sequential": "d4f3d464d5b7c1010c2af9029aea050d7ede84cafbf21e664cd56de5977327ae",
-    "eventual": "2b9b7688899e70683b6b83a25530fa59562b13aaae0b1a47fb9e0fcc99902e92",
+    "atomic": "1cd6fdc5fc9550318deb84eff868e2aab5e99eafc2cd09daa1ef95d259b2d2a3",
+    "sequential": "62f6467a799fc5a69c97de855d6fae412d9d4b9d21d27a83519d188f411530e8",
+    "eventual": "aa831ab9397bbc0a3f7a1529b05a651bdde1a01ec8023d5a0fa66d2a76c93877",
 }
 
 

@@ -80,8 +80,15 @@ class TestScenarioValidation:
             scenario(mode="linearizable")
 
     def test_seed_override(self):
-        sc = scenario_from_dict(scenario().to_dict(), seed_override=99)
+        sc = scenario().with_seed(99)
         assert sc.seed == 99
+
+    def test_with_seed_matches_a_reparse_and_checks_the_seed(self):
+        sc = scenario(predicate={"kind": "unique_tau"}, client_crashes=[[0, 5]])
+        assert sc.with_seed(7) == scenario_from_dict({**sc.to_dict(), "seed": 7})
+        for bad in (-1, 2 ** 64, True, "1"):
+            with pytest.raises(ConfigError, match="seed must be"):
+                sc.with_seed(bad)
 
     def test_canonical_hash_stable_under_key_order(self):
         d = scenario().to_dict()
