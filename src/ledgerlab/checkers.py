@@ -8,7 +8,10 @@ deliberately independent in spirit:
   rank rule under real-time or same-client precedence: the longest returned
   sequence ranks a get ``2*len(seq)``, an append ``2*pos+1`` (+inf if
   unread), and x preceding y requires rank(x) <= rank(y).  One sweep checks
-  it in O(n log n) for n ops, after one pass over the returned ids.
+  it in O(n log n) for n ops.  Before it, the integrity and chain screen
+  compares each get with a prefix of the longest one: O(ids read), all in
+  tuple and set operations, with a Python loop over the ids only for a
+  history that fails, to name its first violation.
 * an exhaustive oracle -- for small histories, a pruned DFS over all
   precedence-respecting permutations that replays the sequential ledger and
   accepts iff some permutation reproduces every recorded return value.
@@ -139,7 +142,19 @@ def _non_ack_append(h: CompletedHistory) -> Verdict | None:
 
 
 def _integrity_and_chain(gets: Sequence[Op], appended: dict[str, Op]) -> Verdict | None:
-    """Fabrication, duplicates, and the global prefix chain over get returns."""
+    """Fabrication, duplicates, and the global prefix chain over get returns.
+
+    All three hold iff every get is a prefix of the longest one and that one
+    holds only appended ids, each once; that is tested first with tuple and
+    set operations.  Only a history that fails it walks the ids one by one,
+    to name the first violation.
+    """
+    seqs = [g.seq or () for g in gets]
+    longest = max(seqs, key=len, default=())
+    ids = set(longest)
+    if (len(ids) == len(longest) and ids <= appended.keys()
+            and all(s == longest[:len(s)] for s in seqs)):
+        return None
     for g in gets:
         seen: set[str] = set()
         for rid in g.seq or ():

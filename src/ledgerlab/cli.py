@@ -89,8 +89,7 @@ def run_checker(name: str, artifact: RunArtifact) -> Verdict:
         return checkers.verify_history(completed, pending, name)
 
     if name == "vspec":
-        scenario = sim.scenario_from_dict(artifact.meta["scenario"])
-        _refuse_unusable(name, scenario)
+        _refuse_unusable(name, artifact.scenario)
         if pending:
             raise checkers.CheckerError("vspec checker needs a complete history")
         ordered = sorted(completed, key=lambda op: op.invoke_i)
@@ -98,7 +97,7 @@ def run_checker(name: str, artifact: RunArtifact) -> Verdict:
             if not a.precedes(b):
                 raise checkers.CheckerError(
                     "vspec checker needs a sequential (non-concurrent) history")
-        return checkers.check_validated_spec(ordered, scenario.predicate)
+        return checkers.check_validated_spec(ordered, artifact.scenario.predicate)
 
     raise ConfigError(f"unknown checker {name!r}; choose from {CHECKER_NAMES}")
 

@@ -4,11 +4,23 @@ A history is an ordered sequence of events; the order of the list is the
 real-time order.  Events serialize to JSONL with a fixed field layout:
 
     {"op":"<id>","client":<int>,"ev":"invoke"|"response","kind":"get"|"append",
-     "c":<int>,"t":<int>,"payload":"<str>"?,"result":"ack"|"nack"?,"seq":["<rid>",...]?}
+     "c":<int>,"t":<int>,"payload":"<str>"?,"result":"ack"|"nack"?,
+     "p":<int>?,"tail":["<rid>",...]?}
 
 Appends carry their payload on the invoke and their ack/nack on the response;
-gets carry the returned record-id sequence on the response.  No event carries
-any other field.  The record id of an append is derived as `<client>.<c>`.
+gets carry their returned record-id sequence on the response, as ``p`` and
+``tail``.  No event carries any other field.  The record id of an append is
+derived as `<client>.<c>`.
+
+A get's sequence is stored against ``ref``, the longest sequence among the
+get responses before it in the file (``()`` before the first; a later
+response replaces it only if strictly longer): ``p`` is the length of the
+common prefix of the sequence and ``ref``, and ``tail`` is the rest, so the
+sequence is ``ref[:p] + tail``.  In a run whose reads form one growing order
+each ``tail`` holds only the records new to its read, and the file grows
+with the number of records, not with the number of ids read.  Any sequence
+round-trips, a divergent or fabricated one included, so the checkers see
+exactly the sequences that were returned.
 """
 
 from __future__ import annotations
@@ -39,20 +51,31 @@ class HistoryEvent:
     seq: tuple[str, ...] | None = None
 
 
-def event_to_json(e: HistoryEvent) -> str:
-    obj: dict = {"op": e.op_id, "client": e.client, "ev": e.ev, "kind": e.kind,
-                 "c": e.c, "t": e.t}
-    if e.payload is not None:
-        obj["payload"] = e.payload
-    if e.result is not None:
-        obj["result"] = e.result
-    if e.seq is not None:
-        obj["seq"] = list(e.seq)
-    return json.dumps(obj, separators=(",", ":"))
+def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    n = min(len(a), len(b))
+    if a[:n] == b[:n]:
+        return n
+    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
 def events_to_jsonl(events: Iterable[HistoryEvent]) -> str:
-    lines = [event_to_json(e) for e in events]
+    """The history as JSONL in the layout of the module docstring."""
+    ref: tuple[str, ...] = ()
+    lines = []
+    for e in events:
+        obj: dict = {"op": e.op_id, "client": e.client, "ev": e.ev, "kind": e.kind,
+                     "c": e.c, "t": e.t}
+        if e.payload is not None:
+            obj["payload"] = e.payload
+        if e.result is not None:
+            obj["result"] = e.result
+        if e.seq is not None:
+            p = _common_prefix(e.seq, ref)
+            obj["p"] = p
+            obj["tail"] = e.seq[p:]
+            if len(e.seq) > len(ref):
+                ref = e.seq
+        lines.append(json.dumps(obj, separators=(",", ":")))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -70,7 +93,7 @@ _REQUIRED = {"op", "client", "ev", "kind", "c", "t"}
 _CARRIED = {
     (INVOKE, GET): {},
     (INVOKE, APPEND): {"payload": lambda v: isinstance(v, str)},
-    (RESPONSE, GET): {"seq": _is_seq},
+    (RESPONSE, GET): {"p": is_int, "tail": _is_seq},
     (RESPONSE, APPEND): {"result": lambda v: v in (ACK, NACK)},
 }
 
@@ -86,20 +109,29 @@ def events_from_jsonl(text: str) -> list[HistoryEvent]:
     """Parse history JSONL.
 
     Raises ValueError on an event whose fields differ from the layout in the
-    module docstring: a field missing, out of place or of the wrong type or value.
+    module docstring: a field missing, out of place or of the wrong type or
+    value, or a ``p`` beyond the longest earlier read.
     """
     events = []
+    ref: tuple[str, ...] = ()
     for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         obj = json.loads(line)
         if not _well_formed(obj):
             raise ValueError(f"malformed history event on line {n}")
-        seq = obj.get("seq")
+        seq = None
+        if "p" in obj:
+            p = obj["p"]
+            if not 0 <= p <= len(ref):
+                raise ValueError(f"history event on line {n}: p={p} outside 0..{len(ref)}")
+            seq = ref[:p] + tuple(obj["tail"])
+            if len(seq) > len(ref):
+                ref = seq
         events.append(HistoryEvent(
             op_id=obj["op"], client=obj["client"], ev=obj["ev"], kind=obj["kind"],
             c=obj["c"], t=obj["t"], payload=obj.get("payload"),
-            result=obj.get("result"), seq=tuple(seq) if seq is not None else None,
+            result=obj.get("result"), seq=seq,
         ))
     return events
 

@@ -303,13 +303,16 @@ def expand_crashes(schedule, n: int, f: int, seed: int) -> list[tuple[int, int]]
 @dataclass
 class RunArtifact:
     """Everything a run produces.  `write` stores what the checkers read: the
-    history, the broadcast trace and the meta block.  ``states`` (each server's
-    final replica) is never written, and it is None on a loaded artifact."""
+    history, the broadcast trace and the meta block.  ``scenario`` is the
+    run's scenario, parsed once (from ``meta`` on a loaded artifact).
+    ``states`` (each server's final replica) is never written, and it is None
+    on a loaded artifact."""
 
     history: list[HistoryEvent]
     abtrace: AbTrace
     states: dict[int, list[Record]] | None
     meta: dict
+    scenario: Scenario
 
     def write(self, outdir: str | Path) -> Path:
         out = Path(outdir)
@@ -342,7 +345,7 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
         raise ConfigError(f"artifact unreadable: {e}") from e
     except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"artifact corrupt: {type(e).__name__}: {e}") from e
-    return RunArtifact(history, abtrace, None, meta)
+    return RunArtifact(history, abtrace, None, meta, scenario)
 
 
 class Simulator:
@@ -442,7 +445,7 @@ class Simulator:
         meta = {"probe_from_t": probe_from_t, "scenario": sc.to_dict(),
                 "scenario_sha256": sc.sha256(), "seed": sc.seed}
         states = {sid: list(s.replica.get()) for sid, s in enumerate(self.servers)}
-        return RunArtifact(self.history, self.trace, states, meta)
+        return RunArtifact(self.history, self.trace, states, meta, sc)
 
     def _check_liveness(self) -> None:
         for client in self.clients:

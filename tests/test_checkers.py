@@ -808,3 +808,73 @@ class TestNonAckAppend:
         v = verify_history(completed, [], checker)
         assert (v.status, v.violated, v.witness) == ("fail", "SeqSpec", ["0.1"])
         assert v.oracle_used == (len(completed) <= ORACLE_AUTO_LIMIT)
+
+
+def loop_integrity_and_chain(gets, appended):
+    """Reference: `_integrity_and_chain` as it was before its tuple-and-set
+    test, walking every returned id."""
+    for g in gets:
+        seen: set[str] = set()
+        for rid in g.seq or ():
+            if rid not in appended:
+                return failed("Fabrication", [g.op_id, rid])
+            if rid in seen:
+                return failed("Duplicate", [g.op_id, rid])
+            seen.add(rid)
+    chain = sorted(gets, key=lambda g: len(g.seq or ()))
+    for a, b in zip(chain, chain[1:]):
+        if (b.seq or ())[:len(a.seq or ())] != (a.seq or ()):
+            return failed("PrefixChain", [a.op_id, b.op_id])
+    return None
+
+
+def mutate_one_read(rng, gets, appended):
+    """Drop, swap, inject or duplicate one id of one get, the longest one half
+    the time; an injected id is, half the time each, an appended one or the
+    fabricated ``9.99``."""
+    gets = list(gets)
+    i = (max(range(len(gets)), key=lambda k: len(gets[k].seq)) if rng.random() < 0.5
+         else rng.randrange(len(gets)))
+    seq = list(gets[i].seq)
+    how = rng.choice(("drop", "swap", "inject", "duplicate"))
+    if how == "drop" and seq:
+        del seq[rng.randrange(len(seq))]
+    elif how == "swap" and len(seq) > 1:
+        j = rng.randrange(len(seq) - 1)
+        seq[j], seq[j + 1] = seq[j + 1], seq[j]
+    elif how == "duplicate" and seq:
+        seq.insert(rng.randint(0, len(seq)), rng.choice(seq))
+    else:
+        fabricate = not appended or rng.random() < 0.5
+        seq.insert(rng.randint(0, len(seq)), "9.99" if fabricate else rng.choice([*appended]))
+    gets[i] = dataclasses.replace(gets[i], seq=tuple(seq))
+    return gets
+
+
+def chain_corpus(rng):
+    """(gets, appended) pairs: random histories, then simulator histories of
+    every mode with their probes, each as recorded and with one read mutated."""
+    for _ in range(300):
+        h = random_history(rng, rng.randint(1, 6), rng.randint(2, 80),
+                           noise=rng.choice((None, 0, 0.01, 0.05, 0.2)))
+        yield h.gets, {o.rid: o for o in h.appends}
+    for seed in range(150):
+        completed, pending, probes = crashy_split(rng, seed)
+        [h] = complete_history(completed, pending, probes)
+        gets, appended = [*h.gets, *probes], {o.rid: o for o in h.appends}
+        yield gets, appended
+        if gets:
+            for _ in range(4):
+                yield mutate_one_read(rng, gets, appended), appended
+
+
+class TestChainScreenFastPath:
+    def test_agrees_with_the_loop_reference(self):
+        rng = random.Random("chain-screen-vs-loop")
+        stats = {"pass": 0, "Fabrication": 0, "Duplicate": 0, "PrefixChain": 0}
+        for gets, appended in chain_corpus(rng):
+            got = checkers._integrity_and_chain(gets, appended)
+            want = loop_integrity_and_chain(gets, appended)
+            assert got == want, (gets, got, want)
+            stats[got.violated if got else "pass"] += 1
+        assert min(stats.values()) > 40, stats

@@ -118,9 +118,16 @@ def _jsonl_field(key, value):
     return _jsonl_edit(lambda obj: key in obj, lambda obj: obj.__setitem__(key, value))
 
 
-def _jsonl_without(key):
-    """Delete ``key`` from the first JSONL line that carries it."""
-    return _jsonl_edit(lambda obj: key in obj, lambda obj: obj.pop(key))
+def _jsonl_without(*keys):
+    """Delete ``keys`` from the first JSONL line that carries them."""
+    return _jsonl_edit(lambda obj: obj.keys() >= set(keys),
+                       lambda obj: [obj.pop(k) for k in keys])
+
+
+def _v1_read(obj):
+    """Store a read as the old layout did: its whole sequence as ``seq``."""
+    assert obj.pop("p") == 0  # the first read, so its tail is its sequence
+    obj["seq"] = obj.pop("tail")
 
 
 def _meta_field(path, value):
@@ -144,8 +151,8 @@ def _meta_field(path, value):
     ("history.jsonl", _jsonl_field("c", True), "atomic"),
     ("history.jsonl", _jsonl_field("ev", "done"), "atomic"),
     ("history.jsonl", _jsonl_field("kind", "put"), "atomic"),
-    ("history.jsonl", _jsonl_field("seq", "0.1"), "atomic"),
-    ("history.jsonl", _jsonl_field("seq", [1]), "atomic"),
+    ("history.jsonl", _jsonl_field("tail", "0.1"), "atomic"),
+    ("history.jsonl", _jsonl_field("tail", [1]), "atomic"),
     ("history.jsonl", _jsonl_field("payload", 5), "atomic"),
     ("history.jsonl", _jsonl_field("result", ["ack"]), "atomic"),
     ("history.jsonl", _jsonl_field("result", "zzz"), "atomic"),
@@ -160,7 +167,7 @@ def _meta_field(path, value):
     ("meta.json", _meta_field(("scenario", "n"), "x"), "abcast"),
     ("history.jsonl", _jsonl_without("result"), "atomic"),
     ("history.jsonl", _jsonl_without("result"), "sequential"),
-    ("history.jsonl", _jsonl_without("seq"), "atomic"),
+    ("history.jsonl", _jsonl_without("p", "tail"), "atomic"),
     ("history.jsonl", _jsonl_edit(lambda obj: obj["kind"] == "get",  # a get invoke
                                   lambda obj: obj.__setitem__("payload", "x")), "atomic"),
     ("meta.json", _meta_field(("scenario_sha256",), "0" * 64), "atomic"),
@@ -169,6 +176,13 @@ def _meta_field(path, value):
     ("abtrace.jsonl", _jsonl_edit(lambda obj: True, lambda obj: obj.__setitem__("bogus", 1)),
      "abcast"),
     ("meta.json", _meta_field(("probe_from_t",), 0), "eventual"),
+    ("history.jsonl", _jsonl_without("p"), "atomic"),
+    ("history.jsonl", _jsonl_without("tail"), "atomic"),
+    ("history.jsonl", _jsonl_field("p", 1), "atomic"),  # the first read has no earlier one
+    ("history.jsonl", _jsonl_field("p", -1), "atomic"),
+    ("history.jsonl", _jsonl_field("p", False), "atomic"),
+    ("history.jsonl", _jsonl_field("p", "0"), "atomic"),
+    ("history.jsonl", _jsonl_edit(lambda obj: "p" in obj, _v1_read), "atomic"),
 ], ids=["history-string-counter", "meta-list", "history-list-client",
         "history-list-op", "history-string-time-eventual", "history-bool-counter",
         "history-unknown-ev", "history-unknown-kind", "history-string-seq",
@@ -179,7 +193,9 @@ def _meta_field(path, value):
         "meta-string-n-abcast", "history-missing-result", "history-missing-result-sequential",
         "history-missing-seq", "history-payload-on-get-invoke", "meta-zero-hash",
         "meta-other-seed-abcast", "meta-unknown-key", "abtrace-extra-field",
-        "meta-probe-from-t-zero-eventual"])
+        "meta-probe-from-t-zero-eventual", "history-missing-p", "history-missing-tail",
+        "history-p-beyond-longest-earlier-read", "history-negative-p", "history-bool-p",
+        "history-string-p", "history-v1-seq-line"])
 def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt, checker):
     art = tmp_path / "art"
     main(["run", "--scenario", scen_file(), "--out", str(art)])
@@ -279,6 +295,22 @@ def test_campaign_parallel_workers_match_serial(scen_file, tmp_path):
     serial = run_campaign(sc, 0, 8, ("atomic",), jobs=1)
     parallel = run_campaign(sc, 0, 8, ("atomic",), jobs=2)
     assert serial["rows"] == parallel["rows"]
+
+
+def test_vspec_campaign_parses_the_scenario_nowhere(monkeypatch):
+    from ledgerlab import sim
+    from ledgerlab.cli import run_campaign
+    sc = sim.scenario_from_dict({
+        "n": 3, "f": 1, "clients": 1, "mode": "atomic",
+        "workload": [[["append", "deposit:A:1"], ["get", None], ["append", "deposit:A:2"],
+                      ["get", None]]],
+        "predicate": {"kind": "account_balance", "balances": {"A": 0}}})
+    parse = sim.scenario_from_dict
+    calls = []
+    monkeypatch.setattr(sim, "scenario_from_dict", lambda obj: calls.append(obj) or parse(obj))
+    report = run_campaign(sc, 0, 10, ("atomic", "vspec"), jobs=1)
+    assert report["aggregate"]["vspec"]["pass"] == 10
+    assert calls == []
 
 
 def test_campaign_with_failures_exits_3(scen_file, tmp_path):

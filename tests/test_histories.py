@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ledgerlab.histories import (
     HistoryEvent,
-    event_to_json,
     events_from_jsonl,
     events_to_jsonl,
     pair_events,
@@ -17,10 +19,73 @@ def ev(op_id, client, kind_ev, kind, c, t, **kw):
 
 
 def test_field_order_is_fixed():
-    line = event_to_json(ev("1.2", 1, "response", "get", 2, 9, seq=("0.1",)))
-    assert line == '{"op":"1.2","client":1,"ev":"response","kind":"get","c":2,"t":9,"seq":["0.1"]}'
-    line = event_to_json(ev("1.1", 1, "invoke", "append", 1, 3, payload="x"))
-    assert list(json.loads(line)) == ["op", "client", "ev", "kind", "c", "t", "payload"]
+    lines = events_to_jsonl([
+        ev("1.2", 1, "response", "get", 2, 9, seq=("0.1",)),
+        ev("1.1", 1, "invoke", "append", 1, 3, payload="x"),
+    ]).splitlines()
+    assert lines[0] == \
+        '{"op":"1.2","client":1,"ev":"response","kind":"get","c":2,"t":9,"p":0,"tail":["0.1"]}'
+    assert list(json.loads(lines[1])) == ["op", "client", "ev", "kind", "c", "t", "payload"]
+
+
+def test_each_read_is_stored_against_the_longest_earlier_read():
+    # growing, stale, empty and divergent reads; a divergent read of the same
+    # length as the longest one does not replace it
+    seqs = [("0.1",), ("0.1", "0.2"), (), ("0.1", "0.2", "1.1"), ("0.1", "1.1"), ("0.1", "0.2"),
+            ("1.1", "0.2", "0.1"), ("1.1",)]
+    events = [ev(f"2.{k}", 2, "response", "get", k, k, seq=s) for k, s in enumerate(seqs, 1)]
+    stored = [(o["p"], o["tail"]) for o in map(json.loads, events_to_jsonl(events).splitlines())]
+    assert stored == [(0, ["0.1"]), (1, ["0.2"]), (0, []), (2, ["1.1"]), (1, ["1.1"]), (2, []),
+                      (0, ["1.1", "0.2", "0.1"]), (0, ["1.1"])]
+
+
+# Strings such as minted record ids ("0.1") and ones no append mints: quotes,
+# escapes, control and non-ASCII characters.
+TEXT = st.text('0.1"\\\n\x1céΩ𝄞', max_size=4)
+
+
+def _events(ev_, kind, **fields):
+    return st.builds(lambda op, cl, c, t, **rest: HistoryEvent(op, cl, ev_, kind, c, t, **rest),
+                     TEXT, st.integers(), st.integers(), st.integers(), **fields)
+
+
+# Events of every (ev, kind); get responses, drawn twice as often so that
+# reads follow reads, hold a placeholder sequence until `histories` draws one.
+EVENTS = st.one_of(
+    _events("invoke", "get"),
+    _events("invoke", "append", payload=TEXT),
+    _events("response", "append", result=st.sampled_from(["ack", "nack"])),
+    _events("response", "get", seq=st.just(())),
+    _events("response", "get", seq=st.just(())),
+)
+
+
+ORDERS = st.lists(TEXT, unique=True, max_size=5).flatmap(
+    lambda order: st.tuples(st.just(order), st.permutations(order)))
+FOREIGN_READS = st.lists(TEXT, max_size=6).map(tuple)
+
+
+@st.composite
+def histories(draw):
+    """Histories whose get sequences are prefixes of one of two orders
+    (growing, stale, empty or divergent), or lists with duplicate ids or
+    with ids that no append minted."""
+    orders = draw(ORDERS)
+
+    def read():
+        how = draw(st.sampled_from(("prefix", "prefix", "shuffle", "foreign")))
+        if how == "prefix":
+            return tuple(draw(st.sampled_from(orders))[:draw(st.integers(0, len(orders[0])))])
+        if how == "shuffle" and orders[0]:
+            return tuple(draw(st.lists(st.sampled_from(orders[0]), max_size=12)))
+        return draw(FOREIGN_READS)
+    return [e if e.seq is None else dataclasses.replace(e, seq=read())
+            for e in draw(st.lists(EVENTS, max_size=12))]
+
+
+@given(histories())
+def test_any_history_round_trips(events):
+    assert events_from_jsonl(events_to_jsonl(events)) == events
 
 
 def test_jsonl_round_trip_ends_with_newline():

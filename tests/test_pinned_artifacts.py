@@ -43,27 +43,27 @@ SCENARIOS = {
 
 PINNED = {
     "atomic": {
-        "history.jsonl": "0cf13a18617fd08c067a1f1e9ca8c85462625cb4b31373b83084838b41d6008a",
+        "history.jsonl": "611a49ec657405d2544c0683d90e9bbe1122a7958393daedd26c156ed7c83d5a",
         "abtrace.jsonl": "d574a10201d160a0cc3c42d62da33550cbddd485d525bafd19a9e73e082faf63",
         "meta.json": "e0a937c34e15ca075946bea6b4fe580173353709a9702c34a12e831c8e6875f8",
     },
     "sequential": {
-        "history.jsonl": "b421b932edb0bed99f73e2d6d62666a438dc29793a11a5558bb5a6f4709402e0",
+        "history.jsonl": "0269db0aa20a0964e3662e381b464920d85038118925097529dd7e7c707685b7",
         "abtrace.jsonl": "7d37f89ff26eb0010080283fbe7273129a2bc3c01ccda62351a2091256c4b222",
         "meta.json": "830675e96d5f51df90d76d327bafbb8eabaffa6760592795bfb4590b59f447bd",
     },
     "eventual": {
-        "history.jsonl": "55ca697b29978cdcc49e68159cf3ee51dec77f7a97a24ef162294c1b59b4e39c",
+        "history.jsonl": "2044be24ef0f296796c4a9c0063d8bd247ed22185d29f17feab4e2e042e46fe0",
         "abtrace.jsonl": "976ad3be98c50fe2f5dea4ce014433e7c61de0e6ac99c78d964db2eea54e2520",
         "meta.json": "78016f77a199c113bd45a414672e3dab119b7e69e29400aeff64e0d780bb8702",
     },
     "read-repair": {
-        "history.jsonl": "e485ddc832da04ee16c8025a8a338263808a7461d9f3e653d85887c70e15dbfa",
+        "history.jsonl": "d058866448d54c52e615b0309a649d57bbf0b2345932f43081404994ec46bbaa",
         "abtrace.jsonl": "b08eecf5e0723adb5a1bec6c909d76f4ba0c137b898a7c791b22dfcd5bd005af",
         "meta.json": "bde38bbeaeb06c55ecc096d772738200420121a95260322714842d4e9a7878a5",
     },
     "consensus": {
-        "history.jsonl": "4e7e0a04fe9ffe1be66b4d269bcb13c2a8547a455f754fa51f9f19a64c4d84fe",
+        "history.jsonl": "018e55883db4a44611a529eadf7f3d3447a61fe9df30dcc3e144b5ce785becba",
         "abtrace.jsonl": "d3767030925fe01f4245d1f2b86ab4ea3cf8002d5d897769e855b5caa4d874d4",
         "meta.json": "9ec2a45864c23b6edf294918f4cd906d8322734d09524adb2151955004961b7a",
     },
@@ -93,9 +93,9 @@ def test_artifact_bytes_match_the_pinned_hashes(name, tmp_path):
 CAMPAIGN_SEEDS = range(30)
 
 CAMPAIGN_DIGESTS = {
-    "atomic": "1cd6fdc5fc9550318deb84eff868e2aab5e99eafc2cd09daa1ef95d259b2d2a3",
-    "sequential": "62f6467a799fc5a69c97de855d6fae412d9d4b9d21d27a83519d188f411530e8",
-    "eventual": "aa831ab9397bbc0a3f7a1529b05a651bdde1a01ec8023d5a0fa66d2a76c93877",
+    "atomic": "b2acf5c06356ef2b6a4ec6e3c569f0e51aca4394016a11809ed4c05fae434f11",
+    "sequential": "08d14d0b36106c789dc79590c8dbd510390a95341e30990602cb9bef9fc1040c",
+    "eventual": "2c18b671c9208605c5ffdba91714511ac65f4d61f55b9ce1f22b27e2ec2b9258",
 }
 
 
