@@ -1,9 +1,10 @@
 """Sequential ledger objects.
 
 The plain ledger is an append-only sequence of records read in full by
-``get``.  The validated ledger additionally filters every append through a
-pluggable validity predicate and answers ``nack`` when the extended sequence
-would violate it.  These objects are the reference behaviour that the offline
+``get``, or as a prefix by ``read``, which also serves read-side repair from
+one fold per predicate.  The validated ledger additionally filters every
+append through a pluggable validity predicate and answers ``nack`` when the
+extended sequence would violate it.  These objects are the reference behaviour that the offline
 checkers replay, and each simulated server holds one as its replica state.
 """
 
@@ -170,12 +171,36 @@ def filter_valid(seq: Iterable[Record], pred: ValidityPredicate) -> tuple[Record
     return tuple(r for r in seq if pred.step(state, r))
 
 
+class _Fold:
+    """One predicate's read-side repair of a ledger, advanced lazily.
+
+    ``kept`` and ``kept_ids`` are what `filter_valid` keeps from the first
+    ``len(upto) - 1`` records, ``state`` is the fold state after them, and
+    ``upto[i]`` is the number kept among the first ``i`` records.
+    """
+
+    __slots__ = ("pred", "state", "kept", "kept_ids", "upto")
+
+    def __init__(self, pred: ValidityPredicate) -> None:
+        self.pred = pred
+        self.state = pred.start()
+        self.kept: list[Record] = []
+        self.kept_ids: list[str] = []
+        self.upto = [0]
+
+
 class Ledger:
-    """Append-only record sequence with whole-sequence reads."""
+    """Append-only record sequence with whole-sequence and prefix reads.
+
+    The sequence never shrinks or reorders, so a ledger and a length are an
+    immutable snapshot of its first records.
+    """
 
     def __init__(self) -> None:
         self._items: list[Record] = []
+        self._ids: list[str] = []
         self._rids: set[str] = set()
+        self._folds: dict[int, _Fold] = {}  # id(pred) -> its fold; the fold holds pred
 
     def __len__(self) -> int:
         return len(self._items)
@@ -186,10 +211,37 @@ class Ledger:
     def get(self) -> tuple[Record, ...]:
         return tuple(self._items)
 
+    def read(self, n: int, pred: ValidityPredicate | None = None
+             ) -> tuple[tuple[Record, ...], tuple[str, ...]]:
+        """The first ``n`` records and their ids, through ``pred`` if given.
+
+        With a predicate this equals ``filter_valid(self.get()[:n], pred)``.
+        `filter_valid` decides each record from the ones kept before it, so
+        the filtered view of a prefix is a prefix of the filtered view: one
+        fold per predicate, run only past the furthest length read so far,
+        serves every read.
+        """
+        if pred is None:
+            return tuple(self._items[:n]), tuple(self._ids[:n])
+        fold = self._folds.get(id(pred))
+        if fold is None:
+            fold = self._folds[id(pred)] = _Fold(pred)
+        upto = fold.upto
+        if n >= len(upto):
+            step, state, kept, kept_ids = pred.step, fold.state, fold.kept, fold.kept_ids
+            for r in self._items[len(upto) - 1:n]:
+                if step(state, r):
+                    kept.append(r)
+                    kept_ids.append(r.rid)
+                upto.append(len(kept))
+        k = upto[n]
+        return tuple(fold.kept[:k]), tuple(fold.kept_ids[:k])
+
     def append(self, r: Record) -> str:
         if r.rid in self._rids:
             raise DuplicateRecordError(f"record id {r.rid} already in ledger")
         self._items.append(r)
+        self._ids.append(r.rid)
         self._rids.add(r.rid)
         return ACK
 

@@ -28,7 +28,10 @@ import logging
 from typing import NamedTuple
 
 from .histories import INVOKE, RESPONSE, HistoryEvent
-from .ledger import ACK, Ledger, Record, ValidityPredicate, filter_valid, make_rid
+from .ledger import ACK, Ledger, Record, ValidityPredicate, make_rid
+# Read-side repair's definition stays importable here: Client reads it through
+# Ledger.read, and perfbench's tracer wraps protocols.filter_valid.
+from .ledger import filter_valid  # noqa: F401
 
 log = logging.getLogger("ledgerlab.protocols")
 
@@ -51,8 +54,13 @@ class AppendReq(NamedTuple):
 
 # Server -> client responses.
 class GetRes(NamedTuple):
+    """The answering replica and its length at send time: the replica never
+    shrinks or reorders, so the pair is a snapshot even if it grows before
+    the client reads it."""
+
     c: int
-    seq: tuple[Record, ...]
+    replica: Ledger
+    n: int
 
 
 class AppendRes(NamedTuple):
@@ -94,7 +102,7 @@ class Server:
             self.net.abroadcast(self.sid, BcastGet(client, msg.c))
             self.stashed_gets.add((client, msg.c))
         elif len(self.replica) >= msg.floor:
-            self.net.respond(self.sid, client, GetRes(msg.c, self.replica.get()))
+            self.net.respond(self.sid, client, GetRes(msg.c, self.replica, len(self.replica)))
         else:
             self.parked_gets.append((client, msg.c, msg.floor))
 
@@ -103,7 +111,8 @@ class Server:
             key = (payload.p, payload.c)
             if key in self.stashed_gets:
                 self.stashed_gets.remove(key)
-                self.net.respond(self.sid, payload.p, GetRes(payload.c, self.replica.get()))
+                self.net.respond(self.sid, payload.p,
+                                 GetRes(payload.c, self.replica, len(self.replica)))
             return
         if payload not in self.replica:
             self.replica.append(payload)
@@ -119,7 +128,7 @@ class Server:
             still_parked = []
             for client, c, floor in self.parked_gets:
                 if length >= floor:
-                    self.net.respond(self.sid, client, GetRes(c, self.replica.get()))
+                    self.net.respond(self.sid, client, GetRes(c, self.replica, length))
                 else:
                     still_parked.append((client, c, floor))
             self.parked_gets = still_parked
@@ -134,8 +143,9 @@ class Client:
     """Issues one operation at a time, fanning out to its server subset.
 
     With a validity predicate configured, get responses are filtered at this
-    boundary (the read-side repair construction); the protocol-level length
-    bookkeeping still uses the raw replica sequence.
+    boundary (the read-side repair construction, folded once per replica by
+    `Ledger.read`); the protocol-level length bookkeeping still uses the raw
+    replica length.
     """
 
     def __init__(self, cid: int, mode: str, targets: list[int], net,
@@ -190,10 +200,9 @@ class Client:
         view: tuple[Record, ...] = ()
         if isinstance(msg, GetRes):
             if self.mode == SEQUENTIAL:
-                self.last_len = len(msg.seq)
-            view = filter_valid(msg.seq, self.pred) if self.pred else msg.seq
-            event = HistoryEvent(op_id, self.cid, RESPONSE, kind, msg.c, self.net.now,
-                                 seq=tuple(r.rid for r in view))
+                self.last_len = msg.n
+            view, ids = msg.replica.read(msg.n, self.pred)
+            event = HistoryEvent(op_id, self.cid, RESPONSE, kind, msg.c, self.net.now, seq=ids)
         else:
             if self.mode == SEQUENTIAL:
                 self.last_len = msg.pos

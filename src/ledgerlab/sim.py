@@ -363,7 +363,9 @@ class Simulator:
         self.now = 0
         self._heap: list[tuple[int, int, str, object]] = []
         self._tiebreak = 0
-        self._net_rng = random.Random(f"net:{scenario.seed}")
+        self._getrandbits = random.Random(f"net:{scenario.seed}").getrandbits
+        self._max_delay = scenario.max_delay
+        self._delay_bits = scenario.max_delay.bit_length()
         self.trace = AbTrace(scenario.n)
         self.history: list[HistoryEvent] = []
         self._server_alive = [True] * scenario.n
@@ -387,7 +389,11 @@ class Simulator:
         return self._server_alive[sid]
 
     def draw_delay(self) -> int:
-        return self._net_rng.randint(1, self.scenario.max_delay)
+        # randint(1, max_delay)'s own rejection sampling, inlined: same stream.
+        r = self._getrandbits(self._delay_bits)
+        while r >= self._max_delay:
+            r = self._getrandbits(self._delay_bits)
+        return 1 + r
 
     def schedule(self, delay: int, kind: str, fn) -> None:
         assert delay >= 0, "cannot schedule into the past"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ledgerlab.checkers import check_validated_spec
@@ -199,6 +199,36 @@ def test_sequential_replay_matches_append_order(stream):
         assert led.append(r) == ACK
         assert led.get() == tuple(stream[:len(led.get())])
     assert led.get() == tuple(stream)
+
+
+# An integer move reads the first n records, for n some records short of the
+# current length and then n the full length, so reads skip ahead, fall behind
+# an earlier read and repeat.  Each read runs under every predicate and none,
+# twice, on the one ledger.  Payloads include overdrafts and unparseable ones.
+read_predicates = (None, ALWAYS_TRUE, UNIQUE_RID, account_balance({"A": 0, "B": 2}))
+ledger_moves = st.lists(st.one_of(
+    st.builds(lambda action, amt: f"{action}:A:{amt}",
+              st.sampled_from(["deposit", "withdraw"]), st.integers(1, 3)),
+    account_payloads, st.sampled_from(["junk", "", "deposit:A", "x:A:1"]),
+    st.integers(0, 40)), max_size=40)
+
+
+@given(ledger_moves)
+@example(["deposit:A:2", 0, "withdraw:A:1", 40])  # the withdraw needs the earlier read's deposit
+def test_prefix_reads_equal_filter_of_the_prefix(moves):
+    led = Ledger()
+    for move in moves:
+        if isinstance(move, str):
+            led.append(make_record(0, len(led) + 1, move))
+            continue
+        for n in (len(led) - move % (len(led) + 1), len(led)):
+            prefix = led.get()[:n]
+            for pred in read_predicates * 2:
+                expected = prefix if pred is None else filter_valid(prefix, pred)
+                records, ids = led.read(n, pred)
+                assert ([(r.rid, r.payload) for r in records]
+                        == [(r.rid, r.payload) for r in expected])
+                assert ids == tuple(r.rid for r in expected)
 
 
 # -- reference definition -----------------------------------------------------

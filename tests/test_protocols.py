@@ -7,6 +7,7 @@ from ledgerlab.protocols import (
     AppendReq,
     AppendRes,
     BcastGet,
+    Client,
     GetReq,
     GetRes,
     Server,
@@ -21,12 +22,25 @@ class FakeNet:
     def __init__(self):
         self.responses = []
         self.broadcasts = []
+        self.requests = []
+        self.history = []
+        self.now = 0
 
     def respond(self, sid, client, msg):
         self.responses.append((sid, client, msg))
 
     def abroadcast(self, sid, payload):
         self.broadcasts.append((sid, payload))
+
+    def request(self, cid, sid, msg):
+        self.requests.append((cid, sid, msg))
+
+
+def sent(net):
+    """net.responses with each GetRes read back as (counter, length, records):
+    the records are the first `length` of the snapshot, in order."""
+    return [(sid, cid, (m.c, m.n, m.replica.read(m.n)[0]) if isinstance(m, GetRes) else m)
+            for sid, cid, m in net.responses]
 
 
 def rec(i, payload="x", creator=0):
@@ -38,7 +52,7 @@ class TestEventualServer:
         net = FakeNet()
         s = Server(EVENTUAL, 0, net)
         s.handle_request(3, GetReq(1, 0))
-        assert net.responses == [(0, 3, GetRes(1, ()))]
+        assert sent(net) == [(0, 3, (1, 0, ()))]
 
     def test_append_acks_before_any_delivery(self):
         net = FakeNet()
@@ -65,7 +79,7 @@ class TestAtomicServer:
         assert net.responses == []
         assert net.broadcasts == [(0, BcastGet(3, 1))]
         s.handle_adeliver(BcastGet(3, 1))
-        assert net.responses == [(0, 3, GetRes(1, ()))]
+        assert sent(net) == [(0, 3, (1, 0, ()))]
 
     def test_unstashed_get_delivery_is_ignored(self):
         net = FakeNet()
@@ -103,7 +117,7 @@ class TestSequentialServer:
         net = FakeNet()
         s = Server(SEQUENTIAL, 0, net)
         s.handle_request(3, GetReq(1, 0))
-        assert net.responses == [(0, 3, GetRes(1, ()))]
+        assert sent(net) == [(0, 3, (1, 0, ()))]
 
     def test_get_waits_until_the_replica_is_long_enough(self):
         net = FakeNet()
@@ -116,8 +130,7 @@ class TestSequentialServer:
         s.handle_adeliver(r2)
         assert net.responses == []
         s.handle_adeliver(r3)  # third delivery releases it
-        assert [m for _, cid, m in net.responses if cid == 3] == [
-            GetRes(5, (r1, r2, r3))]
+        assert [m for _, cid, m in sent(net) if cid == 3] == [(5, 3, (r1, r2, r3))]
 
     def test_append_ack_reports_the_landing_position(self):
         net = FakeNet()
@@ -143,6 +156,26 @@ class TestClientBehaviour:
         assert not pending
         ids = [op.op_id for op in completed]
         assert len(ids) == len(set(ids))
+
+    def test_get_records_the_replica_as_it_was_when_answered(self):
+        # The response carries (replica, length); the replica grows by two
+        # records before the client handles it, and the client must still
+        # record the first `length` ids, not the replica's length by then.
+        net = FakeNet()
+        s = Server(SEQUENTIAL, 0, net)
+        r1, r2, r3, r4 = (rec(i, creator=9) for i in (1, 2, 3, 4))
+        s.handle_adeliver(r1)
+        s.handle_adeliver(r2)
+        client = Client(3, SEQUENTIAL, [0], net, ops=[("get", None)])
+        client.start()
+        (_, _, req), = net.requests
+        s.handle_request(3, req)
+        (_, _, res), = net.responses
+        s.handle_adeliver(r3)
+        s.handle_adeliver(r4)
+        client.on_response(res)
+        assert net.history[-1].seq == ("9.1", "9.2")
+        assert client.last_len == 2
 
     def test_counters_strictly_increase_per_client(self):
         art = run(scenario(seed=5))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ledgerlab.abcast import check_abcast_trace
@@ -242,3 +244,10 @@ class TestEventLoop:
         sim = Simulator(scenario())
         with pytest.raises(AssertionError):
             sim.schedule(-1, "probe", lambda: None)
+
+    @pytest.mark.parametrize("max_delay", [1, 2, 3, 7, 10, 16, 1000])
+    def test_delay_draws_are_the_randint_stream(self, max_delay):
+        sim = Simulator(scenario(seed=11, max_delay=max_delay))
+        rng = random.Random("net:11")
+        assert ([sim.draw_delay() for _ in range(20_000)]
+                == [rng.randint(1, max_delay) for _ in range(20_000)])
