@@ -11,21 +11,27 @@ stay up, so scenarios are rejected unless f < n/2.
 
 from __future__ import annotations
 
-import json
+import re
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
-from .histories import is_int
 from .verdicts import Verdict, failed, passed
 
 BROADCAST = "broadcast"
 DELIVER = "deliver"
 CRASH = "crash"
-_FIELDS = {BROADCAST: {"ev", "server", "t", "msg"}, DELIVER: {"ev", "server", "t", "msg"},
-           CRASH: {"ev", "server", "t"}}
+
+# One line of `AbTrace.to_jsonl` in either of its two forms, and nothing else:
+# that key order, no spaces, JSON integers, and a non-negative server.  The
+# groups are (kind, kind if not a crash, server, msg or "", t); the "msg"
+# field is required exactly when the second group matched.
+_EVENT = re.compile(
+    r'^\{"ev":"((broadcast|deliver)|crash)","server":(0|[1-9][0-9]*),'
+    r'(?(2)"msg":(-?(?:0|[1-9][0-9]*)),)"t":(-?(?:0|[1-9][0-9]*))\}$', re.MULTILINE)
 
 
-@dataclass(frozen=True)
-class AbEvent:
+class AbEvent(NamedTuple):
     kind: str  # broadcast | deliver | crash
     server: int
     t: int
@@ -43,28 +49,31 @@ class AbTrace:
         self.events.append(AbEvent(kind, server, t, msg))
 
     def to_jsonl(self) -> str:
-        # Every field is an int or a kind from _FIELDS, so the lines are
+        # Every field is an int or one of the three kinds, so the lines are
         # formatted directly, in the bytes json.dumps would give.
-        lines = [f'{{"ev":"{e.kind}","server":{e.server},"t":{e.t}}}' if e.msg is None
-                 else f'{{"ev":"{e.kind}","server":{e.server},"msg":{e.msg},"t":{e.t}}}'
-                 for e in self.events]
+        lines = [f'{{"ev":"{kind}","server":{server},"t":{t}}}' if msg is None
+                 else f'{{"ev":"{kind}","server":{server},"msg":{msg},"t":{t}}}'
+                 for kind, server, t, msg in self.events]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
 def trace_from_jsonl(text: str, n: int) -> AbTrace:
-    """Parse trace JSONL for ``n`` servers; raises ValueError on an event whose
-    fields are not exactly its kind's ``_FIELDS`` or have the wrong type."""
-    trace = AbTrace(n)
-    for k, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        ev, server, msg = obj["ev"], obj["server"], obj.get("msg")
-        if not (obj.keys() == _FIELDS.get(ev) and is_int(server) and 0 <= server < n
-                and is_int(obj["t"]) and (ev == CRASH or is_int(msg))):
-            raise ValueError(f"malformed trace event on line {k}")
-        trace.add(ev, server, obj["t"], msg)
-    return trace
+    """Parse trace JSONL for ``n`` servers.
+
+    Every line must be exactly as `AbTrace.to_jsonl` writes it, with a server
+    below ``n``; on the first that is not (a blank line included) this raises
+    ValueError naming its line number.
+    """
+    events = [AbEvent(kind, int(server), int(t), int(msg) if msg else None)
+              for kind, _, server, msg, t in map(re.Match.groups, _EVENT.finditer(text))]
+    # Each match is one whole line, so as many matches as lines (a last line
+    # without its newline included) means every line matched.
+    lines = text.count("\n") + (text[-1:] not in ("", "\n"))
+    if len(events) != lines or any(e.server >= n for e in events):
+        k = next(k for k, line in enumerate(text.split("\n"), 1)
+                 if not (m := _EVENT.fullmatch(line)) or int(m[3]) >= n)
+        raise ValueError(f"malformed trace event on line {k}")
+    return AbTrace(n, events)
 
 
 class BroadcastService:
@@ -83,6 +92,7 @@ class BroadcastService:
         self.net = net
         self._log: list[object] = []
         self._cursor = [0] * n  # next sequence number each server will deliver
+        self._wakes = [partial(self._wake, sid) for sid in range(n)]
 
     def broadcast(self, server: int, payload: object) -> int:
         net = self.net
@@ -90,9 +100,9 @@ class BroadcastService:
         seq = len(self._log)
         self._log.append(payload)
         net.trace.add(BROADCAST, server, net.now, seq)
-        for sid in range(self.n):
+        for sid, wake in enumerate(self._wakes):
             if net.server_alive(sid):
-                net.schedule(net.draw_delay(), "ab_deliver", lambda s=sid: self._wake(s))
+                net.schedule(net.draw_delay(), "ab_deliver", wake)
         return seq
 
     def _wake(self, server: int) -> None:
@@ -119,15 +129,15 @@ def check_abcast_trace(trace: AbTrace) -> Verdict:
     crashed: dict[int, int] = {}
     broadcasts: list[tuple[int, int, int]] = []  # (server, msg, t)
     deliveries: dict[int, list[tuple[int, int]]] = {}  # server -> [(msg, t)]
-    for e in trace.events:
-        if e.kind == CRASH:
-            crashed.setdefault(e.server, e.t)
-        elif e.kind == BROADCAST:
-            broadcasts.append((e.server, e.msg, e.t))
-        elif e.kind == DELIVER:
-            deliveries.setdefault(e.server, []).append((e.msg, e.t))
+    for kind, server, t, msg in trace.events:
+        if kind == DELIVER:
+            deliveries.setdefault(server, []).append((msg, t))
+        elif kind == BROADCAST:
+            broadcasts.append((server, msg, t))
+        elif kind == CRASH:
+            crashed.setdefault(server, t)
         else:
-            raise ValueError(f"unknown trace event kind {e.kind!r}")
+            raise ValueError(f"unknown trace event kind {kind!r}")
 
     correct = [sid for sid in range(trace.n) if sid not in crashed]
     delivered_sets = {sid: {m for m, _ in evs} for sid, evs in deliveries.items()}
@@ -158,10 +168,11 @@ def check_abcast_trace(trace: AbTrace) -> Verdict:
     # Uniform Total Order: every pair of delivery orders must agree on the
     # relative order of their common messages.
     orders = {sid: [m for m, _ in evs] for sid, evs in deliveries.items()}
+    position = {sid: {m: k for k, m in enumerate(order)} for sid, order in orders.items()}
     sids = sorted(orders)
     for i, s1 in enumerate(sids):
         for s2 in sids[i + 1:]:
-            pos2 = {m: k for k, m in enumerate(orders[s2])}
+            pos2 = position[s2]
             last = -1
             last_msg = None
             for m in orders[s1]:

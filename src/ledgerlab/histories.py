@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Sequence
 
 from .ledger import ACK, NACK, make_rid
@@ -59,23 +60,24 @@ def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
 
 
 def events_to_jsonl(events: Iterable[HistoryEvent]) -> str:
-    """The history as JSONL in the layout of the module docstring."""
+    """The history as JSONL in the layout of the module docstring, in the bytes
+    ``json.dumps(obj, separators=(",", ":"))`` gives: each string goes through
+    the encoder json.dumps itself uses, and each int through int formatting."""
     ref: tuple[str, ...] = ()
     lines = []
     for e in events:
-        obj: dict = {"op": e.op_id, "client": e.client, "ev": e.ev, "kind": e.kind,
-                     "c": e.c, "t": e.t}
+        line = (f'{{"op":{_quote(e.op_id)},"client":{e.client:d},"ev":{_quote(e.ev)},'
+                f'"kind":{_quote(e.kind)},"c":{e.c:d},"t":{e.t:d}')
         if e.payload is not None:
-            obj["payload"] = e.payload
+            line += f',"payload":{_quote(e.payload)}'
         if e.result is not None:
-            obj["result"] = e.result
+            line += f',"result":{_quote(e.result)}'
         if e.seq is not None:
             p = _common_prefix(e.seq, ref)
-            obj["p"] = p
-            obj["tail"] = e.seq[p:]
+            line += f',"p":{p:d},"tail":[{",".join(map(_quote, e.seq[p:]))}]'
             if len(e.seq) > len(ref):
                 ref = e.seq
-        lines.append(json.dumps(obj, separators=(",", ":")))
+        lines.append(line + "}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -211,9 +211,8 @@ class Ledger:
     def get(self) -> tuple[Record, ...]:
         return tuple(self._items)
 
-    def read(self, n: int, pred: ValidityPredicate | None = None
-             ) -> tuple[tuple[Record, ...], tuple[str, ...]]:
-        """The first ``n`` records and their ids, through ``pred`` if given.
+    def read(self, n: int, pred: ValidityPredicate | None = None) -> tuple[Record, ...]:
+        """The first ``n`` records, through ``pred`` if given.
 
         With a predicate this equals ``filter_valid(self.get()[:n], pred)``.
         `filter_valid` decides each record from the ones kept before it, so
@@ -222,7 +221,20 @@ class Ledger:
         serves every read.
         """
         if pred is None:
-            return tuple(self._items[:n]), tuple(self._ids[:n])
+            return tuple(self._items[:n])
+        fold, k = self._fold(n, pred)
+        return tuple(fold.kept[:k])
+
+    def read_ids(self, n: int, pred: ValidityPredicate | None = None) -> tuple[str, ...]:
+        """The ids of ``read(n, pred)``."""
+        if pred is None:
+            return tuple(self._ids[:n])
+        fold, k = self._fold(n, pred)
+        return tuple(fold.kept_ids[:k])
+
+    def _fold(self, n: int, pred: ValidityPredicate) -> tuple[_Fold, int]:
+        """``pred``'s fold, advanced past the first ``n`` records, and how
+        many of them it keeps."""
         fold = self._folds.get(id(pred))
         if fold is None:
             fold = self._folds[id(pred)] = _Fold(pred)
@@ -234,8 +246,7 @@ class Ledger:
                     kept.append(r)
                     kept_ids.append(r.rid)
                 upto.append(len(kept))
-        k = upto[n]
-        return tuple(fold.kept[:k]), tuple(fold.kept_ids[:k])
+        return fold, upto[n]
 
     def append(self, r: Record) -> str:
         if r.rid in self._rids:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .histories import INVOKE, RESPONSE, HistoryEvent
 from .ledger import ACK, Ledger, Record, ValidityPredicate, make_rid
 # Read-side repair's definition stays importable here: Client reads it through
-# Ledger.read, and perfbench's tracer wraps protocols.filter_valid.
+# Ledger.read_ids, and perfbench's tracer wraps protocols.filter_valid.
 from .ledger import filter_valid  # noqa: F401
 
 log = logging.getLogger("ledgerlab.protocols")
@@ -144,7 +144,7 @@ class Client:
 
     With a validity predicate configured, get responses are filtered at this
     boundary (the read-side repair construction, folded once per replica by
-    `Ledger.read`); the protocol-level length bookkeeping still uses the raw
+    `Ledger.read_ids`); the protocol-level length bookkeeping still uses the raw
     replica length.
     """
 
@@ -197,12 +197,11 @@ class Client:
             log.debug("client %d dropped duplicate/stale response c=%d", self.cid, msg.c)
             return
         _, kind, op_id = self.pending
-        view: tuple[Record, ...] = ()
         if isinstance(msg, GetRes):
             if self.mode == SEQUENTIAL:
                 self.last_len = msg.n
-            view, ids = msg.replica.read(msg.n, self.pred)
-            event = HistoryEvent(op_id, self.cid, RESPONSE, kind, msg.c, self.net.now, seq=ids)
+            event = HistoryEvent(op_id, self.cid, RESPONSE, kind, msg.c, self.net.now,
+                                 seq=msg.replica.read_ids(msg.n, self.pred))
         else:
             if self.mode == SEQUENTIAL:
                 self.last_len = msg.pos
@@ -210,9 +209,9 @@ class Client:
                                  result=msg.result)
         self.net.history.append(event)
         self.pending = None
-        self._after_response(kind, view)
+        self._after_response(msg)
 
-    def _after_response(self, kind: str, view: tuple[Record, ...]) -> None:
+    def _after_response(self, msg) -> None:
         self._next()
 
     def crash(self) -> None:
@@ -231,10 +230,11 @@ class ProposerClient(Client):
     def start(self) -> None:
         self._invoke("append", self.value)
 
-    def _after_response(self, kind: str, view: tuple[Record, ...]) -> None:
+    def _after_response(self, msg) -> None:
         if self.decision is not None:
             return
-        if kind == "append" or not view:
-            self._invoke("get")
-        else:
+        view = msg.replica.read(msg.n, self.pred) if isinstance(msg, GetRes) else ()
+        if view:
             self.decision = view[0].payload
+        else:
+            self._invoke("get")

@@ -2,6 +2,8 @@ import heapq
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ledgerlab.abcast import AbTrace, BroadcastService, check_abcast_trace, trace_from_jsonl
 
@@ -127,6 +129,66 @@ def test_trace_jsonl_round_trip():
     assert text.endswith("\n")
     again = trace_from_jsonl(text, 3)
     assert again == trace
+
+
+INTS = st.integers(-10**12, 10**12)
+
+
+@st.composite
+def traces(draw):
+    """Any trace for 1 to 7 servers: broadcast, deliver and crash events in
+    any order, with negative and multi-digit times and sequence numbers."""
+    n = draw(st.integers(1, 7))
+    trace = AbTrace(n)
+    server = st.integers(0, n - 1)
+    for e in draw(st.lists(st.one_of(
+            st.tuples(st.sampled_from(["broadcast", "deliver"]), server, INTS, INTS),
+            st.tuples(st.just("crash"), server, INTS)), max_size=20)):
+        trace.add(*e)
+    return trace
+
+
+@given(traces())
+def test_any_trace_round_trips(trace):
+    assert trace_from_jsonl(trace.to_jsonl(), trace.n) == trace
+
+
+GOOD = '{"ev":"broadcast","server":0,"msg":0,"t":0}'
+
+
+def _number_rows():
+    for field in ("server", "msg", "t"):
+        for bad in ("true", "1.0", "1e2", "01", '"3"'):
+            values = {"server": 1, "msg": 2, "t": 3, field: bad}
+            yield pytest.param('{"ev":"deliver","server":%(server)s,"msg":%(msg)s,"t":%(t)s}'
+                               % values, id=f"{field}-{bad}")
+
+
+# Line 2 of a three-server trace, after a well-formed line 1.
+@pytest.mark.parametrize("line", [
+    *_number_rows(),
+    pytest.param('{"ev":"deliver","server":1,"msg":null,"t":3}', id="null-msg"),
+    pytest.param('{"ev":"crash","server":1,"msg":2,"t":3}', id="msg-on-crash"),
+    pytest.param('{"ev":"deliver","server":1,"t":3}', id="missing-msg"),
+    pytest.param('{"ev":"deliver","server":1,"msg":2,"t":3,"x":1}', id="extra-field"),
+    pytest.param('{"ev":"zz","server":1,"msg":2,"t":3}', id="unknown-ev"),
+    pytest.param('{"ev":"deliver","server":3,"msg":2,"t":3}', id="server-equals-n"),
+    pytest.param('{"ev":"deliver","server":-1,"msg":2,"t":3}', id="negative-server"),
+    pytest.param('{"ev":"deliver","server": 1,"msg":2,"t":3}', id="space-after-colon"),
+    pytest.param('{"ev":"deliver","server":1,"t":3,"msg":2}', id="swapped-keys"),
+    pytest.param('{"ev":"deliver","server":1,"server":1,"msg":2,"t":3}', id="duplicate-key"),
+    pytest.param('{"ev":"d\\u0065liver","server":1,"msg":2,"t":3}', id="escaped-ev"),
+    pytest.param("", id="blank-line"),
+    pytest.param(GOOD + GOOD, id="two-events-on-one-line"),
+])
+def test_malformed_trace_line_is_rejected(line):
+    with pytest.raises(ValueError, match="^malformed trace event on line 2$"):
+        trace_from_jsonl(f"{GOOD}\n{line}\n{GOOD}\n", 3)
+
+
+def test_last_line_may_lack_its_newline():
+    assert trace_from_jsonl(GOOD, 1) == trace_from_jsonl(GOOD + "\n", 1)
+    assert trace_from_jsonl("", 1) == AbTrace(1)
 
 
 class TestTraceChecker:

@@ -83,6 +83,33 @@ def histories(draw):
             for e in draw(st.lists(EVENTS, max_size=12))]
 
 
+def reference_jsonl(events):
+    """The history writer as one json.dumps per line, over the layout of the
+    module docstring; `events_to_jsonl` must give the same bytes."""
+    ref = ()
+    lines = []
+    for e in events:
+        obj = {"op": e.op_id, "client": e.client, "ev": e.ev, "kind": e.kind, "c": e.c, "t": e.t}
+        if e.payload is not None:
+            obj["payload"] = e.payload
+        if e.result is not None:
+            obj["result"] = e.result
+        if e.seq is not None:
+            p = 0
+            while p < min(len(e.seq), len(ref)) and e.seq[p] == ref[p]:
+                p += 1
+            obj["p"], obj["tail"] = p, list(e.seq[p:])
+            if len(e.seq) > len(ref):
+                ref = e.seq
+        lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+@given(histories())
+def test_writer_bytes_equal_json_dumps(events):
+    assert events_to_jsonl(events) == reference_jsonl(events)
+
+
 @given(histories())
 def test_any_history_round_trips(events):
     assert events_from_jsonl(events_to_jsonl(events)) == events

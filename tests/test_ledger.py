@@ -225,10 +225,10 @@ def test_prefix_reads_equal_filter_of_the_prefix(moves):
             prefix = led.get()[:n]
             for pred in read_predicates * 2:
                 expected = prefix if pred is None else filter_valid(prefix, pred)
-                records, ids = led.read(n, pred)
+                records = led.read(n, pred)
                 assert ([(r.rid, r.payload) for r in records]
                         == [(r.rid, r.payload) for r in expected])
-                assert ids == tuple(r.rid for r in expected)
+                assert led.read_ids(n, pred) == tuple(r.rid for r in expected)
 
 
 # -- reference definition -----------------------------------------------------

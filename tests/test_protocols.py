@@ -39,7 +39,7 @@ class FakeNet:
 def sent(net):
     """net.responses with each GetRes read back as (counter, length, records):
     the records are the first `length` of the snapshot, in order."""
-    return [(sid, cid, (m.c, m.n, m.replica.read(m.n)[0]) if isinstance(m, GetRes) else m)
+    return [(sid, cid, (m.c, m.n, m.replica.read(m.n)) if isinstance(m, GetRes) else m)
             for sid, cid, m in net.responses]
 
 
