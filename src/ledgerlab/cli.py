@@ -45,12 +45,15 @@ def load_scenario(path: str | Path) -> Scenario:
     return sim.scenario_from_dict(obj)
 
 
-def _pair(events) -> tuple[list, list]:
-    """``pair_events``, with a malformed history reported as a corrupt artifact."""
-    try:
-        return pair_events(events)
-    except ValueError as e:
-        raise ConfigError(f"artifact corrupt: {e}") from e
+def _paired(artifact: RunArtifact) -> tuple[list, list]:
+    """The artifact's history paired once, by ``pair_events``, with a malformed
+    history reported as a corrupt artifact."""
+    if artifact.paired is None:
+        try:
+            artifact.paired = pair_events(artifact.history)
+        except ValueError as e:
+            raise ConfigError(f"artifact corrupt: {e}") from e
+    return artifact.paired
 
 
 _NO_PROBES = "eventual checker needs probe gets; re-run with probe_gets > 0"
@@ -70,21 +73,20 @@ def run_checker(name: str, artifact: RunArtifact) -> Verdict:
         return check_abcast_trace(artifact.abtrace)
 
     probe_from_t = artifact.meta.get("probe_from_t")
+    if name == "eventual" and probe_from_t is None:
+        raise checkers.CheckerError(_NO_PROBES)
+    completed, pending = _paired(artifact)
     if name == "eventual":
-        if probe_from_t is None:
-            raise checkers.CheckerError(_NO_PROBES)
-        workload = [e for e in artifact.history if e.t < probe_from_t]
-        probes = [e for e in artifact.history if e.t >= probe_from_t]
-        if any(e.kind != GET for e in probes):
+        workload = [op for op in completed if op.response_t < probe_from_t]
+        probes = [op for op in completed if op.invoke_t >= probe_from_t]
+        if len(workload) + len(probes) != len(completed):
+            raise ConfigError("artifact corrupt: an operation spans the probe phase's start")
+        if any(op.kind != GET for op in probes):
             raise ConfigError("artifact corrupt: the probe phase holds an append")
-        completed, pending = _pair(workload)
-        probe_completed, probe_pending = _pair(probes)
-        if probe_pending:
+        if any(op.invoke_t >= probe_from_t for op in pending):
             raise checkers.CheckerError("probe phase left incomplete operations")
-        return checkers.verify_history(completed, pending, "eventual",
-                                       probe_ops=probe_completed)
+        return checkers.verify_history(workload, pending, "eventual", probe_ops=probes)
 
-    completed, pending = _pair(artifact.history)
     if name in ("atomic", "sequential"):
         return checkers.verify_history(completed, pending, name)
 

@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from .ledger import ACK, NACK, make_rid
 
@@ -39,7 +39,7 @@ GET = "get"
 APPEND = "append"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HistoryEvent:
     op_id: str
     client: int
@@ -86,60 +86,79 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_seq(v) -> bool:
-    return isinstance(v, list) and all(isinstance(r, str) for r in v)
-
-
-_REQUIRED = {"op", "client", "ev", "kind", "c", "t"}
-# The fields each (ev, kind) carries beyond the required ones, with their checks.
-_CARRIED = {
-    (INVOKE, GET): {},
-    (INVOKE, APPEND): {"payload": lambda v: isinstance(v, str)},
-    (RESPONSE, GET): {"p": is_int, "tail": _is_seq},
-    (RESPONSE, APPEND): {"result": lambda v: v in (ACK, NACK)},
+_REQUIRED = ("op", "client", "ev", "kind", "c", "t")
+# Per (ev, kind): its keys, and a check of the fields it carries beyond the
+# required ones.  JSON values are of exact types, so ``type(v) is int`` is `is_int`.
+_LAYOUTS = {
+    (INVOKE, GET): ({*_REQUIRED}, lambda obj: True),
+    (INVOKE, APPEND): ({*_REQUIRED, "payload"}, lambda obj: type(obj["payload"]) is str),
+    (RESPONSE, GET): ({*_REQUIRED, "p", "tail"},
+                      lambda obj: (type(obj["p"]) is int and type(obj["tail"]) is list
+                                   and all(map(str.__instancecheck__, obj["tail"])))),
+    (RESPONSE, APPEND): ({*_REQUIRED, "result"}, lambda obj: obj["result"] in (ACK, NACK)),
 }
 
 
-def _well_formed(obj: dict) -> bool:
-    carried = _CARRIED.get((obj.get("ev"), obj.get("kind")))
-    return (carried is not None and obj.keys() == _REQUIRED | carried.keys()
-            and isinstance(obj["op"], str) and all(is_int(obj[k]) for k in ("client", "c", "t"))
-            and all(check(obj[k]) for k, check in carried.items()))
+def _fail(lines: list[tuple[int, str]], message: str) -> NoReturn:
+    """Raise ValueError naming the first line that is not one JSON object,
+    or, when each line is one, with ``message``."""
+    for n, line in lines:
+        try:
+            obj = json.loads(line)
+        except ValueError as e:
+            raise ValueError(f"history line {n} is not JSON: {e}") from None
+        if type(obj) is not dict:
+            raise ValueError(f"malformed history event on line {n}")
+    raise ValueError(message)
 
 
 def events_from_jsonl(text: str) -> list[HistoryEvent]:
     """Parse history JSONL.
 
-    Raises ValueError on an event whose fields differ from the layout in the
-    module docstring: a field missing, out of place or of the wrong type or
-    value, or a ``p`` beyond the longest earlier read.
+    Raises ValueError naming the line on a line that is not one JSON object,
+    or on an event whose fields differ from the layout in the module
+    docstring: a field missing, out of place or of the wrong type or value,
+    or a ``p`` beyond the longest earlier read.
+
+    The non-blank lines are parsed by one ``json.loads``, joined by
+    ``",\\n"``.  No separator can fall inside a string, as a JSON string
+    holds no raw newline.  Once every line opens with ``{`` and every object
+    has the layout, whose only array holds strings, each separator sits
+    between two top-level objects; so with as many objects as lines, each
+    line holds exactly its object.
     """
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    try:
+        objs = json.loads("[" + ",\n".join([line for _, line in lines]) + "]")
+    except ValueError:
+        _fail(lines, "history is not JSON")
+    if len(objs) != len(lines):
+        _fail(lines, "history lines and objects do not pair")
     events = []
     ref: tuple[str, ...] = ()
-    for n, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        if not _well_formed(obj):
-            raise ValueError(f"malformed history event on line {n}")
+    for (n, line), obj in zip(lines, objs):
+        try:
+            keys, carried_ok = _LAYOUTS[obj["ev"], obj["kind"]]
+        except (KeyError, TypeError):
+            _fail(lines, f"malformed history event on line {n}")
+        if not (obj.keys() == keys and (line[0] == "{" or line.lstrip(" \t")[:1] == "{")
+                and type(obj["op"]) is str and type(obj["client"]) is int
+                and type(obj["c"]) is int and type(obj["t"]) is int and carried_ok(obj)):
+            _fail(lines, f"malformed history event on line {n}")
         seq = None
         if "p" in obj:
             p = obj["p"]
             if not 0 <= p <= len(ref):
-                raise ValueError(f"history event on line {n}: p={p} outside 0..{len(ref)}")
+                _fail(lines, f"history event on line {n}: p={p} outside 0..{len(ref)}")
             seq = ref[:p] + tuple(obj["tail"])
             if len(seq) > len(ref):
                 ref = seq
-        events.append(HistoryEvent(
-            op_id=obj["op"], client=obj["client"], ev=obj["ev"], kind=obj["kind"],
-            c=obj["c"], t=obj["t"], payload=obj.get("payload"),
-            result=obj.get("result"), seq=seq,
-        ))
+        events.append(HistoryEvent(obj["op"], obj["client"], obj["ev"], obj["kind"], obj["c"],
+                                   obj["t"], obj.get("payload"), obj.get("result"), seq))
     return events
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(NamedTuple):
     """One operation reconstructed from its invoke/response event pair.
 
     ``invoke_i``/``response_i`` are positions in the history's event list and
@@ -195,16 +214,12 @@ def pair_events(events: Sequence[HistoryEvent]) -> tuple[list[Op], list[Op]]:
             if e.op_id not in open_ops:
                 raise ValueError(f"response without invoke for op {e.op_id}")
             inv_i, inv = open_ops.pop(e.op_id)
-            del client_inflight[e.client]
             if inv.kind != e.kind or inv.client != e.client or inv.c != e.c:
                 raise ValueError(f"response does not match invoke for op {e.op_id}")
+            del client_inflight[e.client]
             completed.append(Op(
-                op_id=e.op_id, client=e.client, kind=e.kind, c=e.c,
-                invoke_i=inv_i, invoke_t=inv.t, response_i=i, response_t=e.t,
-                payload=inv.payload,
-                rid=make_rid(e.client, e.c) if e.kind == APPEND else None,
-                result=e.result, seq=e.seq,
-            ))
+                e.op_id, e.client, e.kind, e.c, inv_i, inv.t, i, e.t, inv.payload,
+                make_rid(e.client, e.c) if e.kind == APPEND else None, e.result, e.seq))
         else:
             raise ValueError(f"unknown event type {e.ev!r}")
     pending = [

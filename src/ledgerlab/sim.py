@@ -19,13 +19,13 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import protocols
 from .abcast import AbTrace, BroadcastService, trace_from_jsonl
-from .histories import HistoryEvent, events_from_jsonl, events_to_jsonl, is_int
+from .histories import HistoryEvent, Op, events_from_jsonl, events_to_jsonl, is_int
 from .ledger import Record, ValidityPredicate, predicate_from_config, predicate_to_config
 
 
@@ -306,13 +306,16 @@ class RunArtifact:
     history, the broadcast trace and the meta block.  ``scenario`` is the
     run's scenario, parsed once (from ``meta`` on a loaded artifact).
     ``states`` (each server's final replica) is never written, and it is None
-    on a loaded artifact."""
+    on a loaded artifact.  ``paired`` is ``history`` paired into (completed,
+    pending) ops by the first checker that needs it, for every later one; a
+    ``dataclasses.replace`` copy starts without it."""
 
     history: list[HistoryEvent]
     abtrace: AbTrace
     states: dict[int, list[Record]] | None
     meta: dict
     scenario: Scenario
+    paired: tuple[list[Op], list[Op]] | None = field(default=None, init=False, compare=False)
 
     def write(self, outdir: str | Path) -> Path:
         out = Path(outdir)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -145,14 +144,14 @@ def mutate_reads(rng, completed, pending, probes):
         else:
             rid = rng.choice(pending_rids if pending_rids and rng.random() < 0.5 else pool)
             seq.insert(rng.randint(0, len(seq)), rid)
-        return dataclasses.replace(g, seq=tuple(seq))
+        return g._replace(seq=tuple(seq))
 
     ops = [*completed, *probes]
     gets = [i for i, o in enumerate(ops) if o.kind == "get"]
     if pending_rids and rng.random() < 0.3:
         rid = rng.choice(pending_rids)
         for i in gets:
-            ops[i] = dataclasses.replace(ops[i], seq=tuple(r for r in ops[i].seq if r != rid))
+            ops[i] = ops[i]._replace(seq=tuple(r for r in ops[i].seq if r != rid))
     else:
         for i in rng.sample(gets, min(len(gets), rng.randint(1, 2))):
             ops[i] = mutate(ops[i])
@@ -413,7 +412,7 @@ def mutate_probe(rng, probes, how):
         seq[j], seq[j + 1] = seq[j + 1], seq[j]
     elif how == "truncate":
         seq = seq[:rng.randrange(len(seq))] if seq else seq
-    probes[i] = dataclasses.replace(probes[i], seq=tuple(seq))
+    probes[i] = probes[i]._replace(seq=tuple(seq))
     return probes
 
 
@@ -847,7 +846,7 @@ def mutate_one_read(rng, gets, appended):
     else:
         fabricate = not appended or rng.random() < 0.5
         seq.insert(rng.randint(0, len(seq)), "9.99" if fabricate else rng.choice([*appended]))
-    gets[i] = dataclasses.replace(gets[i], seq=tuple(seq))
+    gets[i] = gets[i]._replace(seq=tuple(seq))
     return gets
 
 

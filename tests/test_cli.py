@@ -239,6 +239,52 @@ def test_eventual_check_requires_probes(scen_file, tmp_path):
     assert main(["check", str(art), "--checker", "eventual"]) == 2
 
 
+def _phases(art):
+    """The history lines of ``art`` as objects, split at the probe phase's start."""
+    probe_from_t = json.loads((art / "meta.json").read_text())["probe_from_t"]
+    objs = [json.loads(line) for line in (art / "history.jsonl").read_text().splitlines()]
+    return ([o for o in objs if o["t"] < probe_from_t],
+            [o for o in objs if o["t"] >= probe_from_t], probe_from_t)
+
+
+def _probe_reuses_a_workload_id(art):
+    workload, probes, _ = _phases(art)
+    first_probe = probes[0]["op"]
+    for o in probes:
+        if o["op"] == first_probe:
+            o["op"] = workload[0]["op"]
+    return workload + probes
+
+
+def _probe_while_workload_pending(art):
+    workload, probes, _ = _phases(art)
+    return workload[:-1] + probes  # the last workload op never answers
+
+
+def _op_spans_the_probe_start(art):
+    workload, probes, probe_from_t = _phases(art)
+    workload[-1]["t"] = probe_from_t  # the last workload op answers in the probe phase
+    return workload + probes
+
+
+@pytest.mark.parametrize("edit,atomic_exit", [
+    (_probe_reuses_a_workload_id, 2),
+    (_probe_while_workload_pending, 2),
+    (_op_spans_the_probe_start, 0),
+], ids=["probe-reuses-workload-op-id", "probe-while-workload-op-pending",
+        "op-spans-probe-start"])
+def test_cross_phase_pairing_errors_exit_2(scen_file, tmp_path, capsys, edit, atomic_exit):
+    # The eventual checker pairs the whole history, as atomic does, before it
+    # splits the ops at the probe phase's start.
+    art = tmp_path / "art"
+    main(["run", "--scenario", scen_file(clients=1), "--out", str(art)])
+    lines = [json.dumps(o, separators=(",", ":")) for o in edit(art)]
+    (art / "history.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["check", str(art), "--checker", "eventual"]) == 2
+    assert "artifact corrupt" in capsys.readouterr().err
+    assert main(["check", str(art), "--checker", "atomic"]) == atomic_exit
+
+
 def test_vspec_round_trip_on_a_single_client_run(scen_file, tmp_path):
     art = tmp_path / "art"
     # deposits only: every append is valid, so the filtered run replays clean
