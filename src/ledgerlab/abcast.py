@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 from .verdicts import Verdict, failed, passed
@@ -21,6 +20,7 @@ from .verdicts import Verdict, failed, passed
 BROADCAST = "broadcast"
 DELIVER = "deliver"
 CRASH = "crash"
+_new = tuple.__new__  # _new(AbEvent, fields) skips the NamedTuple's Python-level __new__
 
 # One line of `AbTrace.to_jsonl` in either of its two forms, and nothing else:
 # that key order, no spaces, JSON integers, and a non-negative server.  The
@@ -64,7 +64,7 @@ def trace_from_jsonl(text: str, n: int) -> AbTrace:
     below ``n``; on the first that is not (a blank line included) this raises
     ValueError naming its line number.
     """
-    events = [AbEvent(kind, int(server), int(t), int(msg) if msg else None)
+    events = [_new(AbEvent, (kind, int(server), int(t), int(msg) if msg else None))
               for kind, _, server, msg, t in map(re.Match.groups, _EVENT.finditer(text))]
     # Each match is one whole line, so as many matches as lines (a last line
     # without its newline included) means every line matched.
@@ -79,42 +79,42 @@ def trace_from_jsonl(text: str, n: int) -> AbTrace:
 class BroadcastService:
     """Sequencer-backed total-order broadcast driven by the event loop.
 
-    Each broadcast appends the payload to a global log and schedules one
-    delivery wake-up per currently-alive server.  A wake-up hands the server
-    the lowest-numbered message it has not yet delivered, so per-server
-    delivery order always follows the global order even when wake-ups fire
-    out of order; one wake-up exists per (message, alive server) pair, so
-    every pending message is eventually drained.  ``net`` is the simulator.
+    Each broadcast appends the payload to a global log and sends one
+    delivery wake-up to each live server; a crashed server drops its
+    wake-ups.  A wake-up hands the server the lowest-numbered message it has
+    not yet delivered, so per-server delivery order always follows the
+    global order even when wake-ups fire out of order; one wake-up exists
+    per (message, live server) pair, so every pending message is eventually
+    drained.  ``servers`` are the replicas; ``net`` is the simulator.
     """
 
-    def __init__(self, n: int, net) -> None:
-        self.n = n
+    def __init__(self, servers: list, net) -> None:
+        self.servers = servers
         self.net = net
         self._log: list[object] = []
-        self._cursor = [0] * n  # next sequence number each server will deliver
-        self._wakes = [partial(self._wake, sid) for sid in range(n)]
+        self._cursor = [0] * len(servers)  # next sequence number each server will deliver
+        self._events = net.trace.events
 
     def broadcast(self, server: int, payload: object) -> int:
         net = self.net
-        assert net.server_alive(server), "broadcast from a crashed server"
+        assert not self.servers[server].crashed, "broadcast from a crashed server"
         seq = len(self._log)
         self._log.append(payload)
-        net.trace.add(BROADCAST, server, net.now, seq)
-        for sid, wake in enumerate(self._wakes):
-            if net.server_alive(sid):
-                net.schedule(net.draw_delay(), "ab_deliver", wake)
+        self._events.append(_new(AbEvent, (BROADCAST, server, net.now, seq)))
+        for s in self.servers:
+            if not s.crashed:
+                net.send(self._wake, s)
         return seq
 
-    def _wake(self, server: int) -> None:
-        # A server's j-th wake-up was scheduled by a broadcast that found it
+    def _wake(self, server) -> None:
+        # A server's j-th wake-up was sent by a broadcast that found it
         # alive, so a live server always has an undelivered message here.
-        net = self.net
-        if not net.server_alive(server):
+        if server.crashed:
             return
-        nxt = self._cursor[server]
-        self._cursor[server] = nxt + 1
-        net.trace.add(DELIVER, server, net.now, nxt)
-        net.adeliver(server, self._log[nxt])
+        nxt = self._cursor[server.sid]
+        self._cursor[server.sid] = nxt + 1
+        self._events.append(_new(AbEvent, (DELIVER, server.sid, self.net.now, nxt)))
+        server.handle_adeliver(self._log[nxt])
 
 
 def check_abcast_trace(trace: AbTrace) -> Verdict:
@@ -154,20 +154,29 @@ def check_abcast_trace(trace: AbTrace) -> Verdict:
         if missing:
             return failed("UniformAgreement", [f"m{min(missing)}", f"s{sid}"])
 
-    # Uniform Integrity
+    # Uniform Integrity: no repeats, and each delivery of a message broadcast
+    # no later.  Tested set-wise; the loop below only names the first breach.
     broadcast_time = {}
     for _, msg, t in broadcasts:
         broadcast_time.setdefault(msg, t)
-    for sid, evs in deliveries.items():
-        seen: set[int] = set()
-        for msg, t in evs:
-            if msg in seen or msg not in broadcast_time or t < broadcast_time[msg]:
-                return failed("UniformIntegrity", [f"m{msg}", f"s{sid}"])
-            seen.add(msg)
+    if not all([len(delivered_sets[sid]) == len(evs)
+                and delivered_sets[sid] <= broadcast_time.keys()
+                and all([t >= broadcast_time[msg] for msg, t in evs])
+                for sid, evs in deliveries.items()]):
+        for sid, evs in deliveries.items():
+            seen: set[int] = set()
+            for msg, t in evs:
+                if msg in seen or msg not in broadcast_time or t < broadcast_time[msg]:
+                    return failed("UniformIntegrity", [f"m{msg}", f"s{sid}"])
+                seen.add(msg)
 
     # Uniform Total Order: every pair of delivery orders must agree on the
-    # relative order of their common messages.
+    # relative order of their common messages.  With no repeats left, orders
+    # that each increase in message number agree pairwise, so the pairwise
+    # scan runs only to name a breach.
     orders = {sid: [m for m, _ in evs] for sid, evs in deliveries.items()}
+    if all([order == sorted(order) for order in orders.values()]):
+        return passed()
     position = {sid: {m: k for k, m in enumerate(order)} for sid, order in orders.items()}
     sids = sorted(orders)
     for i, s1 in enumerate(sids):

@@ -205,9 +205,6 @@ class Ledger:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __contains__(self, r: Record) -> bool:
-        return r.rid in self._rids
-
     def get(self) -> tuple[Record, ...]:
         return tuple(self._items)
 
@@ -251,10 +248,16 @@ class Ledger:
     def append(self, r: Record) -> str:
         if r.rid in self._rids:
             raise DuplicateRecordError(f"record id {r.rid} already in ledger")
+        return ACK if self.add(r) else NACK
+
+    def add(self, r: Record) -> bool:
+        """Append ``r`` if its id is new and any predicate admits it; say whether it did."""
+        if r.rid in self._rids:
+            return False
         self._items.append(r)
         self._ids.append(r.rid)
         self._rids.add(r.rid)
-        return ACK
+        return True
 
 
 class ValidatedLedger(Ledger):
@@ -269,7 +272,5 @@ class ValidatedLedger(Ledger):
         self.pred = pred
         self._state = pred.start()
 
-    def append(self, r: Record) -> str:
-        if r.rid not in self._rids and not self.pred.step(self._state, r):
-            return NACK
-        return super().append(r)
+    def add(self, r: Record) -> bool:
+        return r.rid not in self._rids and self.pred.step(self._state, r) and super().add(r)

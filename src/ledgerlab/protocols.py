@@ -89,8 +89,11 @@ class Server:
         self.stashed_appends: dict[str, tuple[int, int]] = {}  # rid -> (client, c)
         self.stashed_gets: set[tuple[int, int]] = set()  # atomic mode: (client, c)
         self.parked_gets: list[tuple[int, int, int]] = []  # (client, c, floor)
+        self.crashed = False
 
     def handle_request(self, client: int, msg) -> None:
+        if self.crashed:
+            return
         if isinstance(msg, AppendReq):
             self.net.abroadcast(self.sid, msg.record)
             if self.mode == EVENTUAL:
@@ -114,8 +117,7 @@ class Server:
                 self.net.respond(self.sid, payload.p,
                                  GetRes(payload.c, self.replica, len(self.replica)))
             return
-        if payload not in self.replica:
-            self.replica.append(payload)
+        self.replica.add(payload)
         # Acknowledge on any delivery of the record while stashed, not only
         # the first: the first copy can land before this server has even seen
         # the client's request, and the client must still get an answer.

@@ -2,13 +2,13 @@
 
 A run is a pure function of its scenario: logical integer time, a seeded RNG
 per concern (network delays, workload expansion, crash generation), and a
-single-threaded event loop with a tie-break counter.  The `Simulator` is the
-one network: every server, client and the broadcast service reaches the rest
-of the run through it.  Point-to-point channels are reliable between live
-processes; messages to a process that has crashed by delivery time are
-dropped.  After the workload drains, surviving clients issue a configurable
-number of probe gets; these land in the same history and their start time is
-recorded so checkers can treat them as the failure-free extension.
+single-threaded event loop in (time, scheduling order).  The `Simulator` is
+the one network: every server, client and the broadcast service reaches the
+rest of the run through it.  Point-to-point channels are reliable between
+live processes; a process crashed by delivery time drops the message.  After
+the workload drains, surviving clients issue a configurable number of probe
+gets; these land in the same history and their start time is recorded so
+checkers can treat them as the failure-free extension.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -71,11 +72,26 @@ class Scenario:
             out["predicate"] = predicate_to_config(self.predicate)
         return out
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return self._sha256
+
+    @cached_property
+    def _sha256(self) -> str:
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
+
+    def meta_json(self, probe_from_t: int | None) -> str:
+        """The text of a run's meta.json: ``json.dumps(meta, sort_keys=True,
+        indent=1)`` and a newline, with the scenario block encoded once."""
+        return (f'{{\n "probe_from_t": {json.dumps(probe_from_t)},\n'
+                f' "scenario": {self._meta_block},\n'
+                f' "scenario_sha256": "{self._sha256}",\n "seed": {self.seed}\n}}\n')
+
+    @cached_property
+    def _meta_block(self) -> str:
+        # indent=1 runs json's pure-Python encoder.  JSON strings escape
+        # newlines, so every newline here is indentation, deepened one level.
+        return json.dumps(self.to_dict(), sort_keys=True, indent=1).replace("\n", "\n ")
 
     def with_seed(self, seed: int) -> "Scenario":
         return dataclasses.replace(
@@ -303,8 +319,9 @@ def expand_crashes(schedule, n: int, f: int, seed: int) -> list[tuple[int, int]]
 @dataclass
 class RunArtifact:
     """Everything a run produces.  `write` stores what the checkers read: the
-    history, the broadcast trace and the meta block.  ``scenario`` is the
-    run's scenario, parsed once (from ``meta`` on a loaded artifact).
+    history, the broadcast trace and the meta block, formatted from
+    ``scenario`` and ``meta["probe_from_t"]``.  ``scenario`` is the run's
+    scenario, parsed once (from ``meta`` on a loaded artifact).
     ``states`` (each server's final replica) is never written, and it is None
     on a loaded artifact.  ``paired`` is ``history`` paired into (completed,
     pending) ops by the first checker that needs it, for every later one; a
@@ -322,7 +339,7 @@ class RunArtifact:
         out.mkdir(parents=True, exist_ok=True)
         (out / "history.jsonl").write_text(events_to_jsonl(self.history))
         (out / "abtrace.jsonl").write_text(self.abtrace.to_jsonl())
-        (out / "meta.json").write_text(json.dumps(self.meta, sort_keys=True, indent=1) + "\n")
+        (out / "meta.json").write_text(self.scenario.meta_json(self.meta["probe_from_t"]))
         return out
 
 
@@ -352,30 +369,31 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
 
 
 class Simulator:
-    """Single-threaded event loop over (time, tie-break) ordered events.
-
-    It is the ``net`` of every server, client and the broadcast service:
-    ``now`` (sim time), ``trace`` (the `AbTrace`), ``history`` (the clients'
-    `HistoryEvent` list), ``schedule(delay, kind, fn)``, ``draw_delay()``,
-    ``server_alive(sid)``, ``request(cid, sid, msg)``, ``respond(sid, cid,
-    msg)``, ``abroadcast(sid, payload)`` and ``adeliver(sid, payload)``.
+    """Calendar-queue event loop (R. Brown, CACM 1988): a slot of ``(handler,
+    args)`` per due time, in filing order, and a heap of the due times.  A
+    slot runs in order, with what is filed into it meanwhile, so events run
+    in (time, scheduling order).  It is the ``net`` of every server, client
+    and the broadcast service: ``now`` (sim time), ``trace`` (the `AbTrace`),
+    ``history`` (the clients' `HistoryEvent` list), ``schedule(delay, fn,
+    *args)``, ``send(fn, *args)`` (the same after a drawn network delay),
+    ``request(cid, sid, msg)``, ``respond(sid, cid, msg)`` and
+    ``abroadcast(sid, payload)``.
     """
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
         self.now = 0
-        self._heap: list[tuple[int, int, str, object]] = []
-        self._tiebreak = 0
+        self._slots: dict[int, list[tuple]] = {}  # due time -> [(fn, args)]
+        self._times: list[int] = []  # heap of the due times in _slots
         self._getrandbits = random.Random(f"net:{scenario.seed}").getrandbits
         self._max_delay = scenario.max_delay
         self._delay_bits = scenario.max_delay.bit_length()
         self.trace = AbTrace(scenario.n)
         self.history: list[HistoryEvent] = []
-        self._server_alive = [True] * scenario.n
 
-        self.broadcast_service = BroadcastService(scenario.n, self)
         self.servers = [protocols.Server(scenario.mode, sid, self)
                         for sid in range(scenario.n)]
+        self.abroadcast = BroadcastService(self.servers, self).broadcast
 
         workload = scenario.workload
         if isinstance(workload, dict):
@@ -388,56 +406,52 @@ class Simulator:
 
     # -- the network: what servers, clients and the broadcast service call -----
 
-    def server_alive(self, sid: int) -> bool:
-        return self._server_alive[sid]
+    def schedule(self, delay: int, fn, *args) -> None:
+        assert delay >= 0, "cannot schedule into the past"
+        t = self.now + delay
+        slot = self._slots.get(t)
+        if slot is None:
+            self._slots[t] = [(fn, args)]
+            heapq.heappush(self._times, t)
+        else:
+            slot.append((fn, args))
 
-    def draw_delay(self) -> int:
+    def send(self, fn, *args) -> None:
         # randint(1, max_delay)'s own rejection sampling, inlined: same stream.
         r = self._getrandbits(self._delay_bits)
         while r >= self._max_delay:
             r = self._getrandbits(self._delay_bits)
-        return 1 + r
-
-    def schedule(self, delay: int, kind: str, fn) -> None:
-        assert delay >= 0, "cannot schedule into the past"
-        self._tiebreak += 1
-        heapq.heappush(self._heap, (self.now + delay, self._tiebreak, kind, fn))
+        self.schedule(1 + r, fn, *args)
 
     def request(self, cid: int, sid: int, msg) -> None:
-        self.schedule(self.draw_delay(), "msg_deliver",
-                      lambda: self._server_alive[sid] and self.servers[sid].handle_request(cid, msg))
+        self.send(self.servers[sid].handle_request, cid, msg)
 
     def respond(self, sid: int, cid: int, msg) -> None:
-        self.schedule(self.draw_delay(), "msg_deliver", lambda: self.clients[cid].on_response(msg))
-
-    def abroadcast(self, sid: int, payload) -> None:
-        self.broadcast_service.broadcast(sid, payload)
-
-    def adeliver(self, sid: int, payload) -> None:
-        self.servers[sid].handle_adeliver(payload)
+        self.send(self.clients[cid].on_response, msg)
 
     # -- run control ---------------------------------------------------------
 
     def _crash_server(self, sid: int) -> None:
-        if self._server_alive[sid]:
-            self._server_alive[sid] = False
-            self.trace.add("crash", sid, self.now)
+        self.servers[sid].crashed = True
+        self.trace.add("crash", sid, self.now)
 
     def _drain(self) -> None:
-        heap = self._heap
-        while heap:
-            t, _, _, fn = heapq.heappop(heap)
-            self.now = t
-            fn()
+        slots, times = self._slots, self._times
+        while times:
+            self.now = t = heapq.heappop(times)
+            # The iterator re-reads the length: it runs what is filed meanwhile.
+            for fn, args in slots[t]:
+                fn(*args)
+            del slots[t]
 
     def run(self) -> RunArtifact:
         sc = self.scenario
         for sid, t in expand_crashes(sc.crash_schedule, sc.n, sc.f, sc.seed):
-            self.schedule(t, "crash", lambda s=sid: self._crash_server(s))
+            self.schedule(t, self._crash_server, sid)
         for cid, t in sc.client_crashes:
-            self.schedule(t, "crash", self.clients[cid].crash)
+            self.schedule(t, self.clients[cid].crash)
         for client in self.clients:
-            self.schedule(0, "client_invoke", client.start)
+            self.schedule(0, client.start)
         self._drain()
         self._check_liveness()
 
@@ -447,7 +461,7 @@ class Simulator:
             for client in self.clients:
                 if not client.crashed:
                     client.queue.extend([("get", None)] * sc.probe_gets)
-                    self.schedule(probe_from_t - self.now, "probe", client.start)
+                    self.schedule(1, client.start)
             self._drain()
             self._check_liveness()
 

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import pytest
@@ -9,6 +10,9 @@ from ledgerlab.sim import scenario_from_dict
 # `--hypothesis-profile=ci` replays the same examples on every run, so a
 # failure seen in a CI log reproduces locally.
 settings.register_profile("ci", derandomize=True)
+# `--hypothesis-profile=deep` runs the differential tests that guard the event
+# loop and the broadcast checker on many more examples, just as reproducibly.
+settings.register_profile("deep", derandomize=True, max_examples=2000)
 
 
 def op(op_id, kind, inv, res=math.inf, *, seq=None, result="ack", payload=None):
@@ -36,3 +40,28 @@ def scenario(**overrides):
 @pytest.fixture
 def mk_scenario():
     return scenario
+
+
+class HeapLoop:
+    """An event loop as a heap of (due time, insertion count) keys: the order
+    the simulator's calendar queue must reproduce.  ``send`` files after
+    ``rng.randint(1, max_delay)`` ticks, as the simulator's delay stream does."""
+
+    def __init__(self, rng, max_delay):
+        self.now = 0
+        self._heap = []
+        self._count = 0
+        self._rng = rng
+        self._max_delay = max_delay
+
+    def schedule(self, delay, fn, *args):
+        self._count += 1
+        heapq.heappush(self._heap, (self.now + delay, self._count, fn, args))
+
+    def send(self, fn, *args):
+        self.schedule(self._rng.randint(1, self._max_delay), fn, *args)
+
+    def _drain(self):
+        while self._heap:
+            self.now, _, fn, args = heapq.heappop(self._heap)
+            fn(*args)

@@ -1,4 +1,3 @@
-import heapq
 import random
 
 import pytest
@@ -7,42 +6,40 @@ from hypothesis import strategies as st
 
 from ledgerlab.abcast import AbTrace, BroadcastService, check_abcast_trace, trace_from_jsonl
 
+from conftest import HeapLoop
 
-class Loop:
+
+class Loop(HeapLoop):
     """A fake net: a minimal (time, tiebreak) event loop for driving the service directly."""
 
     def __init__(self, n, seed, max_delay):
-        self.now = 0
-        self._heap = []
-        self._seq = 0
+        super().__init__(random.Random(seed), max_delay)
         self.alive = [True] * n
         self.delivered = []
         self.trace = AbTrace(n)
-        self._rng = random.Random(seed)
-        self._max_delay = max_delay
+        self.servers = [FakeServer(sid, self) for sid in range(n)]
 
-    def schedule(self, delay, kind, fn):
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
+    drain = HeapLoop._drain
 
-    def draw_delay(self):
-        return self._rng.randint(1, self._max_delay)
 
-    def server_alive(self, sid):
-        return self.alive[sid]
+class FakeServer:
+    """A replica that records what it delivers; crashed while ``alive`` says so."""
 
-    def adeliver(self, sid, payload):
-        self.delivered.append((sid, payload))
+    def __init__(self, sid, loop):
+        self.sid = sid
+        self.loop = loop
 
-    def drain(self):
-        while self._heap:
-            self.now, _, fn = heapq.heappop(self._heap)
-            fn()
+    @property
+    def crashed(self):
+        return not self.loop.alive[self.sid]
+
+    def handle_adeliver(self, payload):
+        self.loop.delivered.append((self.sid, payload))
 
 
 def make_service(n=3, seed=0, max_delay=5):
     loop = Loop(n, seed, max_delay)
-    svc = BroadcastService(n, loop)
+    svc = BroadcastService(loop.servers, loop)
     return loop, loop.alive, loop.delivered, loop.trace, svc
 
 
@@ -244,3 +241,108 @@ class TestTraceChecker:
             ("deliver", 0, 1, 0),
         ])
         assert v.violated == "UniformAgreement" and "s1" in v.witness
+
+
+def reference_check_abcast_trace(trace):
+    """`check_abcast_trace` as it was before its set-wise integrity test and
+    its increasing-order shortcut: every check a plain loop."""
+    crashed, broadcasts, deliveries = {}, [], {}
+    for kind, server, t, msg in trace.events:
+        if kind == "deliver":
+            deliveries.setdefault(server, []).append((msg, t))
+        elif kind == "broadcast":
+            broadcasts.append((server, msg, t))
+        else:
+            crashed.setdefault(server, t)
+    correct = [sid for sid in range(trace.n) if sid not in crashed]
+    delivered_sets = {sid: {m for m, _ in evs} for sid, evs in deliveries.items()}
+    for sid, msg, _ in broadcasts:
+        if sid not in crashed and msg not in delivered_sets.get(sid, ()):
+            return ("fail", "Validity", [f"m{msg}", f"s{sid}"])
+    everywhere = set().union(*delivered_sets.values())
+    for sid in correct:
+        missing = everywhere - delivered_sets.get(sid, set())
+        if missing:
+            return ("fail", "UniformAgreement", [f"m{min(missing)}", f"s{sid}"])
+    broadcast_time = {}
+    for _, msg, t in broadcasts:
+        broadcast_time.setdefault(msg, t)
+    for sid, evs in deliveries.items():
+        seen = set()
+        for msg, t in evs:
+            if msg in seen or msg not in broadcast_time or t < broadcast_time[msg]:
+                return ("fail", "UniformIntegrity", [f"m{msg}", f"s{sid}"])
+            seen.add(msg)
+    orders = {sid: [m for m, _ in evs] for sid, evs in deliveries.items()}
+    position = {sid: {m: k for k, m in enumerate(order)} for sid, order in orders.items()}
+    sids = sorted(orders)
+    for i, s1 in enumerate(sids):
+        for s2 in sids[i + 1:]:
+            last, last_msg = -1, None
+            for m in orders[s1]:
+                k = position[s2].get(m)
+                if k is None:
+                    continue
+                if k < last:
+                    return ("fail", "UniformTotalOrder",
+                            [f"m{last_msg}", f"m{m}", f"s{s1}", f"s{s2}"])
+                last, last_msg = k, m
+    return ("pass", None, [])
+
+
+EDITS = ("reorder", "repeat", "drop", "early", "post-crash", "never-broadcast")
+
+
+@st.composite
+def edited_service_traces(draw):
+    """A trace as the service records it (1 to 5 servers, each delivering the
+    global order until it crashes), then up to four edits, each a reordered,
+    repeated, missing, early, post-crash or never-broadcast delivery."""
+    n = draw(st.integers(1, 5))
+    sent = [(draw(st.integers(0, n - 1)), draw(st.integers(0, 20)))
+            for _ in range(draw(st.integers(0, 8)))]
+    crash_t = {sid: draw(st.integers(0, 40))
+               for sid in draw(st.sets(st.integers(0, n - 1), max_size=n))}
+    delivered = {}
+    for sid in range(n):
+        t, evs = 0, []
+        for msg, (_, t_sent) in enumerate(sent):
+            t = max(t, t_sent) + draw(st.integers(0, 5))
+            if t > crash_t.get(sid, t):
+                break
+            evs.append([msg, t])
+        delivered[sid] = evs
+    for _ in range(draw(st.integers(0, 4))):
+        evs = delivered[draw(st.integers(0, n - 1))]
+        edit = draw(st.one_of(st.just("reorder"), st.sampled_from(EDITS)))  # reorders more often
+        at = draw(st.integers(0, len(evs)))
+        if edit == "post-crash":
+            evs.insert(at, [draw(st.integers(0, len(sent))), max(crash_t.values(), default=0) + 1])
+        elif edit == "never-broadcast":
+            evs.insert(at, [len(sent) + draw(st.integers(0, 2)), draw(st.integers(0, 60))])
+        elif evs:
+            i = min(at, len(evs) - 1)
+            if edit == "reorder":
+                j = draw(st.integers(0, len(evs) - 1))
+                evs[i][0], evs[j][0] = evs[j][0], evs[i][0]
+            elif edit == "repeat":
+                evs.insert(draw(st.integers(i + 1, len(evs))), list(evs[i]))
+            elif edit == "drop":
+                del evs[i]
+            elif evs[i][0] < len(sent):  # early: before its broadcast
+                evs[i][1] = sent[evs[i][0]][1] - draw(st.integers(1, 3))
+    trace = AbTrace(n)
+    for msg, (sender, t) in enumerate(sent):
+        trace.add("broadcast", sender, t, msg)
+    for sid in draw(st.permutations(range(n))):
+        for msg, t in delivered[sid]:
+            trace.add("deliver", sid, t, msg)
+    for sid, t in crash_t.items():
+        trace.add("crash", sid, t)
+    return trace
+
+
+@given(st.one_of(edited_service_traces(), traces()))
+def test_checker_matches_the_reference_loops(trace):
+    v = check_abcast_trace(trace)
+    assert (v.status, v.violated, v.witness) == reference_check_abcast_trace(trace)

@@ -1,6 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ledgerlab.abcast import check_abcast_trace
 from ledgerlab.histories import pair_events
@@ -13,7 +17,7 @@ from ledgerlab.sim import (
     scenario_from_dict,
 )
 
-from conftest import scenario
+from conftest import HeapLoop, scenario
 
 
 class TestScenarioValidation:
@@ -96,6 +100,25 @@ class TestScenarioValidation:
         d = scenario().to_dict()
         shuffled = dict(reversed(list(d.items())))
         assert scenario_from_dict(d).sha256() == scenario_from_dict(shuffled).sha256()
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({}, id="generator"),
+        pytest.param({"workload": [[["append", 'é\n"\\\t'], ["get", None]], []],
+                      "predicate": {"kind": "account_balance", "balances": {"Ä": 3, "B": 0}},
+                      "crash_schedule": [[1, 4]], "client_crashes": [[0, 9]]},
+                     id="explicit-escapes"),
+        pytest.param({"crash_schedule": {"random": {"max_crashes": 1}}, "seed": 2 ** 64 - 1,
+                      "workload": {"ops_per_client": 3, "payloads": {"kind": "account"}}},
+                     id="random-crashes"),
+    ])
+    def test_meta_text_and_hash_are_the_json_module_encodings(self, overrides):
+        sc = scenario(**overrides)
+        canonical = json.dumps(sc.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert sc.sha256() == hashlib.sha256(canonical.encode()).hexdigest()
+        for probe_from_t in (None, 0, 12345):
+            meta = {"probe_from_t": probe_from_t, "scenario": sc.to_dict(),
+                    "scenario_sha256": sc.sha256(), "seed": sc.seed}
+            assert sc.meta_json(probe_from_t) == json.dumps(meta, sort_keys=True, indent=1) + "\n"
 
     def test_explicit_workload_round_trips_through_to_dict(self):
         sc = scenario(clients=2, workload=[[["append", "x"], ["get", None]],
@@ -227,27 +250,88 @@ class TestEventLoop:
         sim = Simulator(scenario())
         seen = []
         sim.now = 5
-        sim.schedule(3, "probe", lambda: seen.append(sim.now))
+        sim.schedule(3, lambda: seen.append(sim.now))
         sim._drain()
         assert seen == [8]
 
     def test_events_run_in_time_then_insertion_order(self):
         sim = Simulator(scenario())
         seen = []
-        sim.schedule(2, "probe", lambda: seen.append("late"))
-        sim.schedule(1, "probe", lambda: seen.append("a"))
-        sim.schedule(1, "probe", lambda: seen.append("b"))
+        sim.schedule(2, lambda: seen.append("late"))
+        sim.schedule(1, lambda: seen.append("a"))
+        sim.schedule(1, lambda: seen.append("b"))
         sim._drain()
         assert seen == ["a", "b", "late"]
 
     def test_cannot_schedule_into_the_past(self):
         sim = Simulator(scenario())
         with pytest.raises(AssertionError):
-            sim.schedule(-1, "probe", lambda: None)
+            sim.schedule(-1, lambda: None)
 
     @pytest.mark.parametrize("max_delay", [1, 2, 3, 7, 10, 16, 1000])
     def test_delay_draws_are_the_randint_stream(self, max_delay):
         sim = Simulator(scenario(seed=11, max_delay=max_delay))
         rng = random.Random("net:11")
-        assert ([sim.draw_delay() for _ in range(20_000)]
-                == [rng.randint(1, max_delay) for _ in range(20_000)])
+        delays = [None] * 20_000  # the k-th send's delay: it is sent at time 0
+        for k in range(20_000):
+            sim.send(lambda k: delays.__setitem__(k, sim.now), k)
+        sim._drain()
+        assert delays == [rng.randint(1, max_delay) for _ in range(20_000)]
+
+
+@st.composite
+def event_programs(draw):
+    """A tree of events, each filing its children when it runs, by
+    ``schedule`` (delay 0 to three times ``max_delay``) or by ``send``.  An
+    event may also file a crash of a server and a delivery to it into one
+    tick, in either order.  Returns (seed, max_delay, start delay, program);
+    ``program[i]`` lists event i's filings as (how, delay, target)."""
+    max_delay = draw(st.sampled_from([1, 2, 3, 10]))
+    how = st.sampled_from(["schedule", "send"])
+    delay = st.integers(0, 3 * max_delay)
+    program = [[] for _ in range(draw(st.integers(1, 30)))]
+    for child in range(1, len(program)):
+        parent = draw(st.integers(0, child - 1))
+        program[parent].append((draw(how), draw(delay), ("event", child)))
+    for filings in program:
+        for _ in range(draw(st.integers(0, 1))):
+            sid, d = draw(st.integers(0, 2)), draw(delay)
+            pair = [("schedule", d, ("crash", sid)), ("schedule", d, ("deliver", sid))]
+            filings[draw(st.integers(0, len(filings))):0] = pair[::draw(st.sampled_from([1, -1]))]
+    return draw(st.integers(0, 2 ** 32)), max_delay, draw(delay), program
+
+
+def run_program(loop, program, start, crash, crashed):
+    """Run ``program`` on ``loop``, crashing servers with ``crash``; returns
+    what ran, in order, with its time and, for a delivery, what ``crashed``
+    said of its server then."""
+    ran = []
+
+    def run(target):
+        kind, x = target
+        if kind == "crash":
+            crash(x)
+        ran.append((kind, x, loop.now, kind == "deliver" and crashed(x)))
+        if kind == "event":
+            for how, d, child in program[x]:
+                if how == "send":
+                    loop.send(run, child)
+                else:
+                    loop.schedule(d, run, child)
+
+    loop.schedule(start, run, ("event", 0))
+    loop._drain()
+    return ran
+
+
+@given(event_programs())
+def test_event_order_matches_the_reference_heap(case):
+    seed, max_delay, start, program = case
+    sim = Simulator(scenario(seed=seed, max_delay=max_delay))
+    ran = run_program(sim, program, start, sim._crash_server,
+                      lambda sid: sim.servers[sid].crashed)
+    down = set()
+    reference = HeapLoop(random.Random(f"net:{seed}"), max_delay)
+    assert ran == run_program(reference, program, start, down.add, down.__contains__)
+    assert ([(e.server, e.t) for e in sim.trace.events]
+            == [(sid, t) for kind, sid, t, _ in ran if kind == "crash"])
