@@ -43,9 +43,6 @@ from .verdicts import DIVERGENCE, Verdict, failed, passed
 ORACLE_HARD_CAP = 12
 ORACLE_AUTO_LIMIT = 10
 
-REALTIME = "realtime"
-PER_PROCESS = "per-process"
-
 
 class CheckerError(Exception):
     """The checker cannot run on this input (not a verdict about the history)."""
@@ -257,8 +254,9 @@ def check_eventual(h: CompletedHistory, probe_ops: Sequence[Op]) -> Verdict:
 
 # -- exhaustive oracle -------------------------------------------------------
 
-def linearize(h: CompletedHistory, constraint: str = REALTIME) -> list[Op] | None:
-    """Search for a precedence-respecting permutation that replays correctly.
+def linearize(h: CompletedHistory, same_client_only: bool = False) -> list[Op] | None:
+    """Search for a permutation that respects real-time precedence, or only
+    same-client precedence with ``same_client_only``, and replays correctly.
 
     DFS over schedulable operations with the ledger state carried along:
     an append extends the state, a get is schedulable only when its returned
@@ -271,14 +269,12 @@ def linearize(h: CompletedHistory, constraint: str = REALTIME) -> list[Op] | Non
         raise CapacityError(
             f"{n} operations exceed the oracle bound of {ORACLE_HARD_CAP}; "
             f"use the property checks instead")
-    if constraint not in (REALTIME, PER_PROCESS):
-        raise ValueError(f"unknown constraint {constraint!r}")
     preds = [0] * n
     for i, a in enumerate(ops):
         for j, b in enumerate(ops):
             if i == j or not a.precedes(b):
                 continue
-            if constraint == PER_PROCESS and a.client != b.client:
+            if same_client_only and a.client != b.client:
                 continue
             preds[j] |= 1 << i
 
@@ -328,16 +324,14 @@ def verify_history(completed: Sequence[Op], pending: Sequence[Op], checker: str,
     yields a divergence verdict.
     """
     [h] = complete_history(completed, pending, probe_ops)
-    if checker == "atomic":
-        v, constraint = check_atomic(h), REALTIME
-    elif checker == "sequential":
-        v, constraint = check_sequential_consistency(h), PER_PROCESS
-    elif checker == "eventual":
+    if checker == "eventual":
         return check_eventual(h, probe_ops)
-    else:
+    if checker not in ("atomic", "sequential"):
         raise ValueError(f"unknown checker {checker!r}")
+    same_client_only = checker == "sequential"
+    v = check_sequential_consistency(h) if same_client_only else check_atomic(h)
     if len(h.ops) <= ORACLE_AUTO_LIMIT:
-        if (linearize(h, constraint) is not None) != v.ok:
+        if (linearize(h, same_client_only) is not None) != v.ok:
             return Verdict(DIVERGENCE, v.violated, list(v.witness), oracle_used=True)
         v.oracle_used = True
     return v

@@ -16,8 +16,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import checkers, sim
-from .abcast import check_abcast_trace
-from .histories import GET, pair_events
+from .abcast import CRASH, check_abcast_trace
+from .histories import APPEND, GET, INVOKE, RESPONSE, pair_events
+from .ledger import ACK
 from .sim import ConfigError, RunArtifact, Scenario
 from .verdicts import DIVERGENCE, FAIL, Verdict
 
@@ -72,7 +73,7 @@ def run_checker(name: str, artifact: RunArtifact) -> Verdict:
     if name == "abcast":
         return check_abcast_trace(artifact.abtrace)
 
-    probe_from_t = artifact.meta.get("probe_from_t")
+    probe_from_t = artifact.probe_from_t
     if name == "eventual" and probe_from_t is None:
         raise checkers.CheckerError(_NO_PROBES)
     completed, pending = _paired(artifact)
@@ -124,11 +125,11 @@ def cmd_run(args) -> int:
     except OSError as e:
         raise ConfigError(f"cannot write the artifact: {e}") from e
     events = artifact.history
-    invoked = sum(1 for e in events if e.ev == "invoke")
-    completed = sum(1 for e in events if e.ev == "response")
-    appended = sum(1 for e in events if e.ev == "response" and e.kind == "append"
-                   and e.result == "ack")
-    crashes = sum(1 for e in artifact.abtrace.events if e.kind == "crash")
+    invoked = sum(1 for e in events if e.ev == INVOKE)
+    completed = sum(1 for e in events if e.ev == RESPONSE)
+    appended = sum(1 for e in events if e.ev == RESPONSE and e.kind == APPEND
+                   and e.result == ACK)
+    crashes = sum(1 for e in artifact.abtrace.events if e.kind == CRASH)
     print(f"run seed={scenario.seed} mode={scenario.mode} "
           f"ops={completed}/{invoked} appended={appended} crashes={crashes} out={out}")
     return EXIT_OK
@@ -137,8 +138,11 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     artifact = sim.load_artifact(args.artifact)
     verdict = run_checker(args.checker, artifact)
-    out = Path(args.artifact) / "verdict.json"
-    out.write_text(json.dumps(verdict.to_json(args.checker)) + "\n")
+    try:
+        (Path(args.artifact) / "verdict.json").write_text(
+            json.dumps(verdict.to_json(args.checker)) + "\n")
+    except OSError as e:
+        raise ConfigError(f"cannot write the verdict: {e}") from e
     summary = verdict.status
     if verdict.violated:
         summary += f" violated={verdict.violated} witness={verdict.witness}"
@@ -160,9 +164,11 @@ def _campaign_worker(payload: tuple[Scenario, int, tuple[str, ...]]) -> dict:
 
 def run_campaign(scenario: Scenario, start: int, count: int,
                  names: tuple[str, ...], jobs: int = 1) -> dict:
-    """Run `count` seeded scenarios and the requested checkers on each."""
+    """Run `count` seeded scenarios and the requested checkers on each, in at
+    most ``min(jobs, count)`` worker processes."""
     t0 = time.monotonic()
     payloads = [(scenario, start + i, names) for i in range(count)]
+    jobs = min(jobs, count)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_campaign_worker, payloads, chunksize=16))
@@ -235,15 +241,20 @@ def cmd_campaign(args) -> int:
             raise ConfigError(f"unknown checker {name!r}; choose from {CHECKER_NAMES}")
         _refuse_unusable(name, scenario)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
 
     report = run_campaign(scenario, start, count, names, jobs=jobs)
     text = format_report(report)
     print(text)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json.dumps(report, indent=1) + "\n")
-        (out / "report.txt").write_text(text + "\n")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "report.json").write_text(json.dumps(report, indent=1) + "\n")
+            (out / "report.txt").write_text(text + "\n")
+        except OSError as e:
+            raise ConfigError(f"cannot write the report: {e}") from e
 
     if any(report["aggregate"][n]["divergence"] for n in names):
         return EXIT_DIVERGENCE

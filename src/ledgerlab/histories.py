@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
-from .ledger import ACK, NACK, make_rid
+from .ledger import ACK, NACK, is_int, make_rid  # noqa: F401  (is_int re-exported)
 
 INVOKE = "invoke"
 RESPONSE = "response"
@@ -79,11 +79,6 @@ def events_to_jsonl(events: Iterable[HistoryEvent]) -> str:
                 ref = e.seq
         lines.append(line + "}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def is_int(v) -> bool:
-    """An integer that is not a bool (JSON ``true`` loads as one)."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 _REQUIRED = ("op", "client", "ev", "kind", "c", "t")

@@ -1,11 +1,12 @@
 """Sequential ledger objects.
 
 The plain ledger is an append-only sequence of records read in full by
-``get``, or as a prefix by ``read``, which also serves read-side repair from
-one fold per predicate.  The validated ledger additionally filters every
-append through a pluggable validity predicate and answers ``nack`` when the
-extended sequence would violate it.  These objects are the reference behaviour that the offline
-checkers replay, and each simulated server holds one as its replica state.
+``get``, or as a plain prefix by ``read``; ``read_ids`` gives a prefix's ids
+and serves read-side repair from one fold per predicate.  The validated
+ledger additionally filters every append through a pluggable validity
+predicate and answers ``nack`` when the extended sequence would violate it.
+These objects are the reference behaviour that the offline checkers replay,
+and each simulated server holds one as its replica state.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self.rid)
+
+
+def is_int(v) -> bool:
+    """An integer that is not a bool (JSON ``true`` loads as one)."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def make_rid(creator: int, counter: int) -> str:
@@ -128,8 +134,7 @@ def predicate_from_config(obj: Mapping) -> ValidityPredicate:
     balances = obj.get("balances", {})
     if kind != "account_balance" and balances:
         raise ValueError(f"predicate {kind!r} takes no balances")
-    if not all(isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool) and v >= 0
-               for k, v in balances.items()):
+    if not all(isinstance(k, str) and is_int(v) and v >= 0 for k, v in balances.items()):
         raise ValueError("balances must map account names to non-negative integers")
     return ValidityPredicate(kind, dict(balances))
 
@@ -174,17 +179,16 @@ def filter_valid(seq: Iterable[Record], pred: ValidityPredicate) -> tuple[Record
 class _Fold:
     """One predicate's read-side repair of a ledger, advanced lazily.
 
-    ``kept`` and ``kept_ids`` are what `filter_valid` keeps from the first
+    ``kept_ids`` are the ids `filter_valid` keeps from the first
     ``len(upto) - 1`` records, ``state`` is the fold state after them, and
     ``upto[i]`` is the number kept among the first ``i`` records.
     """
 
-    __slots__ = ("pred", "state", "kept", "kept_ids", "upto")
+    __slots__ = ("pred", "state", "kept_ids", "upto")
 
     def __init__(self, pred: ValidityPredicate) -> None:
         self.pred = pred
         self.state = pred.start()
-        self.kept: list[Record] = []
         self.kept_ids: list[str] = []
         self.upto = [0]
 
@@ -193,7 +197,8 @@ class Ledger:
     """Append-only record sequence with whole-sequence and prefix reads.
 
     The sequence never shrinks or reorders, so a ledger and a length are an
-    immutable snapshot of its first records.
+    immutable snapshot of its first records.  ``read`` is the plain prefix;
+    ``read_ids`` alone runs a predicate's fold, for read-side repair.
     """
 
     def __init__(self) -> None:
@@ -208,42 +213,32 @@ class Ledger:
     def get(self) -> tuple[Record, ...]:
         return tuple(self._items)
 
-    def read(self, n: int, pred: ValidityPredicate | None = None) -> tuple[Record, ...]:
-        """The first ``n`` records, through ``pred`` if given.
-
-        With a predicate this equals ``filter_valid(self.get()[:n], pred)``.
-        `filter_valid` decides each record from the ones kept before it, so
-        the filtered view of a prefix is a prefix of the filtered view: one
-        fold per predicate, run only past the furthest length read so far,
-        serves every read.
-        """
-        if pred is None:
-            return tuple(self._items[:n])
-        fold, k = self._fold(n, pred)
-        return tuple(fold.kept[:k])
+    def read(self, n: int) -> tuple[Record, ...]:
+        """The first ``n`` records."""
+        return tuple(self._items[:n])
 
     def read_ids(self, n: int, pred: ValidityPredicate | None = None) -> tuple[str, ...]:
-        """The ids of ``read(n, pred)``."""
+        """The ids of the first ``n`` records, through ``pred`` if given.
+
+        With a predicate this equals the ids of ``filter_valid(self.read(n),
+        pred)``.  `filter_valid` decides each record from the ones kept
+        before it, so the filtered view of a prefix is a prefix of the
+        filtered view: one fold per predicate, run only past the furthest
+        length read so far, serves every read.
+        """
         if pred is None:
             return tuple(self._ids[:n])
-        fold, k = self._fold(n, pred)
-        return tuple(fold.kept_ids[:k])
-
-    def _fold(self, n: int, pred: ValidityPredicate) -> tuple[_Fold, int]:
-        """``pred``'s fold, advanced past the first ``n`` records, and how
-        many of them it keeps."""
         fold = self._folds.get(id(pred))
         if fold is None:
             fold = self._folds[id(pred)] = _Fold(pred)
         upto = fold.upto
         if n >= len(upto):
-            step, state, kept, kept_ids = pred.step, fold.state, fold.kept, fold.kept_ids
+            step, state, kept_ids = pred.step, fold.state, fold.kept_ids
             for r in self._items[len(upto) - 1:n]:
                 if step(state, r):
-                    kept.append(r)
                     kept_ids.append(r.rid)
-                upto.append(len(kept))
-        return fold, upto[n]
+                upto.append(len(kept_ids))
+        return tuple(fold.kept_ids[:upto[n]])
 
     def append(self, r: Record) -> str:
         if r.rid in self._rids:

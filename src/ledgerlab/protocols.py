@@ -200,16 +200,13 @@ class Client:
             return
         _, kind, op_id = self.pending
         if isinstance(msg, GetRes):
-            if self.mode == SEQUENTIAL:
-                self.last_len = msg.n
-            event = HistoryEvent(op_id, self.cid, RESPONSE, kind, msg.c, self.net.now,
-                                 seq=msg.replica.read_ids(msg.n, self.pred))
+            n, result, seq = msg.n, None, msg.replica.read_ids(msg.n, self.pred)
         else:
-            if self.mode == SEQUENTIAL:
-                self.last_len = msg.pos
-            event = HistoryEvent(op_id, self.cid, RESPONSE, kind, msg.c, self.net.now,
-                                 result=msg.result)
-        self.net.history.append(event)
+            n, result, seq = msg.pos, msg.result, None
+        if self.mode == SEQUENTIAL:
+            self.last_len = n
+        self.net.history.append(HistoryEvent(op_id, self.cid, RESPONSE, kind, msg.c,
+                                             self.net.now, result=result, seq=seq))
         self.pending = None
         self._after_response(msg)
 
@@ -235,7 +232,7 @@ class ProposerClient(Client):
     def _after_response(self, msg) -> None:
         if self.decision is not None:
             return
-        view = msg.replica.read(msg.n, self.pred) if isinstance(msg, GetRes) else ()
+        view = msg.replica.read(msg.n) if isinstance(msg, GetRes) else ()
         if view:
             self.decision = view[0].payload
         else:

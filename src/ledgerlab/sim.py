@@ -25,9 +25,10 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import protocols
-from .abcast import AbTrace, BroadcastService, trace_from_jsonl
-from .histories import HistoryEvent, Op, events_from_jsonl, events_to_jsonl, is_int
-from .ledger import Record, ValidityPredicate, predicate_from_config, predicate_to_config
+from .abcast import CRASH, AbTrace, BroadcastService, trace_from_jsonl
+from .histories import HistoryEvent, Op, events_from_jsonl, events_to_jsonl
+from .ledger import (Record, ValidityPredicate, is_int, predicate_from_config,
+                     predicate_to_config)
 
 
 class ConfigError(Exception):
@@ -320,17 +321,18 @@ def expand_crashes(schedule, n: int, f: int, seed: int) -> list[tuple[int, int]]
 class RunArtifact:
     """Everything a run produces.  `write` stores what the checkers read: the
     history, the broadcast trace and the meta block, formatted from
-    ``scenario`` and ``meta["probe_from_t"]``.  ``scenario`` is the run's
-    scenario, parsed once (from ``meta`` on a loaded artifact).
-    ``states`` (each server's final replica) is never written, and it is None
-    on a loaded artifact.  ``paired`` is ``history`` paired into (completed,
-    pending) ops by the first checker that needs it, for every later one; a
+    ``scenario`` and ``probe_from_t`` (the probe phase's start time, None
+    without probes).  ``scenario`` is the run's scenario, parsed once (from
+    ``meta.json`` on a loaded artifact).  ``states`` (each server's final
+    replica) is never written, and it is None on a loaded artifact.
+    ``paired`` is ``history`` paired into (completed, pending) ops by the
+    first checker that needs it, for every later one; a
     ``dataclasses.replace`` copy starts without it."""
 
     history: list[HistoryEvent]
     abtrace: AbTrace
-    states: dict[int, list[Record]] | None
-    meta: dict
+    states: dict[int, tuple[Record, ...]] | None
+    probe_from_t: int | None
     scenario: Scenario
     paired: tuple[list[Op], list[Op]] | None = field(default=None, init=False, compare=False)
 
@@ -339,7 +341,7 @@ class RunArtifact:
         out.mkdir(parents=True, exist_ok=True)
         (out / "history.jsonl").write_text(events_to_jsonl(self.history))
         (out / "abtrace.jsonl").write_text(self.abtrace.to_jsonl())
-        (out / "meta.json").write_text(self.scenario.meta_json(self.meta["probe_from_t"]))
+        (out / "meta.json").write_text(self.scenario.meta_json(self.probe_from_t))
         return out
 
 
@@ -365,7 +367,7 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
         raise ConfigError(f"artifact unreadable: {e}") from e
     except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"artifact corrupt: {type(e).__name__}: {e}") from e
-    return RunArtifact(history, abtrace, None, meta, scenario)
+    return RunArtifact(history, abtrace, None, meta["probe_from_t"], scenario)
 
 
 class Simulator:
@@ -433,7 +435,7 @@ class Simulator:
 
     def _crash_server(self, sid: int) -> None:
         self.servers[sid].crashed = True
-        self.trace.add("crash", sid, self.now)
+        self.trace.add(CRASH, sid, self.now)
 
     def _drain(self) -> None:
         slots, times = self._slots, self._times
@@ -465,10 +467,8 @@ class Simulator:
             self._drain()
             self._check_liveness()
 
-        meta = {"probe_from_t": probe_from_t, "scenario": sc.to_dict(),
-                "scenario_sha256": sc.sha256(), "seed": sc.seed}
-        states = {sid: list(s.replica.get()) for sid, s in enumerate(self.servers)}
-        return RunArtifact(self.history, self.trace, states, meta, sc)
+        states = {sid: s.replica.get() for sid, s in enumerate(self.servers)}
+        return RunArtifact(self.history, self.trace, states, probe_from_t, sc)
 
     def _check_liveness(self) -> None:
         for client in self.clients:

@@ -6,8 +6,6 @@ import pytest
 from ledgerlab import checkers
 from ledgerlab.checkers import (
     ORACLE_AUTO_LIMIT,
-    PER_PROCESS,
-    REALTIME,
     CapacityError,
     CheckerError,
     CompletedHistory,
@@ -100,9 +98,9 @@ def enumerated_verdict(completed, pending, checker, probe_ops=()):
         if verdicts[-1].ok:
             break
     result = verdicts[-1] if verdicts[-1].ok else verdicts[0]
-    constraint = {"atomic": REALTIME, "sequential": PER_PROCESS}.get(checker)
-    if constraint and max(len(c.ops) for c in candidates) <= ORACLE_AUTO_LIMIT:
-        oracle_ok = any(linearize(c, constraint) is not None for c in candidates)
+    if checker != "eventual" and max(len(c.ops) for c in candidates) <= ORACLE_AUTO_LIMIT:
+        same_client_only = checker == "sequential"
+        oracle_ok = any(linearize(c, same_client_only) is not None for c in candidates)
         if oracle_ok != result.ok:
             return Verdict(DIVERGENCE, result.violated, list(result.witness), oracle_used=True)
         result.oracle_used = True
@@ -120,7 +118,7 @@ def crashy_split(rng, seed):
         max_delay=rng.choice((3, 10, 30)),
         client_crashes=[[c, rng.randint(1, 15)] for c in crashed],
         workload={"ops_per_client": rng.randint(1, 5), "append_ratio": rng.choice((0.6, 0.9))}))
-    probe_from_t = art.meta["probe_from_t"]
+    probe_from_t = art.probe_from_t
     completed, pending = pair_events([e for e in art.history if e.t < probe_from_t])
     probes, _ = pair_events([e for e in art.history if e.t >= probe_from_t])
     return completed, pending, probes
@@ -287,13 +285,13 @@ class TestSequentialConsistencyChecker:
     def test_cross_client_staleness_is_allowed(self):
         h = hist(*self.separating_history())
         assert check_sequential_consistency(h).ok
-        assert linearize(h, "per-process") is not None
+        assert linearize(h, same_client_only=True) is not None
 
     def test_the_same_history_fails_the_atomic_checker(self):
         h = hist(*self.separating_history())
         v = check_atomic(h)
         assert v.violated == "A2"
-        assert linearize(h, "realtime") is None
+        assert linearize(h, same_client_only=False) is None
 
     def test_own_gets_must_not_shrink(self):
         # the record belongs to another client, so S3 stays out of the way
@@ -429,7 +427,7 @@ class TestEventualSetCheck:
                 client_crashes=[[0, rng.randint(1, 30)]] if rng.random() < 0.3 else [],
                 workload={"ops_per_client": rng.randint(2, 8),
                           "append_ratio": rng.choice((0.3, 0.6, 0.9))}))
-            probe_from_t = art.meta["probe_from_t"]
+            probe_from_t = art.probe_from_t
             completed, pending = pair_events([e for e in art.history if e.t < probe_from_t])
             probes, _ = pair_events([e for e in art.history if e.t >= probe_from_t])
             for how in (None, "drop", "swap", "truncate"):
@@ -634,11 +632,11 @@ class TestPropertyOracleEquivalence:
         for _ in range(1500):
             h = random_history(rng, n_clients=rng.choice((1, 2, 3)),
                                n_ops=rng.choice((3, 5, 7)))
-            for checkfn, constraint in ((check_atomic, "realtime"),
-                                        (check_sequential_consistency, "per-process")):
+            for checkfn, same_client_only in ((check_atomic, False),
+                                              (check_sequential_consistency, True)):
                 prop_ok = checkfn(h).ok
-                oracle_ok = linearize(h, constraint) is not None
-                assert prop_ok == oracle_ok, (h, constraint)
+                oracle_ok = linearize(h, same_client_only) is not None
+                assert prop_ok == oracle_ok, (h, same_client_only)
                 passes += prop_ok
         assert passes > 100  # both outcomes are represented
 

@@ -214,6 +214,21 @@ def test_path_mistakes_exit_2(scen_file, tmp_path, capsys):
     assert "cannot write the artifact" in capsys.readouterr().err
 
 
+def test_unwritable_verdict_exits_2(scen_file, tmp_path, capsys):
+    art = tmp_path / "art"
+    main(["run", "--scenario", scen_file(), "--out", str(art)])
+    (art / "verdict.json").mkdir()
+    assert main(["check", str(art), "--checker", "atomic"]) == 2
+    assert "cannot write the verdict" in capsys.readouterr().err
+
+
+def test_unwritable_campaign_report_exits_2(scen_file, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(["campaign", "--scenario", scen_file(), "--seeds", "0:2", "--jobs", "1",
+                 "--out", str(tmp_path / "file" / "rep")]) == 2
+    assert "cannot write the report" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("checker", ["atomic", "sequential", "eventual"])
 def test_nacked_append_fails_seqspec(scen_file, tmp_path, checker):
     art = tmp_path / "art"
@@ -378,6 +393,47 @@ def test_campaign_refuses_an_unusable_checker_before_any_seed(scen_file, tmp_pat
                  "--checker", checker, "--jobs", "1", "--out", str(rep)]) == 2
     captured = capsys.readouterr()
     assert text in captured.err and not captured.out and not rep.exists()
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        FakePool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    from ledgerlab import cli
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "max_workers", [])
+    return FakePool
+
+
+def test_campaign_starts_no_more_workers_than_seeds(scen_file, fake_pool):
+    assert main(["campaign", "--scenario", scen_file(), "--seeds", "0:2", "--jobs", "8"]) == 0
+    assert main(["campaign", "--scenario", scen_file(), "--seeds", "0:1", "--jobs", "8"]) == 0
+    assert main(["campaign", "--scenario", scen_file(), "--seeds", "0:5", "--jobs", "3"]) == 0
+    assert fake_pool.max_workers == [2, 3]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_campaign_rejects_jobs_below_one(scen_file, capsys, fake_pool, jobs):
+    assert main(["campaign", "--scenario", scen_file(), "--seeds", "0:2", f"--jobs={jobs}"]) == 2
+    captured = capsys.readouterr()
+    assert "--jobs must be at least 1" in captured.err and not captured.out
+    assert fake_pool.max_workers == []
 
 
 def test_campaign_rejects_bad_seed_spec(scen_file):

@@ -127,7 +127,7 @@ def assert_decoders_agree(text: str):
 
 def _eventual_ops(events, probe_from_t):
     """The ops ``cli.run_checker`` hands the eventual checker."""
-    artifact = RunArtifact(events, AbTrace(3), None, {"probe_from_t": probe_from_t}, None)
+    artifact = RunArtifact(events, AbTrace(3), None, probe_from_t, None)
     seen = []
 
     def record(completed, pending, checker, *, probe_ops):
@@ -332,7 +332,7 @@ def _mutants(text, mutation):
 @pytest.mark.parametrize("scenario", ["eventual", "atomic"])
 def test_mutated_histories_agree_with_the_references(scenario, mutation):
     artifact = _artifact(scenario)
-    probe_from_t = artifact.meta["probe_from_t"]
+    probe_from_t = artifact.probe_from_t
     for text in _mutants(events_to_jsonl(artifact.history), mutation):
         events = assert_decoders_agree(text)
         if mutation in BREAKS_LINES:

@@ -156,7 +156,7 @@ class TestWorkloadGeneration:
         art = run(scenario(workload={"ops_per_client": 0}, probe_gets=2))
         kinds = {e.kind for e in art.history}
         assert kinds == {"get"}
-        assert all(e.t >= art.meta["probe_from_t"] for e in art.history)
+        assert all(e.t >= art.probe_from_t for e in art.history)
 
 
 class TestCrashExpansion:
@@ -184,7 +184,7 @@ class TestDeterminism:
         assert a.history == b.history
         assert a.abtrace == b.abtrace
         assert a.states == b.states
-        assert a.meta == b.meta
+        assert a.probe_from_t == b.probe_from_t
 
     def test_different_seeds_differ(self):
         assert run(scenario(seed=1)).history != run(scenario(seed=2)).history
@@ -219,14 +219,14 @@ class TestCrashSemantics:
         art = run(scenario(seed=2, client_crashes=[[0, 3]],
                            workload={"ops_per_client": 12, "append_ratio": 1.0}))
         completed, pending = pair_events(
-            [e for e in art.history if e.t < art.meta["probe_from_t"]])
+            [e for e in art.history if e.t < art.probe_from_t])
         assert pending and all(op.client == 0 for op in pending)
         assert len(pending) == 1  # one operation in flight at a time
 
     def test_crashed_client_is_skipped_by_the_probe_phase(self):
         art = run(scenario(seed=2, client_crashes=[[0, 3]], probe_gets=2,
                            workload={"ops_per_client": 6, "append_ratio": 1.0}))
-        probe_events = [e for e in art.history if e.t >= art.meta["probe_from_t"]]
+        probe_events = [e for e in art.history if e.t >= art.probe_from_t]
         assert probe_events
         assert all(e.client != 0 for e in probe_events)
 
@@ -234,7 +234,7 @@ class TestCrashSemantics:
 class TestProbePhase:
     def test_probe_gets_recorded_after_quiescence(self):
         art = run(scenario(seed=6, probe_gets=3))
-        probe_t = art.meta["probe_from_t"]
+        probe_t = art.probe_from_t
         probes = [e for e in art.history if e.t >= probe_t]
         # 2 clients x 3 gets, invoke + response each
         assert sum(1 for e in probes if e.ev == "invoke") == 6
@@ -242,7 +242,7 @@ class TestProbePhase:
 
     def test_probe_gets_zero_disables_the_phase(self):
         art = run(scenario(seed=6, probe_gets=0))
-        assert art.meta["probe_from_t"] is None
+        assert art.probe_from_t is None
 
 
 class TestEventLoop:
