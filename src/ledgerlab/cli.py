@@ -244,13 +244,18 @@ def cmd_campaign(args) -> int:
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
 
+    out = Path(args.out) if args.out else None
+    if out:  # made before any seed runs, so that a bad --out costs no campaign
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot write the report: {e}") from e
+
     report = run_campaign(scenario, start, count, names, jobs=jobs)
     text = format_report(report)
     print(text)
-    if args.out:
-        out = Path(args.out)
+    if out:
         try:
-            out.mkdir(parents=True, exist_ok=True)
             (out / "report.json").write_text(json.dumps(report, indent=1) + "\n")
             (out / "report.txt").write_text(text + "\n")
         except OSError as e:

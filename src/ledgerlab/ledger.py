@@ -134,7 +134,8 @@ def predicate_from_config(obj: Mapping) -> ValidityPredicate:
     balances = obj.get("balances", {})
     if kind != "account_balance" and balances:
         raise ValueError(f"predicate {kind!r} takes no balances")
-    if not all(isinstance(k, str) and is_int(v) and v >= 0 for k, v in balances.items()):
+    if not (isinstance(balances, Mapping) and all(
+            isinstance(k, str) and is_int(v) and v >= 0 for k, v in balances.items())):
         raise ValueError("balances must map account names to non-negative integers")
     return ValidityPredicate(kind, dict(balances))
 

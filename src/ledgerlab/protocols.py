@@ -14,18 +14,21 @@ The levels differ in two decisions only:
   length of the client's last observed sequence in sequential mode, 0
   otherwise.
 
-Clients fan every request out to a fixed set of f+1 servers and take the
-first response; later responses for the same request counter are dropped.
-A consensus client is layered on the eventual-mode interface: propose by
-appending, then poll until the ledger is non-empty and decide its first
-payload.  Servers and clients reach the world only through ``net``, the
-`ledgerlab.sim.Simulator`, whose docstring lists what it provides.
+A message is the call of its receiver's handler, sent as ``net.send(handler,
+*fields)``: there are no message types.  Clients fan every request out to a
+fixed set of f+1 servers (``Server.on_append``, ``Server.on_get``) and take
+the first ``Client.on_response``; later responses for the same request
+counter are dropped.  An append broadcasts its bare `Record`, an atomic get
+the pair ``(client, c)``.  A consensus client is layered on the
+eventual-mode interface: propose by appending, then poll until the ledger is
+non-empty and decide its first payload.  Servers and clients reach the world
+only through ``net``, the `ledgerlab.sim.Simulator`, whose docstring lists
+what it provides.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import NamedTuple
 
 from .histories import INVOKE, RESPONSE, HistoryEvent
 from .ledger import ACK, Ledger, Record, ValidityPredicate, make_rid
@@ -41,40 +44,6 @@ ATOMIC = "atomic"
 MODES = (EVENTUAL, SEQUENTIAL, ATOMIC)
 
 
-# Client -> server requests.
-class GetReq(NamedTuple):
-    c: int
-    floor: int  # serve only once the replica is this long; 0 outside sequential mode
-
-
-class AppendReq(NamedTuple):
-    c: int
-    record: Record
-
-
-# Server -> client responses.
-class GetRes(NamedTuple):
-    """The answering replica and its length at send time: the replica never
-    shrinks or reorders, so the pair is a snapshot even if it grows before
-    the client reads it."""
-
-    c: int
-    replica: Ledger
-    n: int
-
-
-class AppendRes(NamedTuple):
-    c: int
-    result: str
-    pos: int | None  # replica length when the record landed; None for an eventual ack
-
-
-# Broadcast payloads: an append broadcasts its bare Record, an atomic get this.
-class BcastGet(NamedTuple):
-    p: int
-    c: int
-
-
 class Server:
     """One replica of the ledger, in any of the three modes.
 
@@ -86,36 +55,40 @@ class Server:
         self.sid = sid
         self.net = net
         self.replica = Ledger()
-        self.stashed_appends: dict[str, tuple[int, int]] = {}  # rid -> (client, c)
-        self.stashed_gets: set[tuple[int, int]] = set()  # atomic mode: (client, c)
-        self.parked_gets: list[tuple[int, int, int]] = []  # (client, c, floor)
+        self.stashed_appends: dict[str, tuple[Client, int]] = {}  # rid -> (client, c)
+        self.stashed_gets: set[tuple[Client, int]] = set()  # atomic mode: (client, c)
+        self.parked_gets: list[tuple[Client, int, int]] = []  # (client, c, floor)
         self.crashed = False
 
-    def handle_request(self, client: int, msg) -> None:
+    def on_append(self, client: Client, c: int, record: Record) -> None:
         if self.crashed:
             return
-        if isinstance(msg, AppendReq):
-            self.net.abroadcast(self.sid, msg.record)
-            if self.mode == EVENTUAL:
-                # acked before the record is anywhere: the defining weakness
-                self.net.respond(self.sid, client, AppendRes(msg.c, ACK, None))
-            else:
-                self.stashed_appends[msg.record.rid] = (client, msg.c)
-        elif self.mode == ATOMIC:
-            self.net.abroadcast(self.sid, BcastGet(client, msg.c))
-            self.stashed_gets.add((client, msg.c))
-        elif len(self.replica) >= msg.floor:
-            self.net.respond(self.sid, client, GetRes(msg.c, self.replica, len(self.replica)))
+        self.net.abroadcast(self.sid, record)
+        if self.mode == EVENTUAL:
+            # acked before the record is anywhere: the defining weakness
+            self.net.send(client.on_response, c, None, None)
         else:
-            self.parked_gets.append((client, msg.c, msg.floor))
+            self.stashed_appends[record.rid] = (client, c)
 
-    def handle_adeliver(self, payload) -> None:
-        if isinstance(payload, BcastGet):
-            key = (payload.p, payload.c)
-            if key in self.stashed_gets:
-                self.stashed_gets.remove(key)
-                self.net.respond(self.sid, payload.p,
-                                 GetRes(payload.c, self.replica, len(self.replica)))
+    def on_get(self, client: Client, c: int, floor: int) -> None:
+        """``floor``: serve only once the replica is this long; 0 outside
+        sequential mode."""
+        if self.crashed:
+            return
+        if self.mode == ATOMIC:
+            self.net.abroadcast(self.sid, (client, c))
+            self.stashed_gets.add((client, c))
+        elif len(self.replica) >= floor:
+            self.net.send(client.on_response, c, self.replica, len(self.replica))
+        else:
+            self.parked_gets.append((client, c, floor))
+
+    def handle_adeliver(self, payload: Record | tuple[Client, int]) -> None:
+        if not isinstance(payload, Record):  # an atomic get's (client, c)
+            if payload in self.stashed_gets:
+                self.stashed_gets.remove(payload)
+                client, c = payload
+                self.net.send(client.on_response, c, self.replica, len(self.replica))
             return
         self.replica.add(payload)
         # Acknowledge on any delivery of the record while stashed, not only
@@ -124,13 +97,13 @@ class Server:
         entry = self.stashed_appends.pop(payload.rid, None)
         if entry is not None:
             client, c = entry
-            self.net.respond(self.sid, client, AppendRes(c, ACK, len(self.replica)))
+            self.net.send(client.on_response, c, None, len(self.replica))
         if self.parked_gets:
             length = len(self.replica)
             still_parked = []
             for client, c, floor in self.parked_gets:
                 if length >= floor:
-                    self.net.respond(self.sid, client, GetRes(c, self.replica, length))
+                    self.net.send(client.on_response, c, self.replica, length)
                 else:
                     still_parked.append((client, c, floor))
             self.parked_gets = still_parked
@@ -150,7 +123,7 @@ class Client:
     replica length.
     """
 
-    def __init__(self, cid: int, mode: str, targets: list[int], net,
+    def __init__(self, cid: int, mode: str, targets: list[Server], net,
                  ops: list[tuple[str, str | None]] | None = None,
                  pred: ValidityPredicate | None = None) -> None:
         self.cid = cid
@@ -159,9 +132,9 @@ class Client:
         self.net = net
         self.queue = list(ops or [])
         self.pred = pred
-        self.c = 0
+        self.c = 0  # the counter of the latest operation, pending or not
         self.last_len = 0  # every get's floor: the last observed length, sequential mode only
-        self.pending: tuple[int, str, str] | None = None  # (c, kind, op_id)
+        self.pending: str | None = None  # the kind of operation c while it is pending
         self.crashed = False
 
     def start(self) -> None:
@@ -179,38 +152,43 @@ class Client:
 
     def _invoke(self, kind: str, payload: str | None = None) -> None:
         assert self.pending is None, "one operation at a time"
-        self.c += 1
-        op_id = make_rid(self.cid, self.c)
+        self.c = c = self.c + 1
+        op_id = make_rid(self.cid, c)
+        self.net.history.append(HistoryEvent(op_id, self.cid, INVOKE, kind, c,
+                                             self.net.now, payload=payload))
+        self.pending = kind
         if kind == "append":
             record = Record(op_id, self.cid, payload)
-            req = AppendReq(self.c, record)
+            for server in self.targets:
+                self.net.send(server.on_append, self, c, record)
         else:
-            req = GetReq(self.c, self.last_len)
-        self.net.history.append(HistoryEvent(op_id, self.cid, INVOKE, kind, self.c,
-                                             self.net.now, payload=payload))
-        self.pending = (self.c, kind, op_id)
-        for sid in self.targets:
-            self.net.request(self.cid, sid, req)
+            for server in self.targets:
+                self.net.send(server.on_get, self, c, self.last_len)
 
-    def on_response(self, msg) -> None:
+    def on_response(self, c: int, replica: Ledger | None, n: int | None) -> None:
+        """A get is answered by its ``replica`` and that replica's length
+        ``n`` at send time: the replica never shrinks or reorders, so the
+        pair is a snapshot even if it grows before the client reads it.  An
+        append is acked with no replica, and ``n`` is the replica's length
+        when its record landed, or None for an eventual ack."""
         if self.crashed:
             return
-        if self.pending is None or msg.c != self.pending[0]:
-            log.debug("client %d dropped duplicate/stale response c=%d", self.cid, msg.c)
+        if self.pending is None or c != self.c:
+            log.debug("client %d dropped duplicate/stale response c=%d", self.cid, c)
             return
-        _, kind, op_id = self.pending
-        if isinstance(msg, GetRes):
-            n, result, seq = msg.n, None, msg.replica.read_ids(msg.n, self.pred)
+        if replica is None:
+            result, seq = ACK, None
         else:
-            n, result, seq = msg.pos, msg.result, None
+            result, seq = None, replica.read_ids(n, self.pred)
         if self.mode == SEQUENTIAL:
             self.last_len = n
-        self.net.history.append(HistoryEvent(op_id, self.cid, RESPONSE, kind, msg.c,
-                                             self.net.now, result=result, seq=seq))
+        self.net.history.append(HistoryEvent(make_rid(self.cid, c), self.cid, RESPONSE,
+                                             self.pending, c, self.net.now,
+                                             result=result, seq=seq))
         self.pending = None
-        self._after_response(msg)
+        self._after_response(replica, n)
 
-    def _after_response(self, msg) -> None:
+    def _after_response(self, replica: Ledger | None, n: int | None) -> None:
         self._next()
 
     def crash(self) -> None:
@@ -221,7 +199,7 @@ class ProposerClient(Client):
     """Consensus by reduction: append the proposal, poll get until non-empty,
     decide the first payload."""
 
-    def __init__(self, cid: int, targets: list[int], net, value: str) -> None:
+    def __init__(self, cid: int, targets: list[Server], net, value: str) -> None:
         super().__init__(cid, EVENTUAL, targets, net)
         self.value = value
         self.decision: str | None = None
@@ -229,11 +207,10 @@ class ProposerClient(Client):
     def start(self) -> None:
         self._invoke("append", self.value)
 
-    def _after_response(self, msg) -> None:
+    def _after_response(self, replica: Ledger | None, n: int | None) -> None:
         if self.decision is not None:
             return
-        view = msg.replica.read(msg.n) if isinstance(msg, GetRes) else ()
-        if view:
-            self.decision = view[0].payload
+        if replica is not None and n:
+            self.decision = replica.read(1)[0].payload
         else:
             self._invoke("get")

@@ -121,6 +121,11 @@ def _uint(v, message: str, *, minimum: int = 0, below: float = math.inf) -> int:
     return v
 
 
+def _is_list(v) -> bool:
+    """A sequence that is not a string: what a JSON array loads as."""
+    return isinstance(v, Sequence) and not isinstance(v, (str, bytes))
+
+
 def _require_uint(obj: Mapping, key: str, *, minimum: int = 0) -> int:
     if key not in obj:
         raise ConfigError(f"scenario missing required field {key!r}")
@@ -205,11 +210,13 @@ def _validate_workload(workload, clients: int):
             raise ConfigError("token payloads take no extra fields")
         return {"ops_per_client": ops, "append_ratio": float(ratio),
                 "payloads": dict(payloads)}
-    if isinstance(workload, Sequence) and not isinstance(workload, (str, bytes)):
+    if _is_list(workload):
         if len(workload) != clients:
             raise ConfigError(f"explicit workload must list ops for all {clients} clients")
         parsed = []
         for ops in workload:
+            if not _is_list(ops):
+                raise ConfigError(f"a client's ops must be a list, got {ops!r}")
             client_ops = []
             for op in ops:
                 kind, payload = _parse_workload_op(op)
@@ -224,7 +231,7 @@ def _parse_workload_op(op) -> tuple[str, str | None]:
         if set(op) - {"kind", "payload"}:
             raise ConfigError(f"unknown op fields in {op!r}")
         kind, payload = op.get("kind"), op.get("payload")
-    elif isinstance(op, Sequence) and not isinstance(op, str) and len(op) == 2:
+    elif _is_list(op) and len(op) == 2:
         kind, payload = op
     else:
         raise ConfigError(f"malformed workload op {op!r}")
@@ -269,10 +276,12 @@ def _crash_entries(crashes, bound: int, label: str, texts: tuple[str, str, str])
     with the offending value.
     """
     malformed, bad_id, bad_time = texts
+    if not _is_list(crashes):
+        raise ConfigError(f"{label} crashes must be a list of [id, time] entries")
     entries = []
     seen: set[int] = set()
     for entry in crashes:
-        if not (isinstance(entry, Sequence) and len(entry) == 2):
+        if not (_is_list(entry) and len(entry) == 2):
             raise ConfigError(malformed.format(entry))
         pid, t = _uint(entry[0], bad_id, below=bound), _uint(entry[1], bad_time)
         if pid in seen:
@@ -377,9 +386,11 @@ class Simulator:
     in (time, scheduling order).  It is the ``net`` of every server, client
     and the broadcast service: ``now`` (sim time), ``trace`` (the `AbTrace`),
     ``history`` (the clients' `HistoryEvent` list), ``schedule(delay, fn,
-    *args)``, ``send(fn, *args)`` (the same after a drawn network delay),
-    ``request(cid, sid, msg)``, ``respond(sid, cid, msg)`` and
-    ``abroadcast(sid, payload)``.
+    *args)``, ``send(fn, *args)`` (the same after a drawn network delay) and
+    ``abroadcast(sid, payload)``.  There is no message type and no relay: a
+    message is ``send`` of its receiver's handler, such as a server's
+    ``on_append``/``on_get`` or a client's ``on_response``, with its fields
+    as the arguments.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -402,7 +413,8 @@ class Simulator:
             workload = generate_workload(workload, scenario.clients, scenario.seed)
         self.clients = [
             protocols.Client(cid, scenario.mode,
-                             protocols.server_subset(cid, scenario.n, scenario.f),
+                             [self.servers[sid] for sid in
+                              protocols.server_subset(cid, scenario.n, scenario.f)],
                              self, ops=list(workload[cid]), pred=scenario.predicate)
             for cid in range(scenario.clients)]
 
@@ -424,12 +436,6 @@ class Simulator:
         while r >= self._max_delay:
             r = self._getrandbits(self._delay_bits)
         self.schedule(1 + r, fn, *args)
-
-    def request(self, cid: int, sid: int, msg) -> None:
-        self.send(self.servers[sid].handle_request, cid, msg)
-
-    def respond(self, sid: int, cid: int, msg) -> None:
-        self.send(self.clients[cid].on_response, msg)
 
     # -- run control ---------------------------------------------------------
 
@@ -510,9 +516,8 @@ def run_consensus(n: int, f: int, proposals: Sequence[str], seed: int,
             (sid, rng.randint(0, 3 * max_delay)) for sid in servers))
 
     simulator = Simulator(scenario)
-    proposers = [protocols.ProposerClient(cid, protocols.server_subset(cid, n, f),
-                                          simulator, value=value)
-                 for cid, value in enumerate(proposals)]
+    proposers = [protocols.ProposerClient(c.cid, c.targets, simulator, value=value)
+                 for c, value in zip(simulator.clients, proposals)]
     simulator.clients = proposers
     artifact = simulator.run()
     return ConsensusResult(

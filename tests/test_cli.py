@@ -226,7 +226,18 @@ def test_unwritable_campaign_report_exits_2(scen_file, tmp_path, capsys):
     (tmp_path / "file").write_text("")
     assert main(["campaign", "--scenario", scen_file(), "--seeds", "0:2", "--jobs", "1",
                  "--out", str(tmp_path / "file" / "rep")]) == 2
-    assert "cannot write the report" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "cannot write the report" in captured.err
+    assert captured.out == ""  # refused before any seed ran
+
+
+def test_unwritable_report_file_exits_2_after_the_campaign(scen_file, tmp_path, capsys):
+    (tmp_path / "rep" / "report.json").mkdir(parents=True)
+    assert main(["campaign", "--scenario", scen_file(), "--seeds", "0:2", "--jobs", "1",
+                 "--out", str(tmp_path / "rep")]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write the report" in captured.err
+    assert captured.out.startswith("campaign: seeds 0..+2")
 
 
 @pytest.mark.parametrize("checker", ["atomic", "sequential", "eventual"])

@@ -4,12 +4,7 @@ from ledgerlab.protocols import (
     ATOMIC,
     EVENTUAL,
     SEQUENTIAL,
-    AppendReq,
-    AppendRes,
-    BcastGet,
     Client,
-    GetReq,
-    GetRes,
     Server,
     server_subset,
 )
@@ -19,28 +14,37 @@ from conftest import scenario
 
 
 class FakeNet:
+    """Records each message as its handler and arguments instead of delivering it."""
+
     def __init__(self):
-        self.responses = []
+        self.sent = []
         self.broadcasts = []
-        self.requests = []
         self.history = []
         self.now = 0
 
-    def respond(self, sid, client, msg):
-        self.responses.append((sid, client, msg))
+    def send(self, fn, *args):
+        self.sent.append((fn, args))
 
     def abroadcast(self, sid, payload):
         self.broadcasts.append((sid, payload))
 
-    def request(self, cid, sid, msg):
-        self.requests.append((cid, sid, msg))
+
+class Peer:
+    """A client stand-in: what a server sends it is a call of its on_response."""
+
+    def on_response(self, c, replica, n):
+        pass
+
+
+P = Peer()
 
 
 def sent(net):
-    """net.responses with each GetRes read back as (counter, length, records):
-    the records are the first `length` of the snapshot, in order."""
-    return [(sid, cid, (m.c, m.n, m.replica.read(m.n)) if isinstance(m, GetRes) else m)
-            for sid, cid, m in net.responses]
+    """net.sent as (receiver, counter, records, n): a get's answer is read back
+    as the first n records of its snapshot, in order; an append's ack has
+    records None."""
+    return [(fn.__self__, c, None if replica is None else replica.read(n), n)
+            for fn, (c, replica, n) in net.sent]
 
 
 def rec(i, payload="x", creator=0):
@@ -51,16 +55,16 @@ class TestEventualServer:
     def test_get_answers_from_local_state_immediately(self):
         net = FakeNet()
         s = Server(EVENTUAL, 0, net)
-        s.handle_request(3, GetReq(1, 0))
-        assert sent(net) == [(0, 3, (1, 0, ()))]
+        s.on_get(P, 1, 0)
+        assert sent(net) == [(P, 1, (), 0)]
 
     def test_append_acks_before_any_delivery(self):
         net = FakeNet()
         s = Server(EVENTUAL, 0, net)
         r = rec(1)
-        s.handle_request(3, AppendReq(1, r))
+        s.on_append(P, 1, r)
         assert net.broadcasts == [(0, r)]
-        assert net.responses == [(0, 3, AppendRes(1, ACK, None))]
+        assert sent(net) == [(P, 1, None, None)]
         assert s.replica.get() == ()  # nothing applied until delivery
 
     def test_duplicate_delivery_is_discarded(self):
@@ -70,32 +74,40 @@ class TestEventualServer:
         s.handle_adeliver(r)
         assert s.replica.get() == (r,)
 
+    def test_crashed_server_ignores_requests(self):
+        net = FakeNet()
+        s = Server(EVENTUAL, 0, net)
+        s.crashed = True
+        s.on_append(P, 1, rec(1))
+        s.on_get(P, 2, 0)
+        assert net.sent == [] and net.broadcasts == []
+
 
 class TestAtomicServer:
     def test_get_is_deferred_until_its_broadcast_returns(self):
         net = FakeNet()
         s = Server(ATOMIC, 0, net)
-        s.handle_request(3, GetReq(1, 0))
-        assert net.responses == []
-        assert net.broadcasts == [(0, BcastGet(3, 1))]
-        s.handle_adeliver(BcastGet(3, 1))
-        assert sent(net) == [(0, 3, (1, 0, ()))]
+        s.on_get(P, 1, 0)
+        assert net.sent == []
+        assert net.broadcasts == [(0, (P, 1))]
+        s.handle_adeliver((P, 1))
+        assert sent(net) == [(P, 1, (), 0)]
 
     def test_unstashed_get_delivery_is_ignored(self):
         net = FakeNet()
         s = Server(ATOMIC, 0, net)
-        s.handle_adeliver(BcastGet(3, 1))
-        assert net.responses == []
+        s.handle_adeliver((P, 1))
+        assert net.sent == []
 
     def test_append_acks_only_at_delivery(self):
         net = FakeNet()
         s = Server(ATOMIC, 0, net)
         r = rec(1, creator=3)
-        s.handle_request(3, AppendReq(1, r))
-        assert net.responses == []
+        s.on_append(P, 1, r)
+        assert net.sent == []
         s.handle_adeliver(r)
         assert s.replica.get() == (r,)
-        assert net.responses == [(0, 3, AppendRes(1, ACK, 1))]
+        assert sent(net) == [(P, 1, None, 1)]
 
     def test_stashed_append_is_acked_even_on_a_duplicate_delivery(self):
         # The first copy of a record can land before this server has seen the
@@ -105,41 +117,40 @@ class TestAtomicServer:
         s = Server(ATOMIC, 0, net)
         r = rec(1, creator=3)
         s.handle_adeliver(r)  # other server's copy, nothing stashed
-        assert net.responses == []
-        s.handle_request(3, AppendReq(1, r))
+        assert net.sent == []
+        s.on_append(P, 1, r)
         s.handle_adeliver(r)  # own copy, record already present
         assert s.replica.get() == (r,)
-        assert net.responses == [(0, 3, AppendRes(1, ACK, 1))]
+        assert sent(net) == [(P, 1, None, 1)]
 
 
 class TestSequentialServer:
     def test_get_with_zero_floor_answers_immediately(self):
         net = FakeNet()
         s = Server(SEQUENTIAL, 0, net)
-        s.handle_request(3, GetReq(1, 0))
-        assert sent(net) == [(0, 3, (1, 0, ()))]
+        s.on_get(P, 1, 0)
+        assert sent(net) == [(P, 1, (), 0)]
 
     def test_get_waits_until_the_replica_is_long_enough(self):
         net = FakeNet()
         s = Server(SEQUENTIAL, 0, net)
         r1, r2, r3 = (rec(i, creator=9) for i in (1, 2, 3))
         s.handle_adeliver(r1)
-        net.responses.clear()
-        s.handle_request(3, GetReq(5, 3))  # replica has 1 record, floor is 3
-        assert net.responses == []
+        s.on_get(P, 5, 3)  # replica has 1 record, floor is 3
+        assert net.sent == []
         s.handle_adeliver(r2)
-        assert net.responses == []
+        assert net.sent == []
         s.handle_adeliver(r3)  # third delivery releases it
-        assert [m for _, cid, m in sent(net) if cid == 3] == [(5, 3, (r1, r2, r3))]
+        assert sent(net) == [(P, 5, (r1, r2, r3), 3)]
 
     def test_append_ack_reports_the_landing_position(self):
         net = FakeNet()
         s = Server(SEQUENTIAL, 0, net)
         s.handle_adeliver(rec(1, creator=8))
         r = rec(1, creator=3)
-        s.handle_request(3, AppendReq(1, r))
+        s.on_append(P, 1, r)
         s.handle_adeliver(r)
-        assert (0, 3, AppendRes(1, ACK, 2)) in net.responses
+        assert sent(net) == [(P, 1, None, 2)]
 
 
 class TestClientBehaviour:
@@ -166,14 +177,16 @@ class TestClientBehaviour:
         r1, r2, r3, r4 = (rec(i, creator=9) for i in (1, 2, 3, 4))
         s.handle_adeliver(r1)
         s.handle_adeliver(r2)
-        client = Client(3, SEQUENTIAL, [0], net, ops=[("get", None)])
+        client = Client(3, SEQUENTIAL, [s], net, ops=[("get", None)])
         client.start()
-        (_, _, req), = net.requests
-        s.handle_request(3, req)
-        (_, _, res), = net.responses
+        (request, args), = net.sent
+        assert request == s.on_get and args == (client, 1, 0)
+        request(*args)
+        (_, (response, res)) = net.sent
+        assert response == client.on_response
         s.handle_adeliver(r3)
         s.handle_adeliver(r4)
-        client.on_response(res)
+        response(*res)
         assert net.history[-1].seq == ("9.1", "9.2")
         assert client.last_len == 2
 

@@ -33,8 +33,26 @@ class TestScenarioValidation:
         # bool is an int subclass: True must not pass as server or client 1
         pytest.param({"crash_schedule": [[True, 5]]}, id="bool-server-id"),
         pytest.param({"client_crashes": [[False, 3]]}, id="bool-client-id"),
+        # a crash schedule that is not a list of entries
+        *(pytest.param({field: value}, id=f"{field}-{value}")
+          for field in ("crash_schedule", "client_crashes")
+          for value in (None, 5, True, 1.5, "ab")),
     ])
     def test_crash_bounds_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            scenario(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"clients": 1, "workload": [5]}, id="int-op-list"),
+        pytest.param({"clients": 1, "workload": [None]}, id="null-op-list"),
+        pytest.param({"clients": 1, "workload": ["get"]}, id="string-op-list"),
+        *(pytest.param({"predicate": {"kind": "account_balance", "balances": balances}},
+                       id=f"balances-{balances!r}")
+          for balances in (None, "ab", [], 5)),
+        pytest.param({"predicate": {"kind": "unique_tau", "balances": None}},
+                     id="unique-tau-null-balances"),
+    ])
+    def test_malformed_fields_rejected(self, overrides):
         with pytest.raises(ConfigError):
             scenario(**overrides)
 
@@ -126,6 +144,39 @@ class TestScenarioValidation:
         again = scenario_from_dict(sc.to_dict())
         assert again == sc
         assert run(again).history == run(sc).history
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+# One client, so that a one-element list is an explicit workload of the
+# right length; every nested object that the paths below reach is present.
+FULL_SCENARIO = {
+    "n": 3, "f": 1, "clients": 1, "mode": "atomic", "seed": 0, "max_delay": 10,
+    "probe_gets": 2, "client_crashes": [[0, 5]],
+    "workload": {"ops_per_client": 4, "append_ratio": 0.5,
+                 "payloads": {"kind": "account", "accounts": ["A"], "max_amount": 5}},
+    "crash_schedule": {"random": {"max_crashes": 1, "until": 50}},
+    "predicate": {"kind": "account_balance", "balances": {"A": 0}},
+}
+FIELD_PATHS = [(name,) for name in FULL_SCENARIO] + [
+    ("workload", "payloads"), ("workload", "payloads", "accounts"),
+    ("predicate", "balances"), ("crash_schedule", "random")]
+
+
+@given(st.sampled_from(FIELD_PATHS), JSON_VALUES)
+def test_any_json_value_in_any_field_parses_or_is_a_config_error(path, value):
+    obj = json.loads(json.dumps(FULL_SCENARIO))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        scenario_from_dict(obj)
+    except ConfigError:
+        pass
 
 
 class TestWorkloadGeneration:
