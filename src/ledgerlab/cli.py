@@ -41,7 +41,7 @@ def load_scenario(path: str | Path) -> Scenario:
         obj = json.loads(Path(path).read_text())
     except OSError as e:
         raise ConfigError(f"scenario file unreadable: {e}")
-    except json.JSONDecodeError as e:
+    except (RecursionError, ValueError) as e:  # not UTF-8, too deep, or an int too long
         raise ConfigError(f"scenario file is not valid JSON: {e}")
     return sim.scenario_from_dict(obj)
 
@@ -167,6 +167,7 @@ def run_campaign(scenario: Scenario, start: int, count: int,
     """Run `count` seeded scenarios and the requested checkers on each, in at
     most ``min(jobs, count)`` worker processes."""
     t0 = time.monotonic()
+    names = tuple(dict.fromkeys(names))  # a repeated checker is run and counted once
     payloads = [(scenario, start + i, names) for i in range(count)]
     jobs = min(jobs, count)
     if jobs > 1:

@@ -100,7 +100,7 @@ def _fail(lines: list[tuple[int, str]], message: str) -> NoReturn:
     for n, line in lines:
         try:
             obj = json.loads(line)
-        except ValueError as e:
+        except (RecursionError, ValueError) as e:
             raise ValueError(f"history line {n} is not JSON: {e}") from None
         if type(obj) is not dict:
             raise ValueError(f"malformed history event on line {n}")
@@ -125,7 +125,7 @@ def events_from_jsonl(text: str) -> list[HistoryEvent]:
     lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     try:
         objs = json.loads("[" + ",\n".join([line for _, line in lines]) + "]")
-    except ValueError:
+    except (RecursionError, ValueError):
         _fail(lines, "history is not JSON")
     if len(objs) != len(lines):
         _fail(lines, "history lines and objects do not pair")
@@ -181,37 +181,34 @@ class Op(NamedTuple):
 def pair_events(events: Sequence[HistoryEvent]) -> tuple[list[Op], list[Op]]:
     """Match invokes with responses; returns (completed ops, pending ops).
 
-    Raises ValueError on malformed histories (response without invoke, an
-    op id invoked twice, a client with two operations in flight at once, or
-    two appends minting one record id).
+    Raises ValueError on malformed histories (a response that is not its
+    client's open operation, an op id invoked twice, a client with two
+    operations in flight at once, or two appends minting one record id).
     """
-    open_ops: dict[str, tuple[int, HistoryEvent]] = {}
+    open_ops: dict[int, tuple[int, HistoryEvent]] = {}  # client -> its one op in flight
     invoked: set[str] = set()
     minted: set[str] = set()
-    client_inflight: dict[int, str] = {}
     completed: list[Op] = []
     for i, e in enumerate(events):
         if e.ev == INVOKE:
             if e.op_id in invoked:
                 raise ValueError(f"duplicate invoke for op {e.op_id}")
             invoked.add(e.op_id)
-            inflight = client_inflight.get(e.client)
-            if inflight is not None:
-                raise ValueError(f"client {e.client} invoked {e.op_id} while {inflight} pending")
+            if e.client in open_ops:
+                raise ValueError(f"client {e.client} invoked {e.op_id} while "
+                                 f"{open_ops[e.client][1].op_id} pending")
             if e.kind == APPEND:
                 rid = make_rid(e.client, e.c)
                 if rid in minted:
                     raise ValueError(f"append {e.op_id} mints record id {rid} a second time")
                 minted.add(rid)
-            open_ops[e.op_id] = (i, e)
-            client_inflight[e.client] = e.op_id
+            open_ops[e.client] = (i, e)
         elif e.ev == RESPONSE:
-            if e.op_id not in open_ops:
+            inv_i, inv = open_ops.pop(e.client, (None, None))
+            if inv is None or inv.op_id != e.op_id:
                 raise ValueError(f"response without invoke for op {e.op_id}")
-            inv_i, inv = open_ops.pop(e.op_id)
-            if inv.kind != e.kind or inv.client != e.client or inv.c != e.c:
+            if inv.kind != e.kind or inv.c != e.c:
                 raise ValueError(f"response does not match invoke for op {e.op_id}")
-            del client_inflight[e.client]
             completed.append(Op(
                 e.op_id, e.client, e.kind, e.c, inv_i, inv.t, i, e.t, inv.payload,
                 make_rid(e.client, e.c) if e.kind == APPEND else None, e.result, e.seq))

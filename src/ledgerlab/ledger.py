@@ -1,8 +1,8 @@
 """Sequential ledger objects.
 
 The plain ledger is an append-only sequence of records read in full by
-``get``, or as a plain prefix by ``read``; ``read_ids`` gives a prefix's ids
-and serves read-side repair from one fold per predicate.  The validated
+``get``; ``read_ids`` gives a prefix's ids and serves read-side repair from
+one fold per predicate.  The validated
 ledger additionally filters every append through a pluggable validity
 predicate and answers ``nack`` when the extended sequence would violate it.
 These objects are the reference behaviour that the offline checkers replay,
@@ -195,11 +195,11 @@ class _Fold:
 
 
 class Ledger:
-    """Append-only record sequence with whole-sequence and prefix reads.
+    """Append-only record sequence with whole-sequence and prefix-id reads.
 
     The sequence never shrinks or reorders, so a ledger and a length are an
-    immutable snapshot of its first records.  ``read`` is the plain prefix;
-    ``read_ids`` alone runs a predicate's fold, for read-side repair.
+    immutable snapshot of its first records.  ``read_ids`` alone runs a
+    predicate's fold, for read-side repair.
     """
 
     def __init__(self) -> None:
@@ -214,14 +214,10 @@ class Ledger:
     def get(self) -> tuple[Record, ...]:
         return tuple(self._items)
 
-    def read(self, n: int) -> tuple[Record, ...]:
-        """The first ``n`` records."""
-        return tuple(self._items[:n])
-
     def read_ids(self, n: int, pred: ValidityPredicate | None = None) -> tuple[str, ...]:
         """The ids of the first ``n`` records, through ``pred`` if given.
 
-        With a predicate this equals the ids of ``filter_valid(self.read(n),
+        With a predicate this equals the ids of ``filter_valid(self.get()[:n],
         pred)``.  `filter_valid` decides each record from the ones kept
         before it, so the filtered view of a prefix is a prefix of the
         filtered view: one fold per predicate, run only past the furthest

@@ -138,17 +138,12 @@ class Client:
         self.crashed = False
 
     def start(self) -> None:
-        if not self.crashed and self.pending is None:
-            self._next()
+        if not self.crashed and self.pending is None and self.queue:
+            self._invoke(*self.queue.pop(0))
 
     @property
     def done(self) -> bool:
         return self.pending is None and not self.queue
-
-    def _next(self) -> None:
-        if self.queue:
-            kind, payload = self.queue.pop(0)
-            self._invoke(kind, payload)
 
     def _invoke(self, kind: str, payload: str | None = None) -> None:
         assert self.pending is None, "one operation at a time"
@@ -189,7 +184,7 @@ class Client:
         self._after_response(replica, n)
 
     def _after_response(self, replica: Ledger | None, n: int | None) -> None:
-        self._next()
+        self.start()
 
     def crash(self) -> None:
         self.crashed = True
@@ -211,6 +206,6 @@ class ProposerClient(Client):
         if self.decision is not None:
             return
         if replica is not None and n:
-            self.decision = replica.read(1)[0].payload
+            self.decision = replica.get()[0].payload
         else:
             self._invoke("get")

@@ -62,12 +62,12 @@ class Scenario:
     predicate: ValidityPredicate | None = None
 
     def to_dict(self) -> dict:
+        """The scenario as JSON values; json writes its stored tuples as arrays."""
         out: dict = {
             "n": self.n, "f": self.f, "clients": self.clients, "mode": self.mode,
             "seed": self.seed, "max_delay": self.max_delay, "probe_gets": self.probe_gets,
-            "workload": _workload_to_jsonable(self.workload),
-            "crash_schedule": _crashes_to_jsonable(self.crash_schedule),
-            "client_crashes": [list(x) for x in self.client_crashes],
+            "workload": self.workload, "crash_schedule": self.crash_schedule,
+            "client_crashes": self.client_crashes,
         }
         if self.predicate is not None:
             out["predicate"] = predicate_to_config(self.predicate)
@@ -97,18 +97,6 @@ class Scenario:
     def with_seed(self, seed: int) -> "Scenario":
         return dataclasses.replace(
             self, seed=_uint(seed, "seed must be an unsigned 64-bit integer", below=2 ** 64))
-
-
-def _workload_to_jsonable(workload) -> object:
-    if isinstance(workload, dict):
-        return dict(workload)
-    return [[[kind, payload] for kind, payload in ops] for ops in workload]
-
-
-def _crashes_to_jsonable(crashes) -> object:
-    if isinstance(crashes, dict):
-        return dict(crashes)
-    return [list(x) for x in crashes]
 
 
 def _uint(v, message: str, *, minimum: int = 0, below: float = math.inf) -> int:
@@ -217,24 +205,15 @@ def _validate_workload(workload, clients: int):
         for ops in workload:
             if not _is_list(ops):
                 raise ConfigError(f"a client's ops must be a list, got {ops!r}")
-            client_ops = []
-            for op in ops:
-                kind, payload = _parse_workload_op(op)
-                client_ops.append((kind, payload))
-            parsed.append(tuple(client_ops))
+            parsed.append(tuple(map(_parse_workload_op, ops)))
         return tuple(parsed)
     raise ConfigError("workload must be a generator spec or per-client op lists")
 
 
 def _parse_workload_op(op) -> tuple[str, str | None]:
-    if isinstance(op, Mapping):
-        if set(op) - {"kind", "payload"}:
-            raise ConfigError(f"unknown op fields in {op!r}")
-        kind, payload = op.get("kind"), op.get("payload")
-    elif _is_list(op) and len(op) == 2:
-        kind, payload = op
-    else:
+    if not (_is_list(op) and len(op) == 2):
         raise ConfigError(f"malformed workload op {op!r}")
+    kind, payload = op
     if kind == "get":
         if payload is not None:
             raise ConfigError("get ops take no payload")
@@ -374,7 +353,7 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
         raise ConfigError(f"artifact incomplete: missing {Path(e.filename).name}") from e
     except OSError as e:
         raise ConfigError(f"artifact unreadable: {e}") from e
-    except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as e:
+    except (AttributeError, ConfigError, KeyError, RecursionError, TypeError, ValueError) as e:
         raise ConfigError(f"artifact corrupt: {type(e).__name__}: {e}") from e
     return RunArtifact(history, abtrace, None, meta["probe_from_t"], scenario)
 
@@ -507,7 +486,7 @@ def run_consensus(n: int, f: int, proposals: Sequence[str], seed: int,
         "n": n, "f": f, "clients": len(proposals), "mode": protocols.EVENTUAL,
         "seed": seed, "max_delay": max_delay, "probe_gets": 0,
         "workload": [[] for _ in proposals],
-        "crash_schedule": [list(e) for e in crash_schedule or ()],
+        "crash_schedule": crash_schedule or (),
     })
     if crash_schedule is None:
         rng = random.Random(f"crash:{seed}")

@@ -12,14 +12,13 @@ from ledgerlab.checkers import (
     check_atomic,
     check_eventual,
     check_sequential_consistency,
-    check_sequential_spec,
     check_validated_spec,
     complete_history,
     linearize,
     verify_history,
 )
 from ledgerlab.histories import pair_events
-from ledgerlab.ledger import account_balance
+from ledgerlab.ledger import ALWAYS_TRUE, account_balance
 from ledgerlab.sim import run
 from ledgerlab.verdicts import DIVERGENCE, Verdict, failed, passed
 
@@ -185,23 +184,23 @@ class TestCanonicalCompletion:
 
 class TestSequentialSpecReplay:
     def test_append_then_get_passes(self):
-        assert check_sequential_spec([
+        assert check_validated_spec([
             op("0.1", "append", 0, 1),
             op("0.2", "get", 2, 3, seq=["0.1"]),
-        ]).ok
+        ], ALWAYS_TRUE).ok
 
     def test_get_of_unappended_record_fails(self):
-        v = check_sequential_spec([op("0.1", "get", 0, 1, seq=["9.9"])])
+        v = check_validated_spec([op("0.1", "get", 0, 1, seq=["9.9"])], ALWAYS_TRUE)
         assert v.violated == "SeqSpec" and v.witness == ["0.1"]
 
     def test_empty_history_passes(self):
-        assert check_sequential_spec([]).ok
+        assert check_validated_spec([], ALWAYS_TRUE).ok
 
     def test_replay_is_order_sensitive(self):
         a = op("0.1", "append", 0, 1)
         g = op("0.2", "get", 2, 3, seq=())
-        assert check_sequential_spec([g, a]).ok
-        assert not check_sequential_spec([a, g]).ok
+        assert check_validated_spec([g, a], ALWAYS_TRUE).ok
+        assert not check_validated_spec([a, g], ALWAYS_TRUE).ok
 
 
 class TestAtomicChecker:
@@ -452,7 +451,7 @@ class TestOracle:
         )
         order = linearize(h)
         assert [o.op_id for o in order] == ["1.1", "0.1", "0.2"]
-        assert check_sequential_spec(order).ok  # replay fidelity
+        assert check_validated_spec(order, ALWAYS_TRUE).ok  # replay fidelity
 
     def test_unlinearizable_history_yields_nothing(self):
         h = hist(
@@ -477,7 +476,7 @@ class TestOracle:
             completed, _ = pair_events(art.history)
             order = linearize(hist(*completed))
             assert order is not None
-            assert check_sequential_spec(order).ok
+            assert check_validated_spec(order, ALWAYS_TRUE).ok
 
 
 class TestValidatedSpecReplay:
@@ -791,7 +790,7 @@ class TestRankSweep:
                     for y in h.ops:
                         if x.precedes(y) and (not same_client_only or x.client == y.client):
                             assert at[x.op_id] < at[y.op_id], (h, x, y)
-                assert check_sequential_spec(order).ok, h
+                assert check_validated_spec(order, ALWAYS_TRUE).ok, h
                 passed_by[same_client_only] += 1
         assert min(passed_by.values()) > 150, passed_by
 

@@ -204,6 +204,37 @@ def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt, 
     assert "artifact corrupt" in capsys.readouterr().err
 
 
+DEEP = "[" * 100_000  # past the JSON decoder's recursion limit
+LONG_INT = "1" * 5000  # past the interpreter's int-digits limit
+
+
+@pytest.mark.parametrize("command,args", [
+    ("run", ["--out", "art"]),
+    ("campaign", ["--seeds", "0:1", "--jobs", "1"]),
+], ids=["run", "campaign"])
+@pytest.mark.parametrize("data", [DEEP.encode(), f'{{"n": {LONG_INT}}}'.encode(), b"\xff{"],
+                         ids=["deep", "long-int", "not-utf-8"])
+def test_undecodable_scenario_exits_2(tmp_path, capsys, monkeypatch, command, args, data):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.json").write_bytes(data)
+    assert main([command, "--scenario", "scenario.json", *args]) == 2
+    assert "scenario file is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,line,message", [
+    ("meta.json", 0, "artifact corrupt: RecursionError"),
+    ("history.jsonl", 2, "history line 3 is not JSON"),
+])
+def test_too_deeply_nested_artifact_exits_2(scen_file, tmp_path, capsys, name, line, message):
+    art = tmp_path / "art"
+    main(["run", "--scenario", scen_file(), "--out", str(art)])
+    lines = (art / name).read_text().splitlines()
+    lines[line] = DEEP
+    (art / name).write_text("\n".join(lines) + "\n")
+    assert main(["check", str(art), "--checker", "atomic"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_path_mistakes_exit_2(scen_file, tmp_path, capsys):
     scenario = scen_file()
     assert main(["check", scenario, "--checker", "atomic"]) == 2
@@ -357,6 +388,22 @@ def test_campaign_reports_and_exit_codes(scen_file, tmp_path, capsys):
         assert agg["pass"] == 20
     assert (rep / "report.txt").exists()
     assert "checker" in capsys.readouterr().out
+
+
+def test_campaign_runs_and_counts_a_repeated_checker_once(scen_file, tmp_path, capsys):
+    from ledgerlab.cli import run_campaign
+    from ledgerlab.sim import scenario_from_dict
+    rep = tmp_path / "rep"
+    assert main(["campaign", "--scenario", scen_file(), "--seeds", "0:3", "--checker", "atomic",
+                 "--checker", "atomic", "--jobs", "1", "--out", str(rep)]) == 0
+    report = json.loads((rep / "report.json").read_text())
+    assert report["checkers"] == ["atomic"] and list(report["aggregate"]) == ["atomic"]
+    assert report["aggregate"]["atomic"]["pass"] == 3
+    assert all(list(row["verdicts"]) == ["atomic"] for row in report["rows"])
+    assert capsys.readouterr().out.count("\natomic ") == 1
+    report = run_campaign(scenario_from_dict(BASE), 0, 2, ("abcast", "atomic", "abcast"))
+    assert report["checkers"] == ["abcast", "atomic"]
+    assert report["aggregate"]["abcast"]["pass"] == 2
 
 
 def test_campaign_parallel_workers_match_serial(scen_file, tmp_path):

@@ -7,9 +7,11 @@ simulator, the protocols or the ledger objects must leave these untouched.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from ledgerlab.cli import run_campaign
 from ledgerlab.sim import run, run_consensus, scenario_from_dict
 
 FILES = ("history.jsonl", "abtrace.jsonl", "meta.json")
@@ -113,3 +115,19 @@ def test_campaign_seeds_match_the_pinned_digest(mode, tmp_path):
         for f in FILES:
             digest.update((out / f).read_bytes())
     assert digest.hexdigest() == CAMPAIGN_DIGESTS[mode]
+
+
+# One digest over the verdict rows of every scenario in SCENARIOS, seeds
+# 0..29, judged by the atomic, sequential, eventual and abcast checkers.  A
+# change that alters artifact bytes must still hash equal here, unless it
+# changes verdicts by design and says which.
+VERDICT_DIGEST = "19e5567cb7f3dc7a639cb79eac85afb7941c3844961b501a6f1e1c9d8ea56830"
+
+
+def test_campaign_verdicts_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for name in sorted(SCENARIOS):
+        report = run_campaign(scenario_from_dict(SCENARIOS[name]), 0, 30,
+                              ("atomic", "sequential", "eventual", "abcast"), jobs=1)
+        digest.update(json.dumps(report["rows"], sort_keys=True).encode())
+    assert digest.hexdigest() == VERDICT_DIGEST

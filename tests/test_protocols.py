@@ -43,7 +43,7 @@ def sent(net):
     """net.sent as (receiver, counter, records, n): a get's answer is read back
     as the first n records of its snapshot, in order; an append's ack has
     records None."""
-    return [(fn.__self__, c, None if replica is None else replica.read(n), n)
+    return [(fn.__self__, c, None if replica is None else replica.get()[:n], n)
             for fn, (c, replica, n) in net.sent]
 
 

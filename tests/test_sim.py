@@ -74,7 +74,9 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="all 2 clients"):
             scenario(workload=[[["get", None]]])
 
-    @pytest.mark.parametrize("op", [["fetch", None], ["append", None], ["get", "x"], "get"])
+    @pytest.mark.parametrize("op", [["fetch", None], ["append", None], ["get", "x"], "get",
+                                    {"kind": "get", "payload": None},
+                                    {"kind": "append", "payload": "x"}])
     def test_malformed_ops_rejected(self, op):
         with pytest.raises(ConfigError):
             scenario(workload=[[op], []])
