@@ -7,73 +7,121 @@ protocols (validity, uniform agreement, uniform integrity, uniform total
 order) and `check_abcast_trace` verifies all four on a recorded trace rather
 than trusting the construction.  The service needs a majority of servers to
 stay up, so scenarios are rejected unless f < n/2.
+
+The trace is columns (`AbTrace`): each broadcast's sender and time, and
+each server's crash time and delivery times.  A server with k delivery
+times delivered messages 0..k-1, in that order.
 """
 
 from __future__ import annotations
 
-import re
+import json
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from itertools import count, repeat
+from operator import ge
 from typing import NamedTuple
 
+from .histories import jsonl_objects
 from .verdicts import Verdict, failed, passed
 
 BROADCAST = "broadcast"
 DELIVER = "deliver"
 CRASH = "crash"
-_new = tuple.__new__  # _new(AbEvent, fields) skips the NamedTuple's Python-level __new__
-
-# One line of `AbTrace.to_jsonl` in either of its two forms, and nothing else:
-# that key order, no spaces, JSON integers, and a non-negative server.  The
-# groups are (kind, kind if not a crash, server, msg or "", t); the "msg"
-# field is required exactly when the second group matched.
-_EVENT = re.compile(
-    r'^\{"ev":"((broadcast|deliver)|crash)","server":(0|[1-9][0-9]*),'
-    r'(?(2)"msg":(-?(?:0|[1-9][0-9]*)),)"t":(-?(?:0|[1-9][0-9]*))\}$', re.MULTILINE)
 
 
 class AbEvent(NamedTuple):
     kind: str  # broadcast | deliver | crash
     server: int
     t: int
-    msg: int | None = None  # global sequence number; None for crash events
+    msg: int | None  # global sequence number; None for a crash
+
+
+_row = partial(tuple.__new__, AbEvent)  # AbEvent._make without its Python-level call
+
+
+@dataclass
+class ServerTrace:
+    """One server's part of a trace: its crash time (None if it never
+    crashed) and the time it delivered each of messages 0, 1, ..."""
+
+    crash: int | None = None
+    t: list[int] = field(default_factory=list)
 
 
 @dataclass
 class AbTrace:
-    """Chronological record of broadcast/delivery/crash events for n servers."""
+    """The broadcast columns of n servers: ``sender[m]`` and ``t[m]`` are the
+    server and time of broadcast m; ``servers[k]`` is server k's part."""
 
     n: int
-    events: list[AbEvent] = field(default_factory=list)
+    sender: list[int] = field(default_factory=list)
+    t: list[int] = field(default_factory=list)
+    servers: list[ServerTrace] = field(init=False)
 
-    def add(self, kind: str, server: int, t: int, msg: int | None = None) -> None:
-        self.events.append(AbEvent(kind, server, t, msg))
+    def __post_init__(self) -> None:
+        self.servers = [ServerTrace() for _ in range(self.n)]
+
+    @cached_property
+    def events(self) -> list[AbEvent]:
+        """Every broadcast, delivery and crash as one `AbEvent` row, built on
+        the first read, so read it only from a finished trace.
+
+        The rows are the broadcasts in message order, then each server's
+        deliveries in delivery order, servers in order, then the crashes by
+        server.  The columns keep no order among the events of one tick, so
+        a stable sort on ``t`` gives a timeline that shows a tick's
+        broadcasts first, then its deliveries server by server, then its
+        crashes.
+        """
+        rows = list(map(_row, zip(repeat(BROADCAST), self.sender, self.t, count())))
+        for sid, s in enumerate(self.servers):
+            rows += map(_row, zip(repeat(DELIVER), repeat(sid), s.t, count()))
+        rows += [AbEvent(CRASH, sid, s.crash, None) for sid, s in enumerate(self.servers)
+                 if s.crash is not None]
+        return rows
 
     def to_jsonl(self) -> str:
-        # Every field is an int or one of the three kinds, so the lines are
-        # formatted directly, in the bytes json.dumps would give.
-        lines = [f'{{"ev":"{kind}","server":{server},"t":{t}}}' if msg is None
-                 else f'{{"ev":"{kind}","server":{server},"msg":{msg},"t":{t}}}'
-                 for kind, server, t, msg in self.events]
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One line of broadcast columns, then one line per server, each in
+        the bytes of ``json.dumps(obj, separators=(",", ":"))``."""
+        rows: list[dict] = [{"sender": self.sender, "t": self.t}]
+        rows += [{"server": sid, "crash": s.crash, "t": s.t} for sid, s in enumerate(self.servers)]
+        return "".join([json.dumps(row, separators=(",", ":")) + "\n" for row in rows])
+
+
+def _ints(v) -> bool:
+    """A JSON array of integers only (no bools)."""
+    return type(v) is list and set(map(type, v)) <= {int}
 
 
 def trace_from_jsonl(text: str, n: int) -> AbTrace:
     """Parse trace JSONL for ``n`` servers.
 
-    Every line must be exactly as `AbTrace.to_jsonl` writes it, with a server
-    below ``n``; on the first that is not (a blank line included) this raises
-    ValueError naming its line number.
+    The non-blank lines are one ``{"sender", "t"}`` object of equal-length
+    integer arrays, each sender below ``n``, then one object per server in
+    order: ``{"server", "crash", "t"}`` with the server's number, an integer
+    or null crash and integer delivery times.  Whitespace and key order are
+    free; a repeated key is not (see `jsonl_objects`).  Raises ValueError
+    naming the first line that breaks this.
     """
-    events = [_new(AbEvent, (kind, int(server), int(t), int(msg) if msg else None))
-              for kind, _, server, msg, t in map(re.Match.groups, _EVENT.finditer(text))]
-    # Each match is one whole line, so as many matches as lines (a last line
-    # without its newline included) means every line matched.
-    lines = text.count("\n") + (text[-1:] not in ("", "\n"))
-    if len(events) != lines or any(e.server >= n for e in events):
-        k = next(k for k, line in enumerate(text.split("\n"), 1)
-                 if not (m := _EVENT.fullmatch(line)) or int(m[3]) >= n)
-        raise ValueError(f"malformed trace event on line {k}")
-    return AbTrace(n, events)
+    numbers, objs = jsonl_objects(text, "trace")
+    if len(objs) != n + 1:
+        raise ValueError(f"trace has {len(objs)} lines, want {n + 1}: "
+                         f"the broadcasts and one per server")
+    head = objs[0]
+    sender = head.get("sender")
+    if not (head.keys() == {"sender", "t"} and _ints(sender) and _ints(head["t"])
+            and len(sender) == len(head["t"])
+            and 0 <= min(sender, default=0) and max(sender, default=0) < n):
+        raise ValueError(f"malformed trace line {numbers[0]}")
+    trace = AbTrace(n, sender, head["t"])
+    for sid, line, obj in zip(range(n), numbers[1:], objs[1:]):
+        if not (obj.keys() == {"server", "crash", "t"}
+                and type(obj["server"]) is int and obj["server"] == sid
+                and (obj["crash"] is None or type(obj["crash"]) is int) and _ints(obj["t"])):
+            raise ValueError(f"malformed trace line {line}")
+        trace.servers[sid] = ServerTrace(obj["crash"], obj["t"])
+    return trace
 
 
 class BroadcastService:
@@ -85,25 +133,31 @@ class BroadcastService:
     not yet delivered, so per-server delivery order always follows the
     global order even when wake-ups fire out of order; one wake-up exists
     per (message, live server) pair, so every pending message is eventually
-    drained.  ``servers`` are the replicas; ``net`` is the simulator.
+    drained.  ``servers`` are the replicas; ``net`` is the simulator, whose
+    ``trace`` records each broadcast and delivery time.
     """
 
     def __init__(self, servers: list, net) -> None:
         self.servers = servers
         self.net = net
         self._log: list[object] = []
-        self._cursor = [0] * len(servers)  # next sequence number each server will deliver
-        self._events = net.trace.events
+        trace = net.trace
+        self._sender, self._sent_t = trace.sender, trace.t
+        # Each server's delivery times; a list's length is the number of the
+        # next message that server delivers.
+        self._times = [s.t for s in trace.servers]
 
     def broadcast(self, server: int, payload: object) -> int:
         net = self.net
         assert not self.servers[server].crashed, "broadcast from a crashed server"
         seq = len(self._log)
         self._log.append(payload)
-        self._events.append(_new(AbEvent, (BROADCAST, server, net.now, seq)))
+        self._sender.append(server)
+        self._sent_t.append(net.now)
+        send, wake = net.send, self._wake
         for s in self.servers:
             if not s.crashed:
-                net.send(self._wake, s)
+                send(wake, s)
         return seq
 
     def _wake(self, server) -> None:
@@ -111,10 +165,9 @@ class BroadcastService:
         # alive, so a live server always has an undelivered message here.
         if server.crashed:
             return
-        nxt = self._cursor[server.sid]
-        self._cursor[server.sid] = nxt + 1
-        self._events.append(_new(AbEvent, (DELIVER, server.sid, self.net.now, nxt)))
-        server.handle_adeliver(self._log[nxt])
+        times = self._times[server.sid]
+        times.append(self.net.now)
+        server.handle_adeliver(self._log[len(times) - 1])
 
 
 def check_abcast_trace(trace: AbTrace) -> Verdict:
@@ -123,72 +176,31 @@ def check_abcast_trace(trace: AbTrace) -> Verdict:
     Checked in order: validity (a correct broadcaster delivers its own
     message), uniform agreement (anything delivered anywhere reaches every
     correct server), uniform integrity (at-most-once per server, and only
-    previously broadcast messages), uniform total order (all per-server
+    messages broadcast no later), uniform total order (all per-server
     delivery orders agree on their common messages).
+
+    A server with k delivery times delivered messages 0..k-1 in order, which
+    is at-most-once and in the global order, so total order holds by the
+    trace's form, and the rest reduces to counts and to comparing each
+    server's times with the broadcast times at C speed.  On a trace of the
+    service the loops below visit only the servers; they name a breach.
     """
-    crashed: dict[int, int] = {}
-    broadcasts: list[tuple[int, int, int]] = []  # (server, msg, t)
-    deliveries: dict[int, list[tuple[int, int]]] = {}  # server -> [(msg, t)]
-    for kind, server, t, msg in trace.events:
-        if kind == DELIVER:
-            deliveries.setdefault(server, []).append((msg, t))
-        elif kind == BROADCAST:
-            broadcasts.append((server, msg, t))
-        elif kind == CRASH:
-            crashed.setdefault(server, t)
-        else:
-            raise ValueError(f"unknown trace event kind {kind!r}")
-
-    correct = [sid for sid in range(trace.n) if sid not in crashed]
-    delivered_sets = {sid: {m for m, _ in evs} for sid, evs in deliveries.items()}
-
-    # Validity
-    for sid, msg, _ in broadcasts:
-        if sid not in crashed and msg not in delivered_sets.get(sid, ()):
+    servers, sent_t = trace.servers, trace.t
+    counts = [len(s.t) for s in servers]
+    correct = [sid for sid, s in enumerate(servers) if s.crash is None]
+    # Validity: a correct sender's message m is delivered iff m < its count,
+    # so no breach lies below the least count of a correct server.
+    start = min([counts[sid] for sid in correct], default=len(sent_t))
+    for msg in range(start, len(sent_t)):
+        sid = trace.sender[msg]
+        if servers[sid].crash is None and msg >= counts[sid]:
             return failed("Validity", [f"m{msg}", f"s{sid}"])
-
-    # Uniform Agreement
-    everywhere = set().union(*delivered_sets.values())
-    for sid in correct:
-        missing = everywhere - delivered_sets.get(sid, set())
-        if missing:
-            return failed("UniformAgreement", [f"m{min(missing)}", f"s{sid}"])
-
-    # Uniform Integrity: no repeats, and each delivery of a message broadcast
-    # no later.  Tested set-wise; the loop below only names the first breach.
-    broadcast_time = {}
-    for _, msg, t in broadcasts:
-        broadcast_time.setdefault(msg, t)
-    if not all([len(delivered_sets[sid]) == len(evs)
-                and delivered_sets[sid] <= broadcast_time.keys()
-                and all([t >= broadcast_time[msg] for msg, t in evs])
-                for sid, evs in deliveries.items()]):
-        for sid, evs in deliveries.items():
-            seen: set[int] = set()
-            for msg, t in evs:
-                if msg in seen or msg not in broadcast_time or t < broadcast_time[msg]:
-                    return failed("UniformIntegrity", [f"m{msg}", f"s{sid}"])
-                seen.add(msg)
-
-    # Uniform Total Order: every pair of delivery orders must agree on the
-    # relative order of their common messages.  With no repeats left, orders
-    # that each increase in message number agree pairwise, so the pairwise
-    # scan runs only to name a breach.
-    orders = {sid: [m for m, _ in evs] for sid, evs in deliveries.items()}
-    if all([order == sorted(order) for order in orders.values()]):
-        return passed()
-    position = {sid: {m: k for k, m in enumerate(order)} for sid, order in orders.items()}
-    sids = sorted(orders)
-    for i, s1 in enumerate(sids):
-        for s2 in sids[i + 1:]:
-            pos2 = position[s2]
-            last = -1
-            last_msg = None
-            for m in orders[s1]:
-                k = pos2.get(m)
-                if k is None:
-                    continue
-                if k < last:
-                    return failed("UniformTotalOrder", [f"m{last_msg}", f"m{m}", f"s{s1}", f"s{s2}"])
-                last, last_msg = k, m
+    top = max(counts, default=0)  # messages 0..top-1 were delivered somewhere
+    for sid in correct:  # Uniform Agreement
+        if counts[sid] < top:
+            return failed("UniformAgreement", [f"m{counts[sid]}", f"s{sid}"])
+    for sid, s in enumerate(servers):  # Uniform Integrity
+        if counts[sid] > len(sent_t) or not all(map(ge, s.t, sent_t)):
+            msg = next((m for m, (t, t0) in enumerate(zip(s.t, sent_t)) if t < t0), len(sent_t))
+            return failed("UniformIntegrity", [f"m{msg}", f"s{sid}"])
     return passed()

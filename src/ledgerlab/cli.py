@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import checkers, sim
-from .abcast import CRASH, check_abcast_trace
+from .abcast import check_abcast_trace
 from .histories import APPEND, GET, INVOKE, RESPONSE, pair_events
 from .ledger import ACK
 from .sim import ConfigError, RunArtifact, Scenario
@@ -129,7 +129,7 @@ def cmd_run(args) -> int:
     completed = sum(1 for e in events if e.ev == RESPONSE)
     appended = sum(1 for e in events if e.ev == RESPONSE and e.kind == APPEND
                    and e.result == ACK)
-    crashes = sum(1 for e in artifact.abtrace.events if e.kind == CRASH)
+    crashes = sum(s.crash is not None for s in artifact.abtrace.servers)
     print(f"run seed={scenario.seed} mode={scenario.mode} "
           f"ops={completed}/{invoked} appended={appended} crashes={crashes} out={out}")
     return EXIT_OK

@@ -1,7 +1,8 @@
 """Operation histories: the invocation/response log captured by the simulator.
 
 A history is an ordered sequence of events; the order of the list is the
-real-time order.  Events serialize to JSONL with a fixed field layout:
+real-time order.  Events serialize to JSONL, one object per line, with this
+layout (the writer's key order; a reader takes any, see `jsonl_objects`):
 
     {"op":"<id>","client":<int>,"ev":"invoke"|"response","kind":"get"|"append",
      "c":<int>,"t":<int>,"payload":"<str>"?,"result":"ack"|"nack"?,
@@ -29,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, NamedTuple, NoReturn, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ledger import ACK, NACK, is_int, make_rid  # noqa: F401  (is_int re-exported)
 
@@ -94,57 +95,76 @@ _LAYOUTS = {
 }
 
 
-def _fail(lines: list[tuple[int, str]], message: str) -> NoReturn:
-    """Raise ValueError naming the first line that is not one JSON object,
-    or, when each line is one, with ``message``."""
-    for n, line in lines:
-        try:
-            obj = json.loads(line)
-        except (RecursionError, ValueError) as e:
-            raise ValueError(f"history line {n} is not JSON: {e}") from None
-        if type(obj) is not dict:
-            raise ValueError(f"malformed history event on line {n}")
-    raise ValueError(message)
+def jsonl_objects(text: str, what: str) -> tuple[list[int], list[dict]]:
+    """The line numbers and objects of the non-blank lines of ``text``, under
+    the rule of both artifact files: each such line is one JSON object, each
+    key once; whitespace and key order are free.  Raises ValueError naming
+    the first line that breaks it, as the ``what`` line.
+
+    The lines are parsed by one ``json.loads``, joined by ``",\\n"``, which
+    no JSON string can hold.  If every line opens with ``{`` and the parse
+    makes only top-level objects, no separator fell inside a value (the
+    ``{`` after it would have opened a nested object); so with as many
+    objects as lines, each line holds exactly its object.  Otherwise each
+    line is parsed alone.
+    """
+    lines = text.splitlines()
+    numbers = [n for n, line in enumerate(lines, 1) if line.strip()]
+    if len(numbers) < len(lines):
+        lines = [lines[n - 1] for n in numbers]
+    made = 0
+
+    def unique_keys(pairs: list[tuple]) -> dict:
+        nonlocal made
+        made += 1
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            raise ValueError("repeated key")
+        return obj
+
+    try:
+        objs = json.loads("[" + ",\n".join(lines) + "]", object_pairs_hook=unique_keys)
+    except (RecursionError, ValueError):
+        objs = None
+    if not (objs is not None and made == len(objs) == len(lines)
+            and all([line[0] == "{" or line.lstrip(" \t")[:1] == "{" for line in lines])):
+        objs = []
+        for n, line in zip(numbers, lines):
+            try:
+                obj = json.loads(line, object_pairs_hook=unique_keys)
+            except (RecursionError, ValueError) as e:
+                raise ValueError(f"{what} line {n} is not JSON: {e}") from None
+            if type(obj) is not dict:
+                raise ValueError(f"{what} line {n} is not a JSON object")
+            objs.append(obj)
+    return numbers, objs
 
 
 def events_from_jsonl(text: str) -> list[HistoryEvent]:
     """Parse history JSONL.
 
-    Raises ValueError naming the line on a line that is not one JSON object,
-    or on an event whose fields differ from the layout in the module
-    docstring: a field missing, out of place or of the wrong type or value,
-    or a ``p`` beyond the longest earlier read.
-
-    The non-blank lines are parsed by one ``json.loads``, joined by
-    ``",\\n"``.  No separator can fall inside a string, as a JSON string
-    holds no raw newline.  Once every line opens with ``{`` and every object
-    has the layout, whose only array holds strings, each separator sits
-    between two top-level objects; so with as many objects as lines, each
-    line holds exactly its object.
+    Raises ValueError naming the line on a line that is not one JSON object
+    with unique keys (see `jsonl_objects`), or on an event whose fields
+    differ from the layout in the module docstring: a field missing, extra
+    or of the wrong type or value, or a ``p`` beyond the longest earlier
+    read.
     """
-    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
-    try:
-        objs = json.loads("[" + ",\n".join([line for _, line in lines]) + "]")
-    except (RecursionError, ValueError):
-        _fail(lines, "history is not JSON")
-    if len(objs) != len(lines):
-        _fail(lines, "history lines and objects do not pair")
+    numbers, objs = jsonl_objects(text, "history")
     events = []
     ref: tuple[str, ...] = ()
-    for (n, line), obj in zip(lines, objs):
+    for n, obj in zip(numbers, objs):
         try:
             keys, carried_ok = _LAYOUTS[obj["ev"], obj["kind"]]
         except (KeyError, TypeError):
-            _fail(lines, f"malformed history event on line {n}")
-        if not (obj.keys() == keys and (line[0] == "{" or line.lstrip(" \t")[:1] == "{")
-                and type(obj["op"]) is str and type(obj["client"]) is int
+            raise ValueError(f"malformed history event on line {n}") from None
+        if not (obj.keys() == keys and type(obj["op"]) is str and type(obj["client"]) is int
                 and type(obj["c"]) is int and type(obj["t"]) is int and carried_ok(obj)):
-            _fail(lines, f"malformed history event on line {n}")
+            raise ValueError(f"malformed history event on line {n}")
         seq = None
         if "p" in obj:
             p = obj["p"]
             if not 0 <= p <= len(ref):
-                _fail(lines, f"history event on line {n}: p={p} outside 0..{len(ref)}")
+                raise ValueError(f"history event on line {n}: p={p} outside 0..{len(ref)}")
             seq = ref[:p] + tuple(obj["tail"])
             if len(seq) > len(ref):
                 ref = seq

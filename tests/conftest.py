@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import settings
 
+from ledgerlab.abcast import AbTrace
 from ledgerlab.histories import Op
 from ledgerlab.sim import scenario_from_dict
 
@@ -65,3 +66,26 @@ class HeapLoop:
         while self._heap:
             self.now, _, fn, args = heapq.heappop(self._heap)
             fn(*args)
+
+
+def columnar(n, rows):
+    """The `AbTrace` of n servers holding ``rows`` of (kind, server, t[, msg]).
+
+    A row trace has a columnar form only when its broadcasts are numbered 0,
+    1, ... in row order, since a message's number is its broadcast's index,
+    and each server's deliveries are of 0, 1, ... in row order; any other
+    raises ValueError.  A server's first crash row is its crash time.
+    """
+    trace = AbTrace(n)
+    for kind, server, t, *msg in rows:
+        if kind == "crash":
+            if trace.servers[server].crash is None:
+                trace.servers[server].crash = t
+            continue
+        times = trace.t if kind == "broadcast" else trace.servers[server].t
+        if msg != [len(times)]:
+            raise ValueError(f"{kind} of {msg} at s{server} is not numbered {len(times)}")
+        times.append(t)
+        if kind == "broadcast":
+            trace.sender.append(server)
+    return trace

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from ledgerlab import checkers, sim
-from ledgerlab.abcast import AbTrace, check_abcast_trace
+from ledgerlab.abcast import check_abcast_trace
 from ledgerlab.cli import run_campaign, run_checker
 from ledgerlab.histories import pair_events
 from ledgerlab.ledger import (
@@ -24,6 +24,8 @@ from ledgerlab.ledger import (
     make_record,
 )
 from ledgerlab.sim import run, run_consensus, scenario_from_dict
+
+from conftest import columnar
 
 SEEDS = 1000
 
@@ -177,17 +179,10 @@ def test_criterion_7_abcast_contract(atomic_campaign, sequential_campaign,
         totals.append(agg["pass"])
     all_pass = totals == [SEEDS, SEEDS, SEEDS]
 
-    dup = AbTrace(2)
-    for e in [("broadcast", 0, 0, 0), ("deliver", 0, 1, 0), ("deliver", 1, 1, 0),
-              ("deliver", 1, 2, 0)]:
-        dup.add(*e)
-    swap = AbTrace(2)
-    for e in [("broadcast", 0, 0, 0), ("broadcast", 0, 0, 1),
-              ("deliver", 0, 1, 0), ("deliver", 0, 2, 1),
-              ("deliver", 1, 1, 1), ("deliver", 1, 2, 0)]:
-        swap.add(*e)
-    crafted = (check_abcast_trace(dup).violated == "UniformIntegrity"
-               and check_abcast_trace(swap).violated == "UniformTotalOrder")
+    early = columnar(2, [("broadcast", 0, 5, 0), ("deliver", 0, 6, 0), ("deliver", 1, 4, 0)])
+    missing = columnar(2, [("broadcast", 0, 0, 0), ("deliver", 0, 1, 0)])
+    crafted = (check_abcast_trace(early).violated == "UniformIntegrity"
+               and check_abcast_trace(missing).violated == "UniformAgreement")
     report(7, "abcast-contract", all_pass and crafted,
            f"campaign traces pass {totals}, crafted violations tagged correctly")
 

@@ -118,6 +118,16 @@ def _jsonl_field(key, value):
     return _jsonl_edit(lambda obj: key in obj, lambda obj: obj.__setitem__(key, value))
 
 
+def _broadcast_line(edit):
+    """Apply ``edit`` to a trace's broadcast columns."""
+    return _jsonl_edit(lambda obj: "sender" in obj, edit)
+
+
+def _server_line(edit):
+    """Apply ``edit`` to the trace line of server 0."""
+    return _jsonl_edit(lambda obj: "server" in obj, edit)
+
+
 def _jsonl_without(*keys):
     """Delete ``keys`` from the first JSONL line that carries them."""
     return _jsonl_edit(lambda obj: obj.keys() >= set(keys),
@@ -156,12 +166,14 @@ def _meta_field(path, value):
     ("history.jsonl", _jsonl_field("payload", 5), "atomic"),
     ("history.jsonl", _jsonl_field("result", ["ack"]), "atomic"),
     ("history.jsonl", _jsonl_field("result", "zzz"), "atomic"),
-    ("abtrace.jsonl", _jsonl_field("server", [0]), "abcast"),
-    ("abtrace.jsonl", _jsonl_field("server", "x"), "abcast"),
-    ("abtrace.jsonl", _jsonl_field("server", 3), "abcast"),
-    ("abtrace.jsonl", _jsonl_field("t", "x"), "abcast"),
-    ("abtrace.jsonl", _jsonl_field("ev", "zz"), "abcast"),
-    ("abtrace.jsonl", _jsonl_field("msg", None), "abcast"),
+    ("abtrace.jsonl", _broadcast_line(lambda obj: obj["sender"].__setitem__(0, 3)), "abcast"),
+    ("abtrace.jsonl", _broadcast_line(lambda obj: obj["t"].pop()), "abcast"),
+    ("abtrace.jsonl", _server_line(lambda obj: obj["t"].__setitem__(0, str(obj["t"][0]))),
+     "abcast"),
+    ("abtrace.jsonl", _server_line(lambda obj: obj["t"].__setitem__(0, True)), "abcast"),
+    ("abtrace.jsonl", lambda text: "".join(text.splitlines(True)[:-1]), "abcast"),
+    ("abtrace.jsonl", _server_line(lambda obj: obj.__setitem__("msg", [*range(len(obj["t"]))])),
+     "abcast"),
     ("meta.json", _meta_field(("scenario", "predicate"), {"kind": "bogus"}), "vspec"),
     ("meta.json", _meta_field(("probe_from_t",), "x"), "eventual"),
     ("meta.json", _meta_field(("scenario", "n"), "x"), "abcast"),
@@ -187,9 +199,10 @@ def _meta_field(path, value):
         "history-list-op", "history-string-time-eventual", "history-bool-counter",
         "history-unknown-ev", "history-unknown-kind", "history-string-seq",
         "history-int-in-seq", "history-int-payload", "history-list-result",
-        "history-unknown-result", "abtrace-list-server", "abtrace-string-server",
-        "abtrace-server-out-of-range", "abtrace-string-time", "abtrace-unknown-ev",
-        "abtrace-null-msg", "meta-bogus-predicate-vspec", "meta-string-probe-from-t-eventual",
+        "history-unknown-result", "abtrace-sender-out-of-range",
+        "abtrace-unequal-broadcast-columns", "abtrace-string-time", "abtrace-bool-time",
+        "abtrace-missing-server-line", "abtrace-msg-column",
+        "meta-bogus-predicate-vspec", "meta-string-probe-from-t-eventual",
         "meta-string-n-abcast", "history-missing-result", "history-missing-result-sequential",
         "history-missing-seq", "history-payload-on-get-invoke", "meta-zero-hash",
         "meta-other-seed-abcast", "meta-unknown-key", "abtrace-extra-field",

@@ -10,6 +10,7 @@ from ledgerlab.histories import (
     HistoryEvent,
     events_from_jsonl,
     events_to_jsonl,
+    jsonl_objects,
     pair_events,
 )
 
@@ -126,6 +127,24 @@ def test_jsonl_round_trip_ends_with_newline():
     assert text.endswith("\n")
     assert events_from_jsonl(text) == events
     assert events_to_jsonl([]) == ""
+
+
+# Each text joins into as many top-level objects as it has lines, every line
+# opening with "{", yet its first line alone is not JSON: a separator falls
+# inside an array, and the "{" after it opens a nested object.
+@pytest.mark.parametrize("lines", [
+    ['{"a":[{"b":1}', '{"c":2}]}', '{"x":1},{"y":2}'],
+    ['{"a":[1', ' {"c":2}]}', '{"x":1},{"y":2}'],
+])
+def test_jsonl_objects_names_a_line_split_inside_an_array(lines):
+    text = "\n".join(lines) + "\n"
+    assert len(json.loads("[" + ",\n".join(lines) + "]")) == len(lines)
+    with pytest.raises(ValueError, match="^h line 1 is not JSON"):
+        jsonl_objects(text, "h")
+
+
+def test_jsonl_objects_takes_nested_objects_on_their_own_lines():
+    assert jsonl_objects('{"a":{"b":[{}]}}\n\n {"c":1}', "h") == ([1, 3], [{"a": {"b": [{}]}}, {"c": 1}])
 
 
 def test_pairing_completed_and_pending():

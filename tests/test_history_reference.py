@@ -65,14 +65,20 @@ def _well_formed(obj: dict) -> bool:
             and all(check(obj[k]) for k, check in carried.items()))
 
 
+def _unique_keys(pairs):
+    if len({k for k, _ in pairs}) < len(pairs):
+        raise ValueError("repeated key")
+    return dict(pairs)
+
+
 def reference_events_from_jsonl(text: str) -> list[HistoryEvent]:
-    """The per-line history loader."""
+    """The per-line history loader, which rejects a repeated key."""
     events = []
     ref: tuple[str, ...] = ()
     for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
+        obj = json.loads(line, object_pairs_hook=_unique_keys)
         if not _well_formed(obj):
             raise ValueError(f"malformed history event on line {n}")
         seq = None

@@ -46,27 +46,27 @@ SCENARIOS = {
 PINNED = {
     "atomic": {
         "history.jsonl": "611a49ec657405d2544c0683d90e9bbe1122a7958393daedd26c156ed7c83d5a",
-        "abtrace.jsonl": "d574a10201d160a0cc3c42d62da33550cbddd485d525bafd19a9e73e082faf63",
+        "abtrace.jsonl": "28fb1b9a30b7008cc242989654d49d039ea20db26eb767f4775caa777b23d6f2",
         "meta.json": "e0a937c34e15ca075946bea6b4fe580173353709a9702c34a12e831c8e6875f8",
     },
     "sequential": {
         "history.jsonl": "0269db0aa20a0964e3662e381b464920d85038118925097529dd7e7c707685b7",
-        "abtrace.jsonl": "7d37f89ff26eb0010080283fbe7273129a2bc3c01ccda62351a2091256c4b222",
+        "abtrace.jsonl": "8dca550d72d5c1240e0a57fa9a82a03797b06787406dcf48a7a250f309ae4900",
         "meta.json": "830675e96d5f51df90d76d327bafbb8eabaffa6760592795bfb4590b59f447bd",
     },
     "eventual": {
         "history.jsonl": "2044be24ef0f296796c4a9c0063d8bd247ed22185d29f17feab4e2e042e46fe0",
-        "abtrace.jsonl": "976ad3be98c50fe2f5dea4ce014433e7c61de0e6ac99c78d964db2eea54e2520",
+        "abtrace.jsonl": "e9772404c794de0faaf21b4a18f060b39faa167d371dde74fc0675c3498c165d",
         "meta.json": "78016f77a199c113bd45a414672e3dab119b7e69e29400aeff64e0d780bb8702",
     },
     "read-repair": {
         "history.jsonl": "d058866448d54c52e615b0309a649d57bbf0b2345932f43081404994ec46bbaa",
-        "abtrace.jsonl": "b08eecf5e0723adb5a1bec6c909d76f4ba0c137b898a7c791b22dfcd5bd005af",
+        "abtrace.jsonl": "72bbe57788134b9bb4cd958eb57f949d12b17a3eed93ca027acb3e25b72605b1",
         "meta.json": "bde38bbeaeb06c55ecc096d772738200420121a95260322714842d4e9a7878a5",
     },
     "consensus": {
         "history.jsonl": "018e55883db4a44611a529eadf7f3d3447a61fe9df30dcc3e144b5ce785becba",
-        "abtrace.jsonl": "d3767030925fe01f4245d1f2b86ab4ea3cf8002d5d897769e855b5caa4d874d4",
+        "abtrace.jsonl": "dcdaaa4af53ed1d569ac18d9e91a719569b17fac531d9d32a191133deab4c2d7",
         "meta.json": "9ec2a45864c23b6edf294918f4cd906d8322734d09524adb2151955004961b7a",
     },
 }
@@ -95,9 +95,9 @@ def test_artifact_bytes_match_the_pinned_hashes(name, tmp_path):
 CAMPAIGN_SEEDS = range(30)
 
 CAMPAIGN_DIGESTS = {
-    "atomic": "b2acf5c06356ef2b6a4ec6e3c569f0e51aca4394016a11809ed4c05fae434f11",
-    "sequential": "08d14d0b36106c789dc79590c8dbd510390a95341e30990602cb9bef9fc1040c",
-    "eventual": "2c18b671c9208605c5ffdba91714511ac65f4d61f55b9ce1f22b27e2ec2b9258",
+    "atomic": "2f4927a0486421e624d7f453d65d4d433ed7123145a5911cd76e50b2ac0702d7",
+    "sequential": "351d17120d144a0d97d19e563c64fce9720b7ba5f058f0acd1151b40c062b200",
+    "eventual": "d4d0f31b666d5b8de3b156b183740ed21d35205533c15f4e2b313f9451322c37",
 }
 
 

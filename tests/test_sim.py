@@ -13,6 +13,7 @@ from ledgerlab.sim import (
     Simulator,
     expand_crashes,
     generate_workload,
+    load_artifact,
     run,
     scenario_from_dict,
 )
@@ -247,9 +248,10 @@ class TestCrashSemantics:
     def test_crashed_server_goes_silent(self):
         art = run(scenario(seed=4, crash_schedule=[[1, 10]],
                            workload={"ops_per_client": 10, "append_ratio": 0.5}))
-        for e in art.abtrace.events:
-            if e.server == 1 and e.kind != "crash":
-                assert e.t <= 10
+        trace = art.abtrace
+        assert trace.servers[1].crash == 10
+        assert max(trace.servers[1].t) <= 10
+        assert all(t <= 10 for sender, t in zip(trace.sender, trace.t) if sender == 1)
 
     def test_crash_before_any_op_still_completes_everything(self):
         # f+1 fan-out guarantees one live server sees each request
@@ -296,6 +298,41 @@ class TestProbePhase:
     def test_probe_gets_zero_disables_the_phase(self):
         art = run(scenario(seed=6, probe_gets=0))
         assert art.probe_from_t is None
+
+
+def _each_line(edit):
+    return lambda text: "\n".join(edit(json.loads(line)) for line in text.splitlines()) + "\n"
+
+
+def _repeat_last_key(text):
+    first, rest = text.split("\n", 1)
+    key, value = list(json.loads(first).items())[-1]
+    return f"{first[:-1]},{json.dumps(key)}:{json.dumps(value)}}}\n{rest}"
+
+
+# Edits made to both artifact files, and whether the edited file still loads.
+SHARED_RULE = {
+    "reordered-keys": (_each_line(lambda obj: json.dumps(dict(reversed(obj.items())),
+                                                         separators=(",", ":"))), True),
+    "spaces": (_each_line(lambda obj: f"\t {json.dumps(obj)} "), True),
+    "blank-lines": (lambda text: text.replace("\n", "\n\n \t\n"), True),
+    "duplicate-key": (_repeat_last_key, False),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(SHARED_RULE))
+@pytest.mark.parametrize("name", ["history.jsonl", "abtrace.jsonl"])
+def test_both_artifact_files_follow_one_malformed_input_rule(tmp_path, name, edit):
+    art = run(scenario(seed=5, crash_schedule=[[2, 30]]))
+    out = art.write(tmp_path / "art")
+    transform, loads = SHARED_RULE[edit]
+    (out / name).write_text(transform((out / name).read_text()))
+    if loads:
+        again = load_artifact(out)
+        assert (again.history, again.abtrace) == (art.history, art.abtrace)
+    else:
+        with pytest.raises(ConfigError, match="line 1 is not JSON: repeated key"):
+            load_artifact(out)
 
 
 class TestEventLoop:
@@ -386,5 +423,8 @@ def test_event_order_matches_the_reference_heap(case):
     down = set()
     reference = HeapLoop(random.Random(f"net:{seed}"), max_delay)
     assert ran == run_program(reference, program, start, down.add, down.__contains__)
-    assert ([(e.server, e.t) for e in sim.trace.events]
-            == [(sid, t) for kind, sid, t, _ in ran if kind == "crash"])
+    first_crash = {}
+    for kind, sid, t, _ in ran:
+        if kind == "crash":
+            first_crash.setdefault(sid, t)
+    assert [s.crash for s in sim.trace.servers] == [first_crash.get(sid) for sid in range(3)]
