@@ -10,7 +10,8 @@ stay up, so scenarios are rejected unless f < n/2.
 
 The trace is columns (`AbTrace`): each broadcast's sender and time, and
 each server's crash time and delivery times.  A server with k delivery
-times delivered messages 0..k-1, in that order.
+times delivered messages 0..k-1, in that order, so its times never decrease
+and none is later than its crash.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import count, repeat
-from operator import ge
+from operator import ge, le
 from typing import NamedTuple
 
 from .histories import jsonl_objects
@@ -100,9 +101,10 @@ def trace_from_jsonl(text: str, n: int) -> AbTrace:
     The non-blank lines are one ``{"sender", "t"}`` object of equal-length
     integer arrays, each sender below ``n``, then one object per server in
     order: ``{"server", "crash", "t"}`` with the server's number, an integer
-    or null crash and integer delivery times.  Whitespace and key order are
-    free; a repeated key is not (see `jsonl_objects`).  Raises ValueError
-    naming the first line that breaks this.
+    or null crash and integer delivery times that never decrease and end no
+    later than the crash.  Whitespace and key order are free; a repeated key
+    is not (see `jsonl_objects`).  Raises ValueError naming the first line
+    that breaks this.
     """
     numbers, objs = jsonl_objects(text, "trace")
     if len(objs) != n + 1:
@@ -116,11 +118,13 @@ def trace_from_jsonl(text: str, n: int) -> AbTrace:
         raise ValueError(f"malformed trace line {numbers[0]}")
     trace = AbTrace(n, sender, head["t"])
     for sid, line, obj in zip(range(n), numbers[1:], objs[1:]):
+        crash, t = obj.get("crash"), obj.get("t")
         if not (obj.keys() == {"server", "crash", "t"}
                 and type(obj["server"]) is int and obj["server"] == sid
-                and (obj["crash"] is None or type(obj["crash"]) is int) and _ints(obj["t"])):
+                and (crash is None or type(crash) is int) and _ints(t)
+                and all(map(le, t, t[1:])) and (crash is None or not t or t[-1] <= crash)):
             raise ValueError(f"malformed trace line {line}")
-        trace.servers[sid] = ServerTrace(obj["crash"], obj["t"])
+        trace.servers[sid] = ServerTrace(crash, t)
     return trace
 
 
@@ -181,9 +185,10 @@ def check_abcast_trace(trace: AbTrace) -> Verdict:
 
     A server with k delivery times delivered messages 0..k-1 in order, which
     is at-most-once and in the global order, so total order holds by the
-    trace's form, and the rest reduces to counts and to comparing each
-    server's times with the broadcast times at C speed.  On a trace of the
-    service the loops below visit only the servers; they name a breach.
+    trace's form (`trace_from_jsonl` refuses times that contradict it), and
+    the rest reduces to counts and to comparing each server's times with the
+    broadcast times at C speed.  On a trace of the service the loops below
+    visit only the servers; they name a breach.
     """
     servers, sent_t = trace.servers, trace.t
     counts = [len(s.t) for s in servers]

@@ -11,7 +11,8 @@ deliberately independent in spirit:
   it in O(n log n) for n ops.  Before it, the integrity and chain screen
   compares each get with a prefix of the longest one: O(ids read), all in
   tuple and set operations, with a Python loop over the ids only for a
-  history that fails, to name its first violation.
+  history that fails, to name its first violation.  A check finds the last
+  longest get and its ids' positions once, for every screen.
 * an exhaustive oracle -- for small histories, a pruned DFS over all
   precedence-respecting permutations that replays the sequential ledger and
   accepts iff some permutation reproduces every recorded return value.
@@ -22,18 +23,18 @@ is necessary, and when all pass, sorting the ops by (rank, invoke index)
 respects precedence and replays the ledger (the appends at positions
 0..m-1, in order, come just before the gets of length m): a linearization.
 
-An incomplete history is judged through one canonical completion: pending
-gets are dropped, and a pending append is kept iff some completed get or
-probe get returned its record id.  An unread pending append precedes nothing
-and appears in no read, so it can always be linearized last or left out; a
-read one must be kept, or its id is a fabrication.  So the canonical
-candidate passes iff any include/exclude candidate does.
+A history is a tuple of ops in invoke order.  An incomplete one is judged
+through one canonical completion: pending gets are dropped, and a pending
+append is kept iff some completed get or probe get returned its record id.
+An unread pending append precedes nothing and appears in no read, so it can
+always be linearized last or left out; a read one must be kept, or its id is
+a fabrication.  So the canonical candidate passes iff any include/exclude
+candidate does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .histories import APPEND, GET, Op
@@ -52,24 +53,10 @@ class CapacityError(CheckerError):
     """Input exceeds a hard enumeration bound."""
 
 
-@dataclass(frozen=True)
-class CompletedHistory:
-    """A complete history candidate: only whole operations remain."""
-
-    ops: tuple[Op, ...]
-
-    @property
-    def gets(self) -> list[Op]:
-        return [op for op in self.ops if op.kind == GET]
-
-    @property
-    def appends(self) -> list[Op]:
-        return [op for op in self.ops if op.kind == APPEND]
-
-
 def complete_history(completed: Sequence[Op], pending: Sequence[Op],
-                     probe_ops: Sequence[Op] = ()) -> list[CompletedHistory]:
-    """The canonical completion of an incomplete history, as a one-item list.
+                     probe_ops: Sequence[Op] = ()) -> list[tuple[Op, ...]]:
+    """The canonical completion of an incomplete history: its ops in invoke
+    order, as a one-item list.
 
     Pending gets are removed.  A pending append is kept, with an unreachable
     response index so it precedes nothing, iff its record id appears in the
@@ -83,7 +70,7 @@ def complete_history(completed: Sequence[Op], pending: Sequence[Op],
             if g.kind == GET:
                 read.update(pending_rids.intersection(g.seq or ()))
     kept = [op for op in pending if op.rid in read]
-    return [CompletedHistory(tuple(sorted((*completed, *kept), key=lambda op: op.invoke_i)))]
+    return [tuple(sorted((*completed, *kept), key=lambda op: op.invoke_i))]
 
 
 # -- sequential replay -------------------------------------------------------
@@ -117,26 +104,32 @@ def check_validated_spec(ops: Sequence[Op], pred: ValidityPredicate) -> Verdict:
 
 # -- property screens --------------------------------------------------------
 
-def _non_ack_append(h: CompletedHistory) -> Verdict | None:
+def _longest_read(gets: Sequence[Op]) -> tuple[Op | None, tuple[str, ...], dict[str, int]]:
+    """The last longest get (None without gets), its sequence, and its ids' positions."""
+    longest_get = max(reversed(gets), key=lambda g: len(g.seq or ()), default=None)
+    longest = longest_get.seq or () if longest_get else ()
+    return longest_get, longest, {rid: i for i, rid in enumerate(longest)}
+
+
+def _non_ack_append(appends: Sequence[Op]) -> Verdict | None:
     """A completed append answered with anything but ack breaks the plain ledger."""
-    for op in h.appends:
+    for op in appends:
         if op.result not in (ACK, None):
             return failed("SeqSpec", [op.op_id])
     return None
 
 
-def _integrity_and_chain(gets: Sequence[Op], appended: dict[str, Op]) -> Verdict | None:
+def _integrity_and_chain(gets: Sequence[Op], appended: set[str], longest: tuple[str, ...],
+                         pos: dict[str, int]) -> Verdict | None:
     """Fabrication, duplicates, and the global prefix chain over get returns.
 
-    All three hold iff every get is a prefix of the longest one and that one
-    holds only appended ids, each once; that is tested first with tuple and
-    set operations.  Only a history that fails it walks the ids one by one,
-    to name the first violation.
+    All three hold iff every get is a prefix of ``longest``, a longest one,
+    and that one holds only appended ids, each once (``pos`` has a key per
+    id); that is tested first with tuple and set operations.  Only a history
+    that fails it walks the ids one by one, to name the first violation.
     """
     seqs = [g.seq or () for g in gets]
-    longest = max(seqs, key=len, default=())
-    ids = set(longest)
-    if (len(ids) == len(longest) and ids <= appended.keys()
+    if (len(pos) == len(longest) and pos.keys() <= appended
             and all(s == longest[:len(s)] for s in seqs)):
         return None
     for g in gets:
@@ -160,21 +153,16 @@ _TAGS = {
 }
 
 
-def _ordering_violation(h: CompletedHistory, same_client_only: bool) -> Verdict | None:
+def _ordering_violation(ops: Sequence[Op], longest_get: Op | None, pos: dict[str, int],
+                        same_client_only: bool) -> Verdict | None:
     """The rank rule as one sweep: A1..A4 under real-time precedence, S1..S4
-    under same-client precedence.  Assumes the prefix chain passed.
+    under same-client precedence.  Assumes ``ops`` in invoke order and a passed chain.
 
     Ops are visited by invoke index while a pointer over the response order
     folds each op that precedes the visited one into its group's running max
     rank.  The first op ranked below that max fails, with the earliest-
     responding holder of the max; A1/S1 add the longest get as witness.
     """
-    longest_get = None
-    for g in h.gets:
-        if longest_get is None or len(g.seq or ()) >= len(longest_get.seq or ()):
-            longest_get = g
-    pos = {rid: i for i, rid in enumerate(longest_get.seq or ())} if longest_get else {}
-    ops = sorted(h.ops, key=lambda op: op.invoke_i)
     rank = [2 * len(op.seq or ()) if op.kind == GET else 2 * pos.get(op.rid, math.inf) + 1
             for op in ops]
     by_response = sorted(range(len(ops)), key=lambda i: ops[i].response_i)
@@ -198,27 +186,29 @@ def _ordering_violation(h: CompletedHistory, same_client_only: bool) -> Verdict 
     return None
 
 
-def _property_check(h: CompletedHistory, same_client_only: bool) -> Verdict:
-    v = (_non_ack_append(h)
-         or _integrity_and_chain(h.gets, {op.rid: op for op in h.appends})
-         or _ordering_violation(h, same_client_only))
+def _property_check(ops: Sequence[Op], same_client_only: bool) -> Verdict:
+    gets, appends = [op for op in ops if op.kind == GET], [op for op in ops if op.kind == APPEND]
+    longest_get, longest, pos = _longest_read(gets)
+    v = (_non_ack_append(appends)
+         or _integrity_and_chain(gets, {op.rid for op in appends}, longest, pos)
+         or _ordering_violation(ops, longest_get, pos, same_client_only))
     return v or passed()
 
 
-def check_atomic(h: CompletedHistory) -> Verdict:
-    """Linearizability of a ledger history (real-time precedence)."""
-    return _property_check(h, same_client_only=False)
+def check_atomic(ops: Sequence[Op]) -> Verdict:
+    """Linearizability of a ledger history, ops in invoke order (real-time precedence)."""
+    return _property_check(ops, same_client_only=False)
 
 
-def check_sequential_consistency(h: CompletedHistory) -> Verdict:
-    """Sequential consistency of a ledger history (same-client precedence)."""
-    return _property_check(h, same_client_only=True)
+def check_sequential_consistency(ops: Sequence[Op]) -> Verdict:
+    """Sequential consistency of a history, ops in invoke order (same-client precedence)."""
+    return _property_check(ops, same_client_only=True)
 
 
-def check_eventual(h: CompletedHistory, probe_ops: Sequence[Op]) -> Verdict:
+def check_eventual(ops: Sequence[Op], probe_ops: Sequence[Op]) -> Verdict:
     """Eventual consistency: a single growing order exists and every
     completed append shows up in every post-quiescence probe get, at one
-    agreed position.
+    agreed position.  ``ops`` in invoke order.
 
     The probe gets are the concrete failure-free extension of the history;
     without them the eventual-inclusion clause cannot be witnessed, so an
@@ -226,31 +216,33 @@ def check_eventual(h: CompletedHistory, probe_ops: Sequence[Op]) -> Verdict:
     """
     if not probe_ops:
         raise CheckerError("eventual checker needs at least one probe get")
-    v = (_non_ack_append(h)
-         or _integrity_and_chain([*h.gets, *probe_ops], {op.rid: op for op in h.appends}))
+    reads = [*(op for op in ops if op.kind == GET), *probe_ops]
+    appends = [op for op in ops if op.kind == APPEND]
+    _, longest, pos = _longest_read(reads)
+    v = (_non_ack_append(appends)
+         or _integrity_and_chain(reads, {op.rid for op in appends}, longest, pos))
     if v is not None:
         return v
-    # Past the chain check, a record sits at one position in every probe.
-    probe_ids = [(p, set(p.seq or ())) for p in probe_ops]
-    for a in h.appends:
-        for p, ids in probe_ids:
-            if a.rid not in ids:
+    # Past the chain check every probe is a prefix of the longest read.
+    for a in appends:
+        for p in probe_ops:
+            if pos.get(a.rid, math.inf) >= len(p.seq or ()):
                 return failed("ProbeCompleteness", [a.op_id, p.op_id])
     return passed()
 
 
 # -- exhaustive oracle -------------------------------------------------------
 
-def linearize(h: CompletedHistory, same_client_only: bool = False) -> list[Op] | None:
-    """Search for a permutation that respects real-time precedence, or only
-    same-client precedence with ``same_client_only``, and replays correctly.
+def linearize(ops: Sequence[Op], same_client_only: bool = False) -> list[Op] | None:
+    """Search for a permutation of ``ops``, in invoke order, that respects
+    real-time precedence, or only same-client precedence with
+    ``same_client_only``, and replays correctly.
 
     DFS over schedulable operations with the ledger state carried along:
     an append extends the state, a get is schedulable only when its returned
     sequence equals the state exactly.  Visited (scheduled-set, state) pairs
     are memoized.  Returns the permutation, or None when none exists.
     """
-    ops = h.ops
     n = len(ops)
     if n > ORACLE_HARD_CAP:
         raise CapacityError(
@@ -310,15 +302,15 @@ def verify_history(completed: Sequence[Op], pending: Sequence[Op], checker: str,
     most ``ORACLE_AUTO_LIMIT`` operations; a property/oracle disagreement
     yields a divergence verdict.
     """
-    [h] = complete_history(completed, pending, probe_ops)
+    [ops] = complete_history(completed, pending, probe_ops)
     if checker == "eventual":
-        return check_eventual(h, probe_ops)
+        return check_eventual(ops, probe_ops)
     if checker not in ("atomic", "sequential"):
         raise ValueError(f"unknown checker {checker!r}")
     same_client_only = checker == "sequential"
-    v = check_sequential_consistency(h) if same_client_only else check_atomic(h)
-    if len(h.ops) <= ORACLE_AUTO_LIMIT:
-        if (linearize(h, same_client_only) is not None) != v.ok:
+    v = check_sequential_consistency(ops) if same_client_only else check_atomic(ops)
+    if len(ops) <= ORACLE_AUTO_LIMIT:
+        if (linearize(ops, same_client_only) is not None) != v.ok:
             return Verdict(DIVERGENCE, v.violated, list(v.witness), oracle_used=True)
         v.oracle_used = True
     return v

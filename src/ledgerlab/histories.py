@@ -10,8 +10,8 @@ layout (the writer's key order; a reader takes any, see `jsonl_objects`):
 
 Appends carry their payload on the invoke and their ack/nack on the response;
 gets carry their returned record-id sequence on the response, as ``p`` and
-``tail``.  No event carries any other field.  The record id of an append is
-derived as `<client>.<c>`.
+``tail``.  No event carries any other field.  An op's id ``op`` is
+`<client>.<c>`, and an append's record id is its op id.
 
 A get's sequence is stored against ``ref``, the longest sequence among the
 get responses before it in the file (``()`` before the first; a later
@@ -95,6 +95,14 @@ _LAYOUTS = {
 }
 
 
+def unique_keys(pairs: list[tuple]) -> dict:
+    """The ``object_pairs_hook`` of every artifact file: ValueError on a repeated key."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("repeated key")
+    return obj
+
+
 def jsonl_objects(text: str, what: str) -> tuple[list[int], list[dict]]:
     """The line numbers and objects of the non-blank lines of ``text``, under
     the rule of both artifact files: each such line is one JSON object, each
@@ -114,16 +122,13 @@ def jsonl_objects(text: str, what: str) -> tuple[list[int], list[dict]]:
         lines = [lines[n - 1] for n in numbers]
     made = 0
 
-    def unique_keys(pairs: list[tuple]) -> dict:
+    def counted(pairs: list[tuple]) -> dict:
         nonlocal made
         made += 1
-        obj = dict(pairs)
-        if len(obj) != len(pairs):
-            raise ValueError("repeated key")
-        return obj
+        return unique_keys(pairs)
 
     try:
-        objs = json.loads("[" + ",\n".join(lines) + "]", object_pairs_hook=unique_keys)
+        objs = json.loads("[" + ",\n".join(lines) + "]", object_pairs_hook=counted)
     except (RecursionError, ValueError):
         objs = None
     if not (objs is not None and made == len(objs) == len(lines)
@@ -201,27 +206,24 @@ class Op(NamedTuple):
 def pair_events(events: Sequence[HistoryEvent]) -> tuple[list[Op], list[Op]]:
     """Match invokes with responses; returns (completed ops, pending ops).
 
-    Raises ValueError on malformed histories (a response that is not its
-    client's open operation, an op id invoked twice, a client with two
-    operations in flight at once, or two appends minting one record id).
+    Raises ValueError on malformed histories (an invoke whose op id is not
+    `<client>.<c>`, a response that is not its client's open operation, an
+    op id invoked twice, or a client with two operations in flight at once).
     """
     open_ops: dict[int, tuple[int, HistoryEvent]] = {}  # client -> its one op in flight
     invoked: set[str] = set()
-    minted: set[str] = set()
     completed: list[Op] = []
     for i, e in enumerate(events):
         if e.ev == INVOKE:
+            rid = make_rid(e.client, e.c)
+            if e.op_id != rid:
+                raise ValueError(f"op id {e.op_id} is not <client>.<c>, {rid}")
             if e.op_id in invoked:
                 raise ValueError(f"duplicate invoke for op {e.op_id}")
             invoked.add(e.op_id)
             if e.client in open_ops:
                 raise ValueError(f"client {e.client} invoked {e.op_id} while "
                                  f"{open_ops[e.client][1].op_id} pending")
-            if e.kind == APPEND:
-                rid = make_rid(e.client, e.c)
-                if rid in minted:
-                    raise ValueError(f"append {e.op_id} mints record id {rid} a second time")
-                minted.add(rid)
             open_ops[e.client] = (i, e)
         elif e.ev == RESPONSE:
             inv_i, inv = open_ops.pop(e.client, (None, None))
@@ -231,13 +233,13 @@ def pair_events(events: Sequence[HistoryEvent]) -> tuple[list[Op], list[Op]]:
                 raise ValueError(f"response does not match invoke for op {e.op_id}")
             completed.append(Op(
                 e.op_id, e.client, e.kind, e.c, inv_i, inv.t, i, e.t, inv.payload,
-                make_rid(e.client, e.c) if e.kind == APPEND else None, e.result, e.seq))
+                e.op_id if e.kind == APPEND else None, e.result, e.seq))
         else:
             raise ValueError(f"unknown event type {e.ev!r}")
     pending = [
         Op(op_id=inv.op_id, client=inv.client, kind=inv.kind, c=inv.c,
            invoke_i=inv_i, invoke_t=inv.t, payload=inv.payload,
-           rid=make_rid(inv.client, inv.c) if inv.kind == APPEND else None)
+           rid=inv.op_id if inv.kind == APPEND else None)
         for inv_i, inv in open_ops.values()
     ]
     pending.sort(key=lambda op: op.invoke_i)

@@ -177,23 +177,6 @@ def filter_valid(seq: Iterable[Record], pred: ValidityPredicate) -> tuple[Record
     return tuple(r for r in seq if pred.step(state, r))
 
 
-class _Fold:
-    """One predicate's read-side repair of a ledger, advanced lazily.
-
-    ``kept_ids`` are the ids `filter_valid` keeps from the first
-    ``len(upto) - 1`` records, ``state`` is the fold state after them, and
-    ``upto[i]`` is the number kept among the first ``i`` records.
-    """
-
-    __slots__ = ("pred", "state", "kept_ids", "upto")
-
-    def __init__(self, pred: ValidityPredicate) -> None:
-        self.pred = pred
-        self.state = pred.start()
-        self.kept_ids: list[str] = []
-        self.upto = [0]
-
-
 class Ledger:
     """Append-only record sequence with whole-sequence and prefix-id reads.
 
@@ -206,7 +189,9 @@ class Ledger:
         self._items: list[Record] = []
         self._ids: list[str] = []
         self._rids: set[str] = set()
-        self._folds: dict[int, _Fold] = {}  # id(pred) -> its fold; the fold holds pred
+        # id(pred) -> (pred.step, state, kept_ids, upto), the bound step keeping pred
+        # alive: the fold has run over len(upto) - 1 records; the first i keep upto[i].
+        self._folds: dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self._items)
@@ -227,15 +212,14 @@ class Ledger:
             return tuple(self._ids[:n])
         fold = self._folds.get(id(pred))
         if fold is None:
-            fold = self._folds[id(pred)] = _Fold(pred)
-        upto = fold.upto
+            fold = self._folds[id(pred)] = (pred.step, pred.start(), [], [0])
+        step, state, kept_ids, upto = fold
         if n >= len(upto):
-            step, state, kept_ids = pred.step, fold.state, fold.kept_ids
             for r in self._items[len(upto) - 1:n]:
                 if step(state, r):
                     kept_ids.append(r.rid)
                 upto.append(len(kept_ids))
-        return tuple(fold.kept_ids[:upto[n]])
+        return tuple(kept_ids[:upto[n]])
 
     def append(self, r: Record) -> str:
         if r.rid in self._rids:

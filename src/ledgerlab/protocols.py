@@ -4,6 +4,7 @@ All three consistency levels run one replica state machine on top of the
 total-order broadcast service.  Every append broadcasts its record; a
 delivered record joins the replica once, acks the append if this server
 stashed it, and releases any parked get whose floor the replica now meets.
+A server's one stash maps each broadcast it awaits to the request it answers.
 The levels differ in two decisions only:
 
 * an eventual append is acked at request time, before its record is
@@ -55,8 +56,8 @@ class Server:
         self.sid = sid
         self.net = net
         self.replica = Ledger()
-        self.stashed_appends: dict[str, tuple[Client, int]] = {}  # rid -> (client, c)
-        self.stashed_gets: set[tuple[Client, int]] = set()  # atomic mode: (client, c)
+        # awaited broadcast (a Record, equal by id, or an atomic get) -> asker
+        self.stash: dict[Record | tuple[Client, int], tuple[Client, int]] = {}
         self.parked_gets: list[tuple[Client, int, int]] = []  # (client, c, floor)
         self.crashed = False
 
@@ -68,7 +69,7 @@ class Server:
             # acked before the record is anywhere: the defining weakness
             self.net.send(client.on_response, c, None, None)
         else:
-            self.stashed_appends[record.rid] = (client, c)
+            self.stash[record] = (client, c)
 
     def on_get(self, client: Client, c: int, floor: int) -> None:
         """``floor``: serve only once the replica is this long; 0 outside
@@ -77,28 +78,24 @@ class Server:
             return
         if self.mode == ATOMIC:
             self.net.abroadcast(self.sid, (client, c))
-            self.stashed_gets.add((client, c))
+            self.stash[client, c] = (client, c)
         elif len(self.replica) >= floor:
             self.net.send(client.on_response, c, self.replica, len(self.replica))
         else:
             self.parked_gets.append((client, c, floor))
 
     def handle_adeliver(self, payload: Record | tuple[Client, int]) -> None:
-        if not isinstance(payload, Record):  # an atomic get's (client, c)
-            if payload in self.stashed_gets:
-                self.stashed_gets.remove(payload)
-                client, c = payload
-                self.net.send(client.on_response, c, self.replica, len(self.replica))
-            return
-        self.replica.add(payload)
+        record = isinstance(payload, Record)
+        if record:
+            self.replica.add(payload)
         # Acknowledge on any delivery of the record while stashed, not only
         # the first: the first copy can land before this server has even seen
         # the client's request, and the client must still get an answer.
-        entry = self.stashed_appends.pop(payload.rid, None)
-        if entry is not None:
-            client, c = entry
-            self.net.send(client.on_response, c, None, len(self.replica))
-        if self.parked_gets:
+        asker = self.stash.pop(payload, None)
+        if asker is not None:
+            client, c = asker
+            self.net.send(client.on_response, c, None if record else self.replica, len(self.replica))
+        if record and self.parked_gets:
             length = len(self.replica)
             still_parked = []
             for client, c, floor in self.parked_gets:

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from . import protocols
 from .abcast import AbTrace, BroadcastService, trace_from_jsonl
-from .histories import HistoryEvent, Op, events_from_jsonl, events_to_jsonl
+from .histories import HistoryEvent, Op, events_from_jsonl, events_to_jsonl, unique_keys
 from .ledger import (Record, ValidityPredicate, is_int, predicate_from_config,
                      predicate_to_config)
 
@@ -294,7 +294,7 @@ def generate_workload(spec: Mapping, clients: int, seed: int) -> list[list[tuple
     return out
 
 
-def expand_crashes(schedule, n: int, f: int, seed: int) -> list[tuple[int, int]]:
+def expand_crashes(schedule, n: int, seed: int) -> list[tuple[int, int]]:
     """Resolve a crash schedule (explicit list or seeded generator) to entries."""
     if isinstance(schedule, Mapping):
         spec = schedule["random"]
@@ -336,7 +336,7 @@ class RunArtifact:
 def load_artifact(artifact_dir: str | Path) -> RunArtifact:
     d = Path(artifact_dir)
     try:
-        meta = json.loads((d / "meta.json").read_text())
+        meta = json.loads((d / "meta.json").read_text(), object_pairs_hook=unique_keys)
         fields = {"probe_from_t", "scenario", "scenario_sha256", "seed"}
         if not (isinstance(meta, dict) and meta.keys() == fields):
             raise ValueError(f"meta.json must hold exactly the fields {sorted(fields)}")
@@ -436,7 +436,7 @@ class Simulator:
 
     def run(self) -> RunArtifact:
         sc = self.scenario
-        for sid, t in expand_crashes(sc.crash_schedule, sc.n, sc.f, sc.seed):
+        for sid, t in expand_crashes(sc.crash_schedule, sc.n, sc.seed):
             self.schedule(t, self._crash_server, sid)
         for cid, t in sc.client_crashes:
             self.schedule(t, self.clients[cid].crash)
@@ -481,24 +481,21 @@ class ConsensusResult:
 
 
 def run_consensus(n: int, f: int, proposals: Sequence[str], seed: int,
-                  max_delay: int = 10, crash_schedule=None) -> ConsensusResult:
+                  max_delay: int = 10) -> ConsensusResult:
     """Run the propose/decide reduction over an eventual-mode ledger.
 
-    With no explicit schedule, f servers crash at seeded times early in the
-    run (the adversarial case for the polling loop).  The scenario is
-    validated before that draw.
+    f servers crash at seeded times early in the run (the adversarial case
+    for the polling loop).  The scenario is validated before that draw.
     """
     scenario = scenario_from_dict({
         "n": n, "f": f, "clients": len(proposals), "mode": protocols.EVENTUAL,
         "seed": seed, "max_delay": max_delay, "probe_gets": 0,
         "workload": [[] for _ in proposals],
-        "crash_schedule": crash_schedule or (),
     })
-    if crash_schedule is None:
-        rng = random.Random(f"crash:{seed}")
-        servers = sorted(rng.sample(range(n), f))
-        scenario = dataclasses.replace(scenario, crash_schedule=tuple(
-            (sid, rng.randint(0, 3 * max_delay)) for sid in servers))
+    rng = random.Random(f"crash:{seed}")
+    servers = sorted(rng.sample(range(n), f))
+    scenario = dataclasses.replace(scenario, crash_schedule=tuple(
+        (sid, rng.randint(0, 3 * max_delay)) for sid in servers))
 
     simulator = Simulator(scenario)
     proposers = [protocols.ProposerClient(c.cid, c.targets, simulator, value=value)

@@ -146,7 +146,16 @@ def columnar_traces(draw):
 
 @given(columnar_traces())
 def test_any_trace_round_trips(trace):
-    assert trace_from_jsonl(trace.to_jsonl(), trace.n) == trace
+    """A trace round-trips iff each server's times never decrease and end no
+    later than its crash; otherwise the first server that breaks this is
+    named by its line."""
+    broken = [sid for sid, s in enumerate(trace.servers)
+              if s.t != sorted(s.t) or (s.crash is not None and s.t and s.t[-1] > s.crash)]
+    if not broken:
+        assert trace_from_jsonl(trace.to_jsonl(), trace.n) == trace
+    else:
+        with pytest.raises(ValueError, match=f"^malformed trace line {broken[0] + 2}$"):
+            trace_from_jsonl(trace.to_jsonl(), trace.n)
 
 
 @given(columnar_traces())
@@ -229,6 +238,12 @@ def _line(k, text):
                  id="extra-server-key"),
     pytest.param(_line(3, '{"server":2,"crash":null,"msg":[0,1],"t":[3,4]}'),
                  "malformed trace line 4", id="msg-column"),
+    pytest.param(_line(1, '{"server":0,"crash":null,"t":[3,2]}'), "malformed trace line 2",
+                 id="decreasing-times"),
+    pytest.param(_line(2, '{"server":1,"crash":1,"t":[2]}'), "malformed trace line 3",
+                 id="delivery-after-crash"),
+    pytest.param(_line(3, '{"server":2,"crash":3,"t":[3,4]}'), "malformed trace line 4",
+                 id="last-delivery-after-crash"),
     pytest.param(GOOD[:3], "trace has 3 lines, want 4", id="missing-server-line"),
     pytest.param([*GOOD, GOOD[3]], "trace has 5 lines, want 4", id="extra-server-line"),
     pytest.param(_line(1, "[0]"), "trace line 2 is not a JSON object", id="array-line"),
@@ -239,6 +254,11 @@ def _line(k, text):
 def test_malformed_trace_is_rejected(lines, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         trace_from_jsonl("\n".join(lines) + "\n", 3)
+
+
+def test_times_may_repeat_and_a_delivery_may_share_its_crash_tick():
+    trace = trace_from_jsonl("\n".join(_line(2, '{"server":1,"crash":2,"t":[2,2]}')), 3)
+    assert trace.servers[1] == ServerTrace(2, [2, 2])
 
 
 def test_last_line_may_lack_its_newline():

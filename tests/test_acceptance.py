@@ -149,7 +149,7 @@ def test_criterion_5_eventual_soundness(eventual_campaign):
     scenario = campaign_scenario("eventual")
     with_f_crashes = sum(
         1 for seed in range(SEEDS)
-        if len(sim.expand_crashes(scenario.crash_schedule, 3, 1, seed)) == 1)
+        if len(sim.expand_crashes(scenario.crash_schedule, 3, seed)) == 1)
     ok = agg["pass"] == SEEDS and with_f_crashes > 0
     report(5, "eventual-soundness", ok,
            f"{agg['pass']}/{SEEDS} pass, {with_f_crashes} runs with exactly f crashes")

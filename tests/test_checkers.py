@@ -8,7 +8,6 @@ from ledgerlab.checkers import (
     ORACLE_AUTO_LIMIT,
     CapacityError,
     CheckerError,
-    CompletedHistory,
     check_atomic,
     check_eventual,
     check_sequential_consistency,
@@ -26,20 +25,35 @@ from conftest import op, scenario
 
 
 def hist(*ops):
-    return CompletedHistory(tuple(ops))
+    """A history as the checkers take it: its ops as a tuple in invoke order."""
+    return tuple(sorted(ops, key=lambda o: o.invoke_i))
+
+
+def gets_of(h):
+    return [o for o in h if o.kind == "get"]
+
+
+def appends_of(h):
+    return [o for o in h if o.kind == "append"]
+
+
+def integrity_and_chain(gets, appended):
+    """`_integrity_and_chain` given the longest read of ``gets`` and its positions."""
+    _, longest, pos = checkers._longest_read(gets)
+    return checkers._integrity_and_chain(gets, set(appended), longest, pos)
 
 
 class TestCompletion:
     def test_complete_history_is_its_own_single_candidate(self):
         ops = [op("0.1", "append", 0, 1), op("0.2", "get", 2, 3, seq=["0.1"])]
         out = complete_history(ops, [])
-        assert len(out) == 1 and out[0].ops == tuple(ops)
+        assert len(out) == 1 and out[0] == tuple(ops)
 
     def test_pending_gets_are_removed(self):
         pending = [op("1.1", "get", 4)]
         out = complete_history([op("0.1", "append", 0, 1)], pending)
         assert len(out) == 1
-        assert all(o.kind == "append" for o in out[0].ops)
+        assert all(o.kind == "append" for o in out[0])
 
     def test_pending_appends_fork_into_include_and_exclude(self):
         # the read pending append is kept and precedes nothing; the unread one
@@ -47,11 +61,11 @@ class TestCompletion:
         completed = [op("0.1", "get", 3, 6, seq=["1.1"])]
         pending = [op("1.1", "append", 1), op("2.1", "append", 2)]
         [h] = complete_history(completed, pending)
-        assert [o.op_id for o in h.ops] == ["1.1", "0.1"]
-        assert h.ops[0].response_i == math.inf
+        assert [o.op_id for o in h] == ["1.1", "0.1"]
+        assert h[0].response_i == math.inf
         # a probe read keeps a pending append too
         [h] = complete_history([], pending, [op("0.2", "get", 7, 8, seq=["2.1"])])
-        assert [o.op_id for o in h.ops] == ["2.1"]
+        assert [o.op_id for o in h] == ["2.1"]
 
     def test_forty_pending_appends_get_a_verdict(self):
         pending = [op(f"{i}.1", "append", i) for i in range(40)]
@@ -68,7 +82,7 @@ class TestCompletion:
         completed = [op("0.1", "get", 1, 6, seq=["1.1"])]
         pending = [op("1.1", "append", 0, payload="x")]
         [h] = complete_history(completed, pending)
-        assert [o.op_id for o in h.ops] == ["1.1", "0.1"]
+        assert [o.op_id for o in h] == ["1.1", "0.1"]
         assert verify_history(completed, pending, "atomic").ok
         # while the history without the read record is a fabrication
         assert check_atomic(hist(*completed)).violated == "Fabrication"
@@ -97,7 +111,7 @@ def enumerated_verdict(completed, pending, checker, probe_ops=()):
         if verdicts[-1].ok:
             break
     result = verdicts[-1] if verdicts[-1].ok else verdicts[0]
-    if checker != "eventual" and max(len(c.ops) for c in candidates) <= ORACLE_AUTO_LIMIT:
+    if checker != "eventual" and max(len(c) for c in candidates) <= ORACLE_AUTO_LIMIT:
         same_client_only = checker == "sequential"
         oracle_ok = any(linearize(c, same_client_only) is not None for c in candidates)
         if oracle_ok != result.ok:
@@ -166,7 +180,7 @@ class TestCanonicalCompletion:
             [h] = complete_history(completed, pending, probes)
             stats["pending"] += k > 0
             stats["max_k"] = max(stats["max_k"], k)
-            stats["read_pending"] += any(o.response_i == math.inf for o in h.ops)
+            stats["read_pending"] += any(o.response_i == math.inf for o in h)
             for variant in ((completed, probes), mutate_reads(rng, completed, pending, probes)):
                 c, p = variant
                 for checker in ("atomic", "sequential", "eventual"):
@@ -382,12 +396,12 @@ class TestEventualChecker:
 def positional_eventual(h, probe_ops):
     """Reference: the eventual screen as it was before the set test, which
     also compared each record's position across the probes."""
-    v = (checkers._non_ack_append(h)
-         or checkers._integrity_and_chain([*h.gets, *probe_ops], {op.rid: op for op in h.appends}))
+    v = (checkers._non_ack_append(appends_of(h))
+         or integrity_and_chain([*gets_of(h), *probe_ops], {op.rid: op for op in appends_of(h)}))
     if v is not None:
         return v
     probe_pos = [(p, {rid: i for i, rid in enumerate(p.seq or ())}) for p in probe_ops]
-    for a in h.appends:
+    for a in appends_of(h):
         expected = None
         for p, pos in probe_pos:
             i = pos.get(a.rid)
@@ -664,7 +678,7 @@ class TestWitnessMinimality:
         h = hist(*ops)
         v = (check_sequential_consistency if tag.startswith("S") else check_atomic)(h)
         assert v.violated == tag
-        by_id = {o.op_id: o for o in h.ops}
+        by_id = {o.op_id: o for o in h}
         witness_ops = [by_id[w] for w in v.witness if w in by_id]
         assert violates_named_property(tag, witness_ops)
 
@@ -674,8 +688,8 @@ def pairwise_ordering_violation(h, same_client_only):
     pair, as the screens did before the rank sweep."""
     tag = {"aa": "S1", "ga": "S2", "ag": "S3", "gg": "S4"} if same_client_only \
         else {"aa": "A1", "ag": "A2", "gg": "A3", "ga": "A4"}
-    gets = h.gets
-    appends = [op for op in h.appends if op.result == "ack" or op.result is None]
+    gets = gets_of(h)
+    appends = [op for op in appends_of(h) if op.result == "ack" or op.result is None]
     longest = ()
     longest_get = None
     for g in gets:
@@ -720,19 +734,19 @@ def pairwise_ordering_violation(h, same_client_only):
 
 def pairwise_check(h, same_client_only):
     """Reference screen: shared integrity and chain checks, then the pairwise loop."""
-    appended = {o.rid: o for o in h.appends}
-    return (checkers._integrity_and_chain(h.gets, appended)
+    appended = {o.rid: o for o in appends_of(h)}
+    return (integrity_and_chain(gets_of(h), appended)
             or pairwise_ordering_violation(h, same_client_only) or passed())
 
 
 def rank_order(h):
     """The ops sorted by (rank, invoke index), ranks read off the longest get."""
-    longest = max((g.seq for g in h.gets), key=len, default=())
+    longest = max((g.seq for g in gets_of(h)), key=len, default=())
     pos = {rid: i for i, rid in enumerate(longest)}
 
     def rank(o):
         return 2 * len(o.seq) if o.kind == "get" else 2 * pos.get(o.rid, math.inf) + 1
-    return sorted(h.ops, key=lambda o: (rank(o), o.invoke_i))
+    return sorted(h, key=lambda o: (rank(o), o.invoke_i))
 
 
 def sweep_corpus(rng):
@@ -757,7 +771,7 @@ class TestRankSweep:
         rng = random.Random("sweep-vs-pairwise")
         stats = {"pass": 0, "fail": 0, "order_fail": 0, "sequential_only": 0}
         for h in sweep_corpus(rng):
-            by_id = {o.op_id: o for o in h.ops}
+            by_id = {o.op_id: o for o in h}
             oks = []
             for checkfn, same_client_only in ((check_atomic, False),
                                               (check_sequential_consistency, True)):
@@ -786,8 +800,8 @@ class TestRankSweep:
                     continue
                 order = rank_order(h)
                 at = {o.op_id: i for i, o in enumerate(order)}
-                for x in h.ops:
-                    for y in h.ops:
+                for x in h:
+                    for y in h:
                         if x.precedes(y) and (not same_client_only or x.client == y.client):
                             assert at[x.op_id] < at[y.op_id], (h, x, y)
                 assert check_validated_spec(order, ALWAYS_TRUE).ok, h
@@ -853,11 +867,11 @@ def chain_corpus(rng):
     for _ in range(300):
         h = random_history(rng, rng.randint(1, 6), rng.randint(2, 80),
                            noise=rng.choice((None, 0, 0.01, 0.05, 0.2)))
-        yield h.gets, {o.rid: o for o in h.appends}
+        yield gets_of(h), {o.rid: o for o in appends_of(h)}
     for seed in range(150):
         completed, pending, probes = crashy_split(rng, seed)
         [h] = complete_history(completed, pending, probes)
-        gets, appended = [*h.gets, *probes], {o.rid: o for o in h.appends}
+        gets, appended = [*gets_of(h), *probes], {o.rid: o for o in appends_of(h)}
         yield gets, appended
         if gets:
             for _ in range(4):
@@ -869,7 +883,7 @@ class TestChainScreenFastPath:
         rng = random.Random("chain-screen-vs-loop")
         stats = {"pass": 0, "Fabrication": 0, "Duplicate": 0, "PrefixChain": 0}
         for gets, appended in chain_corpus(rng):
-            got = checkers._integrity_and_chain(gets, appended)
+            got = integrity_and_chain(gets, appended)
             want = loop_integrity_and_chain(gets, appended)
             assert got == want, (gets, got, want)
             stats[got.violated if got else "pass"] += 1

@@ -195,6 +195,9 @@ def _meta_field(path, value):
     ("history.jsonl", _jsonl_field("p", False), "atomic"),
     ("history.jsonl", _jsonl_field("p", "0"), "atomic"),
     ("history.jsonl", _jsonl_edit(lambda obj: "p" in obj, _v1_read), "atomic"),
+    ("meta.json", lambda text: text.replace('\n "seed": ', '\n "seed": 99,\n "seed": '), "atomic"),
+    ("abtrace.jsonl", _server_line(lambda obj: obj["t"].extend([1, 0])), "abcast"),
+    ("abtrace.jsonl", _server_line(lambda obj: obj.__setitem__("crash", 0)), "abcast"),
 ], ids=["history-string-counter", "meta-list", "history-list-client",
         "history-list-op", "history-string-time-eventual", "history-bool-counter",
         "history-unknown-ev", "history-unknown-kind", "history-string-seq",
@@ -208,7 +211,8 @@ def _meta_field(path, value):
         "meta-other-seed-abcast", "meta-unknown-key", "abtrace-extra-field",
         "meta-probe-from-t-zero-eventual", "history-missing-p", "history-missing-tail",
         "history-p-beyond-longest-earlier-read", "history-negative-p", "history-bool-p",
-        "history-string-p", "history-v1-seq-line"])
+        "history-string-p", "history-v1-seq-line", "meta-repeated-seed",
+        "abtrace-decreasing-times", "abtrace-delivery-after-crash"])
 def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt, checker):
     art = tmp_path / "art"
     main(["run", "--scenario", scen_file(), "--out", str(art)])

@@ -183,13 +183,14 @@ def test_real_time_precedence_comes_from_event_positions():
     ([ev("0.1", 0, "invoke", "append", 1, 0, payload="x"),
       ev("0.1", 0, "response", "append", 1, 1, result="ack"),
       ev("0.2", 0, "invoke", "append", 1, 2, payload="y")],
-     "mints record id 0.1 a second time"),
+     "op id 0.2 is not <client>.<c>, 0.1"),
+    ([ev("0.2", 0, "invoke", "get", 1, 0)], "op id 0.2 is not <client>.<c>, 0.1"),
     ([ev("0.1", 0, "invoke", "get", 1, 0), ev("0.1", 0, "response", "get", 1, 1, seq=()),
       ev("0.1", 0, "invoke", "get", 1, 2)],
      "duplicate invoke for op 0.1"),
     ([ev("0.1", 0, "invoke", "get", 1, 0), ev("0.1", 0, "response", "get", 1, 1, seq=()),
       ev("0.1", 1, "invoke", "get", 1, 2)],
-     "duplicate invoke for op 0.1"),
+     "op id 0.1 is not <client>.<c>, 1.1"),
 ])
 def test_malformed_histories_rejected(events, msg):
     with pytest.raises(ValueError, match=msg):

@@ -215,19 +215,19 @@ class TestWorkloadGeneration:
 
 class TestCrashExpansion:
     def test_explicit_passthrough(self):
-        assert expand_crashes([(1, 5)], 3, 1, 0) == [(1, 5)]
+        assert expand_crashes([(1, 5)], 3, 0) == [(1, 5)]
 
     def test_random_is_seed_deterministic_and_bounded(self):
         spec = {"random": {"max_crashes": 1, "until": 50}}
-        out = expand_crashes(spec, 3, 1, 7)
-        assert out == expand_crashes(spec, 3, 1, 7)
+        out = expand_crashes(spec, 3, 7)
+        assert out == expand_crashes(spec, 3, 7)
         assert len(out) <= 1
         for sid, t in out:
             assert 0 <= sid < 3 and 0 <= t <= 50
 
     def test_random_eventually_produces_f_crashes(self):
         spec = {"random": {"max_crashes": 1, "until": 50}}
-        counts = {len(expand_crashes(spec, 3, 1, s)) for s in range(20)}
+        counts = {len(expand_crashes(spec, 3, s)) for s in range(20)}
         assert counts == {0, 1}
 
 
