@@ -68,7 +68,7 @@ def complete_history(completed: Sequence[Op], pending: Sequence[Op],
     if pending_rids:
         for g in (*completed, *probe_ops):
             if g.kind == GET:
-                read.update(pending_rids.intersection(g.seq or ()))
+                read.update(pending_rids.intersection(g.seq))
     kept = [op for op in pending if op.rid in read]
     return [tuple(sorted((*completed, *kept), key=lambda op: op.invoke_i))]
 
@@ -106,8 +106,8 @@ def check_validated_spec(ops: Sequence[Op], pred: ValidityPredicate) -> Verdict:
 
 def _longest_read(gets: Sequence[Op]) -> tuple[Op | None, tuple[str, ...], dict[str, int]]:
     """The last longest get (None without gets), its sequence, and its ids' positions."""
-    longest_get = max(reversed(gets), key=lambda g: len(g.seq or ()), default=None)
-    longest = longest_get.seq or () if longest_get else ()
+    longest_get = max(reversed(gets), key=lambda g: len(g.seq), default=None)
+    longest = longest_get.seq if longest_get else ()
     return longest_get, longest, {rid: i for i, rid in enumerate(longest)}
 
 
@@ -128,21 +128,20 @@ def _integrity_and_chain(gets: Sequence[Op], appended: set[str], longest: tuple[
     id); that is tested first with tuple and set operations.  Only a history
     that fails it walks the ids one by one, to name the first violation.
     """
-    seqs = [g.seq or () for g in gets]
     if (len(pos) == len(longest) and pos.keys() <= appended
-            and all(s == longest[:len(s)] for s in seqs)):
+            and all(g.seq == longest[:len(g.seq)] for g in gets)):
         return None
     for g in gets:
         seen: set[str] = set()
-        for rid in g.seq or ():
+        for rid in g.seq:
             if rid not in appended:
                 return failed("Fabrication", [g.op_id, rid])
             if rid in seen:
                 return failed("Duplicate", [g.op_id, rid])
             seen.add(rid)
-    chain = sorted(gets, key=lambda g: len(g.seq or ()))
+    chain = sorted(gets, key=lambda g: len(g.seq))
     for a, b in zip(chain, chain[1:]):
-        if (b.seq or ())[:len(a.seq or ())] != (a.seq or ()):
+        if b.seq[:len(a.seq)] != a.seq:
             return failed("PrefixChain", [a.op_id, b.op_id])
     return None
 
@@ -163,7 +162,7 @@ def _ordering_violation(ops: Sequence[Op], longest_get: Op | None, pos: dict[str
     rank.  The first op ranked below that max fails, with the earliest-
     responding holder of the max; A1/S1 add the longest get as witness.
     """
-    rank = [2 * len(op.seq or ()) if op.kind == GET else 2 * pos.get(op.rid, math.inf) + 1
+    rank = [2 * len(op.seq) if op.kind == GET else 2 * pos.get(op.rid, math.inf) + 1
             for op in ops]
     by_response = sorted(range(len(ops)), key=lambda i: ops[i].response_i)
     top: dict[int | None, int] = {}  # group -> index of its max-rank op
@@ -223,11 +222,14 @@ def check_eventual(ops: Sequence[Op], probe_ops: Sequence[Op]) -> Verdict:
          or _integrity_and_chain(reads, {op.rid for op in appends}, longest, pos))
     if v is not None:
         return v
-    # Past the chain check every probe is a prefix of the longest read.
+    # Past the chain check every probe is a prefix of the longest read: the
+    # first append missing from a probe is the first that the shortest misses.
+    shortest = min(len(p.seq) for p in probe_ops)
     for a in appends:
-        for p in probe_ops:
-            if pos.get(a.rid, math.inf) >= len(p.seq or ()):
-                return failed("ProbeCompleteness", [a.op_id, p.op_id])
+        at = pos.get(a.rid, math.inf)
+        if at >= shortest:
+            probe = next(p for p in probe_ops if len(p.seq) <= at)
+            return failed("ProbeCompleteness", [a.op_id, probe.op_id])
     return passed()
 
 
@@ -286,9 +288,9 @@ def linearize(ops: Sequence[Op], same_client_only: bool = False) -> list[Op] | N
             order.pop()
         return False
 
-    if dfs(0, ()):
-        return list(order)
-    return None
+    found = dfs(0, ())
+    del dfs  # the closure holds itself: break that cycle, freeing ``seen`` too
+    return order if found else None
 
 
 # -- verification ------------------------------------------------------------

@@ -61,6 +61,13 @@ class Server:
         self.parked_gets: list[tuple[Client, int, int]] = []  # (client, c, floor)
         self.crashed = False
 
+    def crash(self) -> None:
+        """Stop for good, dropping the requests it awaits: they hold clients,
+        which hold this server in ``targets``, a cycle that outlives the run."""
+        self.crashed = True
+        self.stash.clear()
+        self.parked_gets.clear()
+
     def on_append(self, client: Client, c: int, record: Record) -> None:
         if self.crashed:
             return

@@ -19,8 +19,10 @@ import heapq
 import json
 import math
 import random
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -145,7 +147,9 @@ def scenario_from_dict(obj: Mapping) -> Scenario:
             f"requirement (need f < n/2)")
 
     seed = _uint(obj.get("seed", 0), "seed must be an unsigned 64-bit integer", below=2 ** 64)
-    max_delay = _uint(obj.get("max_delay", 10), "max_delay must be an integer >= 1", minimum=1)
+    # A delay draw reads one 32-bit word of the network RNG (see _delay_chunks).
+    max_delay = _uint(obj.get("max_delay", 10), "max_delay must be an integer in [1, 2**32)",
+                      minimum=1, below=2 ** 32)
     probe_gets = _uint(obj.get("probe_gets", 2), "probe_gets must be a non-negative integer")
 
     workload = _validate_workload(obj.get("workload"), clients)
@@ -358,6 +362,20 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
     return RunArtifact(history, abtrace, None, meta["probe_from_t"], scenario)
 
 
+def _delay_chunks(getrandbits, max_delay: int):
+    """Successive ``randint(1, max_delay)`` values of the RNG behind
+    ``getrandbits``, a list per chunk of 64 to 4096 words.  For
+    ``max_delay < 2**32`` randint's draw is the top ``max_delay.bit_length()``
+    bits of one word, kept iff below ``max_delay``, and word i of
+    ``getrandbits(32*m)`` sits at bits 32i..32i+31."""
+    shift = 32 - max_delay.bit_length()
+    m = 64
+    while True:
+        words = struct.unpack(f"<{m}I", getrandbits(32 * m).to_bytes(4 * m, "little"))
+        yield [1 + r for w in words if (r := w >> shift) < max_delay]
+        m = min(2 * m, 4096)
+
+
 class Simulator:
     """Calendar-queue event loop (R. Brown, CACM 1988): a slot of ``(handler,
     args)`` per due time, in filing order, and a heap of the due times.  A
@@ -367,11 +385,16 @@ class Simulator:
     the broadcast service appends each broadcast's sender and time and each
     delivery's time, and a crash sets its server's crash time),
     ``history`` (the clients' `HistoryEvent` list), ``schedule(delay, fn,
-    *args)``, ``send(fn, *args)`` (the same after a drawn network delay) and
-    ``abroadcast(sid, payload)``.  There is no message type and no relay: a
-    message is ``send`` of its receiver's handler, such as a server's
-    ``on_append``/``on_get`` or a client's ``on_response``, with its fields
-    as the arguments.
+    *args)``, ``send(fn, *args)`` (the same after the run's next network
+    delay, see `_delay_chunks`) and ``abroadcast(sid, payload)``.  There is
+    no message type and no relay: a message is ``send`` of its receiver's
+    handler, such as a server's ``on_append``/``on_get`` or a client's
+    ``on_response``, with its fields as the arguments.
+
+    A Simulator runs once.  ``run`` drops its ``servers``, ``clients`` and
+    ``abroadcast`` before it returns, and a crashed server drops what it
+    awaits (`Server.crash`), so a finished run holds no reference cycle and
+    is freed by reference counting alone.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -379,9 +402,8 @@ class Simulator:
         self.now = 0
         self._slots: dict[int, list[tuple]] = {}  # due time -> [(fn, args)]
         self._times: list[int] = []  # heap of the due times in _slots
-        self._getrandbits = random.Random(f"net:{scenario.seed}").getrandbits
-        self._max_delay = scenario.max_delay
-        self._delay_bits = scenario.max_delay.bit_length()
+        self._delays = chain.from_iterable(_delay_chunks(
+            random.Random(f"net:{scenario.seed}").getrandbits, scenario.max_delay))
         self.trace = AbTrace(scenario.n)
         self.history: list[HistoryEvent] = []
 
@@ -412,17 +434,20 @@ class Simulator:
             slot.append((fn, args))
 
     def send(self, fn, *args) -> None:
-        # randint(1, max_delay)'s own rejection sampling, inlined: same stream.
-        r = self._getrandbits(self._delay_bits)
-        while r >= self._max_delay:
-            r = self._getrandbits(self._delay_bits)
-        self.schedule(1 + r, fn, *args)
+        # schedule(next(self._delays), fn, *args), filed here in one step
+        t = self.now + next(self._delays)
+        slot = self._slots.get(t)
+        if slot is None:
+            self._slots[t] = [(fn, args)]
+            heapq.heappush(self._times, t)
+        else:
+            slot.append((fn, args))
 
     # -- run control ---------------------------------------------------------
 
     def _crash_server(self, sid: int) -> None:
         if not self.servers[sid].crashed:  # a server's crash time is its first
-            self.servers[sid].crashed = True
+            self.servers[sid].crash()
             self.trace.servers[sid].crash = self.now
 
     def _drain(self) -> None:
@@ -459,6 +484,8 @@ class Simulator:
         # Build the trace's row view inside the run: perfbench's tracer
         # counts its rows off this result in a span outside every layer.
         self.trace.events  # noqa: B018
+        # The world refers back to this net; dropping it here leaves no cycle.
+        del self.servers, self.clients, self.abroadcast
         return RunArtifact(self.history, self.trace, states, probe_from_t, sc)
 
     def _check_liveness(self) -> None:

@@ -367,6 +367,17 @@ class TestEventualChecker:
         v = check_eventual(hist(*self.workload()), probes)
         assert v.violated == "ProbeCompleteness" and v.witness == ["0.1", "0.2"]
 
+    def test_names_the_first_missing_append_and_the_first_probe_it_misses(self):
+        # 2.1 is invoked first and read at position 2; probe 1.2 is the
+        # shortest, but 0.3 is the first probe that misses 2.1
+        h = hist(op("2.1", "append", 0, 1), op("0.1", "append", 1, 2),
+                 op("1.1", "append", 2, 3), op("0.2", "get", 4, 5, seq=["0.1", "1.1", "2.1"]))
+        probes = [op("0.3", "get", 10, 11, seq=["0.1", "1.1"]),
+                  op("1.2", "get", 10, 12, seq=["0.1"])]
+        v = check_eventual(h, probes)
+        assert v.violated == "ProbeCompleteness" and v.witness == ["2.1", "0.3"]
+        assert v.witness == nested_eventual(h, probes).witness
+
     def test_disagreeing_positions_fail(self):
         h = hist(op("0.1", "append", 0, 1), op("1.1", "append", 0, 1))
         probes = [
@@ -411,6 +422,22 @@ def positional_eventual(h, probe_ops):
     return passed()
 
 
+def nested_eventual(h, probe_ops):
+    """Reference: the eventual screen's probe loop as it was before the one
+    pass, every append against every probe in turn."""
+    reads = [*gets_of(h), *probe_ops]
+    _, longest, pos = checkers._longest_read(reads)
+    v = (checkers._non_ack_append(appends_of(h))
+         or checkers._integrity_and_chain(reads, {op.rid for op in appends_of(h)}, longest, pos))
+    if v is not None:
+        return v
+    for a in appends_of(h):
+        for p in probe_ops:
+            if pos.get(a.rid, math.inf) >= len(p.seq):
+                return failed("ProbeCompleteness", [a.op_id, p.op_id])
+    return passed()
+
+
 def mutate_probe(rng, probes, how):
     """Drop one id from, swap two adjacent ids of, or truncate one probe."""
     probes = list(probes)
@@ -446,9 +473,11 @@ class TestEventualSetCheck:
             for how in (None, "drop", "swap", "truncate"):
                 p = mutate_probe(rng, probes, how) if how else probes
                 [h] = complete_history(completed, pending, p)
-                got, want = check_eventual(h, p), positional_eventual(h, p)
-                assert (got.status, got.violated, got.witness) == \
-                    (want.status, want.violated, want.witness), (seed, how, got, want)
+                got = check_eventual(h, p)
+                for reference in (positional_eventual, nested_eventual):
+                    want = reference(h, p)
+                    assert (got.status, got.violated, got.witness) == \
+                        (want.status, want.violated, want.witness), (seed, how, got, want)
                 stats[got.status] += 1
                 stats["ProbeCompleteness"] += got.violated == "ProbeCompleteness"
         # 1600 cases, most of the mutated ones failing

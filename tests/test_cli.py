@@ -55,6 +55,14 @@ def test_majority_violation_exits_2(scen_file, tmp_path, capsys):
     assert "majority" in capsys.readouterr().err
 
 
+def test_max_delay_past_one_word_exits_2(scen_file, tmp_path, capsys):
+    code = main(["run", "--scenario", scen_file(max_delay=2 ** 32), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "max_delay must be an integer in [1, 2**32)" in capsys.readouterr().err
+    assert main(["run", "--scenario", scen_file(max_delay=2 ** 32 - 1),
+                 "--out", str(tmp_path / "y")]) == 0
+
+
 def test_bad_account_payloads_exit_2(scen_file, tmp_path, capsys):
     workload = {"ops_per_client": 4, "append_ratio": 1.0,
                 "payloads": {"kind": "account", "accounts": []}}

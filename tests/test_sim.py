@@ -52,6 +52,8 @@ class TestScenarioValidation:
           for balances in (None, "ab", [], 5)),
         pytest.param({"predicate": {"kind": "unique_tau", "balances": None}},
                      id="unique-tau-null-balances"),
+        # a delay draw reads one 32-bit word
+        pytest.param({"max_delay": 2 ** 32}, id="max-delay-past-one-word"),
     ])
     def test_malformed_fields_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -358,7 +360,8 @@ class TestEventLoop:
         with pytest.raises(AssertionError):
             sim.schedule(-1, lambda: None)
 
-    @pytest.mark.parametrize("max_delay", [1, 2, 3, 7, 10, 16, 1000])
+    # 20 000 sends read past the first chunks of words, each larger than the last
+    @pytest.mark.parametrize("max_delay", [1, 2, 3, 7, 10, 16, 1000, 2 ** 31, 2 ** 32 - 1])
     def test_delay_draws_are_the_randint_stream(self, max_delay):
         sim = Simulator(scenario(seed=11, max_delay=max_delay))
         rng = random.Random("net:11")
