@@ -9,10 +9,13 @@ deliberately independent in spirit:
   sequence ranks a get ``2*len(seq)``, an append ``2*pos+1`` (+inf if
   unread), and x preceding y requires rank(x) <= rank(y).  One sweep checks
   it in O(n log n) for n ops.  Before it, the integrity and chain screen
-  compares each get with a prefix of the longest one: O(ids read), all in
-  tuple and set operations, with a Python loop over the ids only for a
-  history that fails, to name its first violation.  A check finds the last
-  longest get and its ids' positions once, for every screen.
+  compares each get with a prefix of the longest one.  A loaded correct run
+  holds its gets as views of one id list (see `histories`), so each
+  comparison is O(1) and the screen is O(gets + longest read); a get held
+  as a tuple or a view of another list costs its length.  A Python loop
+  over the ids runs only for a history that fails, to name its first
+  violation.  A check finds the last longest get and its ids' positions
+  once, for every screen.
 * an exhaustive oracle -- for small histories, a pruned DFS over all
   precedence-respecting permutations that replays the sequential ledger and
   accepts iff some permutation reproduces every recorded return value.
@@ -104,7 +107,7 @@ def check_validated_spec(ops: Sequence[Op], pred: ValidityPredicate) -> Verdict:
 
 # -- property screens --------------------------------------------------------
 
-def _longest_read(gets: Sequence[Op]) -> tuple[Op | None, tuple[str, ...], dict[str, int]]:
+def _longest_read(gets: Sequence[Op]) -> tuple[Op | None, Sequence[str], dict[str, int]]:
     """The last longest get (None without gets), its sequence, and its ids' positions."""
     longest_get = max(reversed(gets), key=lambda g: len(g.seq), default=None)
     longest = longest_get.seq if longest_get else ()
@@ -119,14 +122,15 @@ def _non_ack_append(appends: Sequence[Op]) -> Verdict | None:
     return None
 
 
-def _integrity_and_chain(gets: Sequence[Op], appended: set[str], longest: tuple[str, ...],
+def _integrity_and_chain(gets: Sequence[Op], appended: set[str], longest: Sequence[str],
                          pos: dict[str, int]) -> Verdict | None:
     """Fabrication, duplicates, and the global prefix chain over get returns.
 
     All three hold iff every get is a prefix of ``longest``, a longest one,
     and that one holds only appended ids, each once (``pos`` has a key per
-    id); that is tested first with tuple and set operations.  Only a history
-    that fails it walks the ids one by one, to name the first violation.
+    id); that is tested first with sequence and set operations.  Only a
+    history that fails it walks the ids one by one, to name the first
+    violation.
     """
     if (len(pos) == len(longest) and pos.keys() <= appended
             and all(g.seq == longest[:len(g.seq)] for g in gets)):

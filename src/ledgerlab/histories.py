@@ -22,6 +22,13 @@ each ``tail`` holds only the records new to its read, and the file grows
 with the number of records, not with the number of ids read.  Any sequence
 round-trips, a divergent or fabricated one included, so the checkers see
 exactly the sequences that were returned.
+
+Neither side copies a read.  The writer keeps ``ref`` as one growing list
+and, per id list that the reads are views of, how far that list is known to
+agree with it.  The loader keeps ``ref`` as one list too, and every get that
+does not diverge from it is loaded as an `IdPrefix` view of it; only a
+diverging get holds a tuple of its own, and a longer diverging get starts a
+new list.  So a loaded correct run holds its reads as one id list.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, NamedTuple, Sequence
 
-from .ledger import ACK, NACK, is_int, make_rid  # noqa: F401  (is_int re-exported)
+from .ledger import ACK, NACK, IdPrefix, is_int, make_rid  # noqa: F401  (is_int re-exported)
 
 INVOKE = "invoke"
 RESPONSE = "response"
@@ -50,21 +57,22 @@ class HistoryEvent:
     t: int
     payload: str | None = None
     result: str | None = None
-    seq: tuple[str, ...] | None = None
-
-
-def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    n = min(len(a), len(b))
-    if a[:n] == b[:n]:
-        return n
-    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    seq: Sequence[str] | None = None  # an `IdPrefix` view or a tuple
 
 
 def events_to_jsonl(events: Iterable[HistoryEvent]) -> str:
     """The history as JSONL in the layout of the module docstring, in the bytes
     ``json.dumps(obj, separators=(",", ":"))`` gives: each string goes through
-    the encoder json.dumps itself uses, and each int through int formatting."""
-    ref: tuple[str, ...] = ()
+    the encoder json.dumps itself uses, and each int through int formatting.
+
+    ``ref`` is one list.  A read is the first ``n`` ids of its ``ids`` list (a
+    view's list, or a tuple itself), and ``agree[id(ids)]`` holds ``ids`` and a
+    length of it known to equal ``ref``'s start, so each id of a growing list
+    is compared once.  Only a longer read that diverges rewrites ``ref``, and
+    cuts every mark back to where it diverged.
+    """
+    ref: list[str] = []
+    agree: dict[int, list] = {}  # id(ids) -> [ids, marked length]; holds ids alive
     lines = []
     for e in events:
         line = (f'{{"op":{_quote(e.op_id)},"client":{e.client:d},"ev":{_quote(e.ev)},'
@@ -74,10 +82,21 @@ def events_to_jsonl(events: Iterable[HistoryEvent]) -> str:
         if e.result is not None:
             line += f',"result":{_quote(e.result)}'
         if e.seq is not None:
-            p = _common_prefix(e.seq, ref)
-            line += f',"p":{p:d},"tail":[{",".join(map(_quote, e.seq[p:]))}]'
-            if len(e.seq) > len(ref):
-                ref = e.seq
+            ids, n = (e.seq.ids, e.seq.n) if type(e.seq) is IdPrefix else (e.seq, len(e.seq))
+            mark = agree.setdefault(id(ids), [ids, 0])
+            p, stop = mark[1], min(n, len(ref))
+            while p < stop and ids[p] == ref[p]:
+                p += 1
+            mark[1] = p
+            p = min(p, n)
+            line += f',"p":{p:d},"tail":[{",".join(map(_quote, ids[p:n]))}]'
+            if n > len(ref):
+                if p < len(ref):
+                    for other in agree.values():
+                        other[1] = min(other[1], p)
+                del ref[p:]
+                ref += ids[p:n]
+                mark[1] = n
         lines.append(line + "}")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -146,7 +165,8 @@ def jsonl_objects(text: str, what: str) -> tuple[list[int], list[dict]]:
 
 
 def events_from_jsonl(text: str) -> list[HistoryEvent]:
-    """Parse history JSONL.
+    """Parse history JSONL; a get that does not diverge from the longest read
+    before it is an `IdPrefix` view of that read's list.
 
     Raises ValueError naming the line on a line that is not one JSON object
     with unique keys (see `jsonl_objects`), or on an event whose fields
@@ -156,7 +176,7 @@ def events_from_jsonl(text: str) -> list[HistoryEvent]:
     """
     numbers, objs = jsonl_objects(text, "history")
     events = []
-    ref: tuple[str, ...] = ()
+    ref: list[str] = []  # only grows: a longer diverging read starts a new list
     for n, obj in zip(numbers, objs):
         try:
             keys, carried_ok = _LAYOUTS[obj["ev"], obj["kind"]]
@@ -170,9 +190,16 @@ def events_from_jsonl(text: str) -> list[HistoryEvent]:
             p = obj["p"]
             if not 0 <= p <= len(ref):
                 raise ValueError(f"history event on line {n}: p={p} outside 0..{len(ref)}")
-            seq = ref[:p] + tuple(obj["tail"])
-            if len(seq) > len(ref):
-                ref = seq
+            tail = obj["tail"]
+            end, known = p + len(tail), min(p + len(tail), len(ref))
+            if ref[p:known] == tail[:known - p]:
+                ref += tail[known - p:]
+                seq = IdPrefix(ref, end)
+            else:
+                seq = (*ref[:p], *tail)
+                if end > len(ref):
+                    ref = list(seq)
+                    seq = IdPrefix(ref, end)
         events.append(HistoryEvent(obj["op"], obj["client"], obj["ev"], obj["kind"], obj["c"],
                                    obj["t"], obj.get("payload"), obj.get("result"), seq))
     return events
@@ -197,7 +224,7 @@ class Op(NamedTuple):
     payload: str | None = None
     rid: str | None = None  # record id minted by an append
     result: str | None = None
-    seq: tuple[str, ...] | None = None
+    seq: Sequence[str] | None = None
 
     def precedes(self, other: "Op") -> bool:
         return self.response_i < other.invoke_i

@@ -1,8 +1,8 @@
 """Sequential ledger objects.
 
 The plain ledger is an append-only sequence of records read in full by
-``get``; ``read_ids`` gives a prefix's ids and serves read-side repair from
-one fold per predicate.  The validated
+``get``; ``read_ids`` gives a prefix's ids as an `IdPrefix` view, no copy,
+and serves read-side repair from one fold per predicate.  The validated
 ledger additionally filters every append through a pluggable validity
 predicate and answers ``nack`` when the extended sequence would violate it.
 These objects are the reference behaviour that the offline checkers replay,
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Mapping
 
 log = logging.getLogger("ledgerlab.ledger")
@@ -177,6 +178,49 @@ def filter_valid(seq: Iterable[Record], pred: ValidityPredicate) -> tuple[Record
     return tuple(r for r in seq if pred.step(state, r))
 
 
+class IdPrefix:
+    """The first ``n`` ids of the append-only list ``ids``: an immutable
+    sequence that costs O(1) to make, however long it is.
+
+    It compares equal to, and hashes as, ``tuple(view)``.  Two views of one
+    list are equal iff their lengths are, and a slice from 0 is a view of the
+    same list, so ``a == b[:len(a)]`` is O(1) for two views of one list.
+    """
+
+    __slots__ = ("ids", "n")
+
+    def __init__(self, ids: list[str], n: int) -> None:
+        self.ids, self.n = ids, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return islice(self.ids, self.n)
+
+    def __getitem__(self, i):
+        if type(i) is not slice:
+            return self.ids[range(self.n)[i]]
+        start, stop, step = i.indices(self.n)
+        if start == 0 and step == 1:
+            return IdPrefix(self.ids, stop)
+        return tuple(self.ids[:self.n][i])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is IdPrefix:
+            return other.n == self.n and (
+                other.ids is self.ids or other.ids[:self.n] == self.ids[:self.n])
+        if type(other) is tuple:
+            return len(other) == self.n and tuple(self.ids[:self.n]) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class Ledger:
     """Append-only record sequence with whole-sequence and prefix-id reads.
 
@@ -199,17 +243,18 @@ class Ledger:
     def get(self) -> tuple[Record, ...]:
         return tuple(self._items)
 
-    def read_ids(self, n: int, pred: ValidityPredicate | None = None) -> tuple[str, ...]:
-        """The ids of the first ``n`` records, through ``pred`` if given.
+    def read_ids(self, n: int, pred: ValidityPredicate | None = None) -> IdPrefix:
+        """The ids of the first ``n`` records, through ``pred`` if given, as a
+        view of an id list that only grows: it is not copied per read.
 
         With a predicate this equals the ids of ``filter_valid(self.get()[:n],
         pred)``.  `filter_valid` decides each record from the ones kept
         before it, so the filtered view of a prefix is a prefix of the
         filtered view: one fold per predicate, run only past the furthest
-        length read so far, serves every read.
+        length read so far, serves every read, and its kept ids are the list.
         """
         if pred is None:
-            return tuple(self._ids[:n])
+            return IdPrefix(self._ids, n)
         fold = self._folds.get(id(pred))
         if fold is None:
             fold = self._folds[id(pred)] = (pred.step, pred.start(), [], [0])
@@ -219,7 +264,7 @@ class Ledger:
                 if step(state, r):
                     kept_ids.append(r.rid)
                 upto.append(len(kept_ids))
-        return tuple(kept_ids[:upto[n]])
+        return IdPrefix(kept_ids, upto[n])
 
     def append(self, r: Record) -> str:
         if r.rid in self._rids:

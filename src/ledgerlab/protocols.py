@@ -121,9 +121,11 @@ def server_subset(cid: int, n: int, f: int) -> list[int]:
 class Client:
     """Issues one operation at a time, fanning out to its server subset.
 
-    With a validity predicate configured, get responses are filtered at this
-    boundary (the read-side repair construction, folded once per replica by
-    `Ledger.read_ids`); the protocol-level length bookkeeping still uses the raw
+    A get records `Ledger.read_ids` of the replica that answered it: a view
+    of that replica's id list, never a copy.  With a validity predicate
+    configured, get responses are filtered at this boundary (the read-side
+    repair construction, folded once per replica, whose kept ids are the
+    list viewed); the protocol-level length bookkeeping still uses the raw
     replica length.
     """
 

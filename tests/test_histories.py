@@ -13,6 +13,7 @@ from ledgerlab.histories import (
     jsonl_objects,
     pair_events,
 )
+from ledgerlab.ledger import IdPrefix
 
 
 def ev(op_id, client, kind_ev, kind, c, t, **kw):
@@ -69,12 +70,20 @@ FOREIGN_READS = st.lists(TEXT, max_size=6).map(tuple)
 @st.composite
 def histories(draw):
     """Histories whose get sequences are prefixes of one of two orders
-    (growing, stale, empty or divergent), or lists with duplicate ids or
-    with ids that no append minted."""
+    (growing, stale, empty or divergent), as tuples or as views of two id
+    lists that grow along the two orders while the reads are drawn, as a
+    run's replicas do; or lists with duplicate ids or with ids that no
+    append minted."""
     orders = draw(ORDERS)
+    lists = ([], [])
 
     def read():
-        how = draw(st.sampled_from(("prefix", "prefix", "shuffle", "foreign")))
+        how = draw(st.sampled_from(("view", "view", "prefix", "shuffle", "foreign")))
+        if how == "view":
+            k = draw(st.integers(0, 1))
+            ids = lists[k]
+            ids += orders[k][len(ids):draw(st.integers(len(ids), len(orders[k])))]
+            return IdPrefix(ids, draw(st.integers(0, len(ids))))
         if how == "prefix":
             return tuple(draw(st.sampled_from(orders))[:draw(st.integers(0, len(orders[0])))])
         if how == "shuffle" and orders[0]:
@@ -114,6 +123,35 @@ def test_writer_bytes_equal_json_dumps(events):
 @given(histories())
 def test_any_history_round_trips(events):
     assert events_from_jsonl(events_to_jsonl(events)) == events
+
+
+def test_views_of_two_growing_lists_are_stored_and_loaded_against_one_order():
+    a, b = ["0.1"], ["1.1"]
+    reads = [IdPrefix(a, 1)]
+    a += ["0.2", "0.3"]
+    reads += [IdPrefix(a, 3), IdPrefix(a, 2)]  # growing, then a stale snapshot
+    reads += [IdPrefix(b, 1)]  # a list that diverges from the other
+    b += ["0.1", "0.2", "0.3", "0.4"]
+    # a longer divergent read replaces the order
+    reads += [IdPrefix(b, 5), IdPrefix(a, 3), IdPrefix(b, 2)]
+    a += ["0.4", "0.5", "0.6"]
+    reads += [IdPrefix(a, 6)]  # longer again: it replaces the order back
+    events = [ev(f"2.{k}", 2, "response", "get", k, k, seq=r) for k, r in enumerate(reads, 1)]
+    text = events_to_jsonl(events)
+    assert text == reference_jsonl(events)
+    stored = [(o["p"], o["tail"]) for o in map(json.loads, text.splitlines())]
+    assert stored == [(0, ["0.1"]), (1, ["0.2", "0.3"]), (2, []), (0, ["1.1"]),
+                      (0, ["1.1", "0.1", "0.2", "0.3", "0.4"]), (0, ["0.1", "0.2", "0.3"]), (2, []),
+                      (0, ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6"])]
+    loaded = events_from_jsonl(text)
+    assert loaded == events
+    # the reads that do not diverge from the longest read before them are
+    # views of one list; a longer divergent one starts a new list
+    seqs = [e.seq for e in loaded]
+    assert [type(seq) for seq in seqs] == [IdPrefix] * 3 + [tuple, IdPrefix, tuple] + [IdPrefix] * 2
+    assert seqs[0].ids is seqs[1].ids is seqs[2].ids
+    assert seqs[4].ids is seqs[6].ids is not seqs[0].ids
+    assert seqs[7].ids is not seqs[0].ids and seqs[7].ids is not seqs[4].ids
 
 
 def test_jsonl_round_trip_ends_with_newline():

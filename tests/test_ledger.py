@@ -10,6 +10,7 @@ from ledgerlab.ledger import (
     ALWAYS_TRUE,
     UNIQUE_RID,
     DuplicateRecordError,
+    IdPrefix,
     Ledger,
     Record,
     ValidatedLedger,
@@ -217,6 +218,7 @@ ledger_moves = st.lists(st.one_of(
 @example(["deposit:A:2", 0, "withdraw:A:1", 40])  # the withdraw needs the earlier read's deposit
 def test_prefix_reads_equal_filter_of_the_prefix(moves):
     led = Ledger()
+    reads = []
     for move in moves:
         if isinstance(move, str):
             led.append(make_record(0, len(led) + 1, move))
@@ -225,7 +227,40 @@ def test_prefix_reads_equal_filter_of_the_prefix(moves):
             prefix = led.get()[:n]
             for pred in read_predicates * 2:
                 expected = prefix if pred is None else filter_valid(prefix, pred)
-                assert led.read_ids(n, pred) == tuple(r.rid for r in expected)
+                reads.append((led.read_ids(n, pred), tuple(r.rid for r in expected)))
+                assert reads[-1][0] == reads[-1][1]
+    # a read is a view, not a copy, yet later appends and reads leave it as it was
+    assert all(view == ids for view, ids in reads)
+
+
+IDS = st.lists(st.sampled_from(["0.1", "0.2", "1.1", ""]), max_size=6)
+INDICES = st.integers(-8, 8)
+
+
+@given(IDS, IDS, st.data())
+def test_id_prefix_is_the_tuple_of_its_ids(ids, later, data):
+    n = data.draw(st.integers(0, len(ids)))
+    view, t = IdPrefix(ids, n), tuple(ids[:n])
+    ids += later  # the list grows after the view is made
+    assert view == t and t == view and not view != t and hash(view) == hash(t)
+    assert len(view) == n and tuple(view) == t and repr(view) == repr(t)
+    assert view != list(t) and view != t + ("x",)
+    for rid in (*ids, "9.9"):
+        assert (rid in view) == (rid in t)
+    i = data.draw(INDICES)
+    if -n <= i < n:
+        assert view[i] == t[i]
+    else:
+        with pytest.raises(IndexError):
+            view[i]
+    cut = slice(data.draw(st.none() | INDICES), data.draw(st.none() | INDICES),
+                data.draw(st.sampled_from([None, 1, 2, -1])))
+    assert view[cut] == t[cut] and hash(view[cut]) == hash(t[cut])
+    # two views of one list are equal iff their lengths are; of two lists, iff their ids are
+    m = data.draw(st.integers(0, len(ids)))
+    assert (IdPrefix(ids, m) == view) == (m == n)
+    other = data.draw(st.permutations(ids))
+    assert (IdPrefix(other, m) == view) == (tuple(other[:m]) == t)
 
 
 # -- reference definition -----------------------------------------------------
