@@ -216,7 +216,6 @@ class Op(NamedTuple):
     op_id: str
     client: int
     kind: str
-    c: int
     invoke_i: int
     invoke_t: int
     response_i: float = math.inf
@@ -231,7 +230,8 @@ class Op(NamedTuple):
 
 
 def pair_events(events: Sequence[HistoryEvent]) -> tuple[list[Op], list[Op]]:
-    """Match invokes with responses; returns (completed ops, pending ops).
+    """Match invokes with responses; returns (completed ops in response
+    order, pending ops in invoke order).
 
     Raises ValueError on malformed histories (an invoke whose op id is not
     `<client>.<c>`, a response that is not its client's open operation, an
@@ -259,15 +259,11 @@ def pair_events(events: Sequence[HistoryEvent]) -> tuple[list[Op], list[Op]]:
             if inv.kind != e.kind or inv.c != e.c:
                 raise ValueError(f"response does not match invoke for op {e.op_id}")
             completed.append(Op(
-                e.op_id, e.client, e.kind, e.c, inv_i, inv.t, i, e.t, inv.payload,
+                e.op_id, e.client, e.kind, inv_i, inv.t, i, e.t, inv.payload,
                 e.op_id if e.kind == APPEND else None, e.result, e.seq))
         else:
             raise ValueError(f"unknown event type {e.ev!r}")
-    pending = [
-        Op(op_id=inv.op_id, client=inv.client, kind=inv.kind, c=inv.c,
-           invoke_i=inv_i, invoke_t=inv.t, payload=inv.payload,
-           rid=inv.op_id if inv.kind == APPEND else None)
-        for inv_i, inv in open_ops.values()
-    ]
-    pending.sort(key=lambda op: op.invoke_i)
-    return completed, pending
+    # open_ops is in invoke order: an invoke inserts its client's key, which no op holds.
+    return completed, [Op(inv.op_id, inv.client, inv.kind, inv_i, inv.t, payload=inv.payload,
+                          rid=inv.op_id if inv.kind == APPEND else None)
+                       for inv_i, inv in open_ops.values()]

@@ -2,9 +2,10 @@
 
 All three consistency levels run one replica state machine on top of the
 total-order broadcast service.  Every append broadcasts its record; a
-delivered record joins the replica once, acks the append if this server
-stashed it, and releases any parked get whose floor the replica now meets.
-A server's one stash maps each broadcast it awaits to the request it answers.
+delivered record joins the replica once and acks the append if this server
+stashed it.  A get the replica is too short for waits under its floor, and
+the delivery that brings the replica to that length answers it.  A server's
+one stash maps each broadcast it awaits to the request it answers.
 The levels differ in two decisions only:
 
 * an eventual append is acked at request time, before its record is
@@ -58,7 +59,7 @@ class Server:
         self.replica = Ledger()
         # awaited broadcast (a Record, equal by id, or an atomic get) -> asker
         self.stash: dict[Record | tuple[Client, int], tuple[Client, int]] = {}
-        self.parked_gets: list[tuple[Client, int, int]] = []  # (client, c, floor)
+        self.parked: dict[int, list[tuple[Client, int]]] = {}  # floor -> [(client, c)]
         self.crashed = False
 
     def crash(self) -> None:
@@ -66,7 +67,7 @@ class Server:
         which hold this server in ``targets``, a cycle that outlives the run."""
         self.crashed = True
         self.stash.clear()
-        self.parked_gets.clear()
+        self.parked.clear()
 
     def on_append(self, client: Client, c: int, record: Record) -> None:
         if self.crashed:
@@ -89,7 +90,7 @@ class Server:
         elif len(self.replica) >= floor:
             self.net.send(client.on_response, c, self.replica, len(self.replica))
         else:
-            self.parked_gets.append((client, c, floor))
+            self.parked.setdefault(floor, []).append((client, c))
 
     def handle_adeliver(self, payload: Record | tuple[Client, int]) -> None:
         record = isinstance(payload, Record)
@@ -102,15 +103,12 @@ class Server:
         if asker is not None:
             client, c = asker
             self.net.send(client.on_response, c, None if record else self.replica, len(self.replica))
-        if record and self.parked_gets:
+        # A get parks under a floor above the length, and each growth adds one
+        # record, so exactly one growth reaches it; a duplicate reaches none.
+        if self.parked:
             length = len(self.replica)
-            still_parked = []
-            for client, c, floor in self.parked_gets:
-                if length >= floor:
-                    self.net.send(client.on_response, c, self.replica, length)
-                else:
-                    still_parked.append((client, c, floor))
-            self.parked_gets = still_parked
+            for client, c in self.parked.pop(length, ()):
+                self.net.send(client.on_response, c, self.replica, length)
 
 
 def server_subset(cid: int, n: int, f: int) -> list[int]:
@@ -138,9 +136,9 @@ class Client:
         self.net = net
         self.queue = list(ops or [])
         self.pred = pred
-        self.c = 0  # the counter of the latest operation, pending or not
+        self.c = 0  # the counter of the latest operation
         self.last_len = 0  # every get's floor: the last observed length, sequential mode only
-        self.pending: str | None = None  # the kind of operation c while it is pending
+        self.pending: HistoryEvent | None = None  # the invoke of operation c while it is pending
         self.crashed = False
 
     def start(self) -> None:
@@ -155,9 +153,9 @@ class Client:
         assert self.pending is None, "one operation at a time"
         self.c = c = self.c + 1
         op_id = make_rid(self.cid, c)
-        self.net.history.append(HistoryEvent(op_id, self.cid, INVOKE, kind, c,
-                                             self.net.now, payload=payload))
-        self.pending = kind
+        self.pending = inv = HistoryEvent(op_id, self.cid, INVOKE, kind, c, self.net.now,
+                                          payload=payload)
+        self.net.history.append(inv)
         if kind == "append":
             record = Record(op_id, self.cid, payload)
             for server in self.targets:
@@ -174,7 +172,8 @@ class Client:
         when its record landed, or None for an eventual ack."""
         if self.crashed:
             return
-        if self.pending is None or c != self.c:
+        inv = self.pending
+        if inv is None or c != inv.c:
             log.debug("client %d dropped duplicate/stale response c=%d", self.cid, c)
             return
         if replica is None:
@@ -183,9 +182,8 @@ class Client:
             result, seq = None, replica.read_ids(n, self.pred)
         if self.mode == SEQUENTIAL:
             self.last_len = n
-        self.net.history.append(HistoryEvent(make_rid(self.cid, c), self.cid, RESPONSE,
-                                             self.pending, c, self.net.now,
-                                             result=result, seq=seq))
+        self.net.history.append(HistoryEvent(inv.op_id, self.cid, RESPONSE, inv.kind, c,
+                                             self.net.now, result=result, seq=seq))
         self.pending = None
         self._after_response(replica, n)
 
@@ -197,20 +195,14 @@ class Client:
 
 
 class ProposerClient(Client):
-    """Consensus by reduction: append the proposal, poll get until non-empty,
-    decide the first payload."""
+    """Consensus by reduction: append the proposal (a one-op workload), poll
+    get until non-empty, decide the first payload."""
 
     def __init__(self, cid: int, targets: list[Server], net, value: str) -> None:
-        super().__init__(cid, EVENTUAL, targets, net)
-        self.value = value
+        super().__init__(cid, EVENTUAL, targets, net, [("append", value)])
         self.decision: str | None = None
 
-    def start(self) -> None:
-        self._invoke("append", self.value)
-
     def _after_response(self, replica: Ledger | None, n: int | None) -> None:
-        if self.decision is not None:
-            return
         if replica is not None and n:
             self.decision = replica.get()[0].payload
         else:

@@ -530,7 +530,7 @@ def run_consensus(n: int, f: int, proposals: Sequence[str], seed: int,
     simulator.clients = proposers
     artifact = simulator.run()
     return ConsensusResult(
-        proposals={p.cid: p.value for p in proposers},
+        proposals={p.cid: value for p, value in zip(proposers, proposals)},
         decisions={p.cid: p.decision for p in proposers},
         artifact=artifact,
     )

@@ -18,9 +18,8 @@ settings.register_profile("deep", derandomize=True, max_examples=2000)
 
 def op(op_id, kind, inv, res=math.inf, *, seq=None, result="ack", payload=None):
     """Build a checker Op by hand; op ids look like '<client>.<counter>'."""
-    client_s, c_s = op_id.split(".")
     return Op(
-        op_id=op_id, client=int(client_s), kind=kind, c=int(c_s),
+        op_id=op_id, client=int(op_id.split(".")[0]), kind=kind,
         invoke_i=inv, invoke_t=inv, response_i=res,
         response_t=None if res is math.inf else res,
         payload=payload, rid=op_id if kind == "append" else None,

@@ -568,3 +568,68 @@ def out_decisions(text):
         if len(parts) == 3 and parts[0].isdigit():
             decisions.add(parts[2])
     return decisions
+
+
+def _raise_on_seed(monkeypatch, bad_seed):
+    """Make sim.run raise RuntimeError on ``bad_seed`` and run every other seed."""
+    from ledgerlab import sim
+    real_run = sim.run
+
+    def run(scenario):
+        if scenario.seed == bad_seed:
+            raise RuntimeError("boom")
+        return real_run(scenario)
+    monkeypatch.setattr(sim, "run", run)
+
+
+def test_campaign_records_a_seed_that_raises_as_an_error_row(scen_file, tmp_path, capsys,
+                                                             monkeypatch):
+    _raise_on_seed(monkeypatch, 2)
+    rep = tmp_path / "rep"
+    assert main(["campaign", "--scenario", scen_file(), "--seeds", "0:4", "--checker", "atomic",
+                 "--checker", "abcast", "--jobs", "1", "--out", str(rep)]) == 3
+    report = json.loads((rep / "report.json").read_text())
+    assert report["rows"][2] == {"seed": 2, "verdicts": {}, "error": "RuntimeError: boom"}
+    for name in ("atomic", "abcast"):
+        assert report["aggregate"][name] == {"pass": 3, "fail": 0, "divergence": 0, "error": 1}
+    assert report["failing"] == [{"seed": 2, "error": "RuntimeError: boom"}]
+    assert "seed 2: ERROR RuntimeError: boom" in capsys.readouterr().out
+
+
+def test_an_internal_error_exits_1_with_a_traceback(scen_file, tmp_path, capsys, monkeypatch):
+    _raise_on_seed(monkeypatch, BASE["seed"])
+    assert main(["run", "--scenario", scen_file(), "--out", str(tmp_path / "art")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: boom" in err
+
+
+def test_campaign_exits_4_when_the_oracle_disagrees(scen_file, tmp_path, monkeypatch):
+    from ledgerlab import checkers
+    monkeypatch.setattr(checkers, "linearize", lambda ops, same_client_only=False: None)
+    rep = tmp_path / "rep"
+    # 2 clients x (2 ops + 2 probe gets): within the oracle's automatic limit of 10
+    small = scen_file(workload={"ops_per_client": 2, "append_ratio": 0.6})
+    assert main(["campaign", "--scenario", small, "--seeds", "0:3", "--jobs", "1",
+                 "--out", str(rep)]) == 4
+    report = json.loads((rep / "report.json").read_text())
+    assert [row["verdicts"]["atomic"]["status"] for row in report["rows"]] == ["divergence"] * 3
+
+
+def test_vspec_check_refuses_a_pending_op(scen_file, tmp_path, capsys):
+    art = tmp_path / "art"
+    ops = [[["append", "deposit:A:1"], ["get", None]]]
+    main(["run", "--scenario",
+          scen_file(clients=1, workload=ops,
+                    predicate={"kind": "account_balance", "balances": {"A": 0}}),
+          "--out", str(art)])
+    history = art / "history.jsonl"
+    history.write_text("".join(history.read_text().splitlines(keepends=True)[:-1]))
+    capsys.readouterr()
+    assert main(["check", str(art), "--checker", "vspec"]) == 2
+    assert "vspec checker needs a complete history" in capsys.readouterr().err
+
+
+def test_consensus_refuses_a_value_count_unlike_the_proposers(capsys):
+    assert main(["consensus", "--n", "3", "--f", "1", "--proposers", "3",
+                 "--values", "a,b"]) == 2
+    assert "2 values for 3 proposers" in capsys.readouterr().err

@@ -199,6 +199,18 @@ def test_pairing_completed_and_pending():
     assert pending[0].response_i == math.inf
 
 
+def test_pending_ops_come_in_invoke_order():
+    events = [
+        ev("0.1", 0, "invoke", "append", 1, 0, payload="x"),
+        ev("1.1", 1, "invoke", "get", 1, 0),
+        ev("0.1", 0, "response", "append", 1, 5, result="ack"),
+        ev("2.1", 2, "invoke", "get", 1, 6),
+        ev("0.2", 0, "invoke", "get", 2, 7),
+    ]
+    completed, pending = pair_events(events)
+    assert [(o.op_id, o.invoke_i) for o in pending] == [("1.1", 1), ("2.1", 3), ("0.2", 4)]
+
+
 def test_real_time_precedence_comes_from_event_positions():
     events = [
         ev("0.1", 0, "invoke", "append", 1, 7, payload="x"),

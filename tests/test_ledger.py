@@ -366,7 +366,7 @@ def test_fold_matches_the_full_replay_reference(stream, pred):
 def test_validated_spec_matches_the_full_replay_reference(moves, pred):
     ops, model = [], []
     for i, (k, payload, move) in enumerate(moves):
-        common = dict(op_id=f"9.{i}", client=0, c=i, invoke_i=2 * i, invoke_t=2 * i,
+        common = dict(op_id=f"9.{i}", client=0, invoke_i=2 * i, invoke_t=2 * i,
                       response_i=2 * i + 1, response_t=2 * i + 1)
         if move in ("get", "stale"):
             seq = tuple(r.rid for r in model)

@@ -143,6 +143,21 @@ class TestSequentialServer:
         s.handle_adeliver(r3)  # third delivery releases it
         assert sent(net) == [(P, 5, (r1, r2, r3), 3)]
 
+    def test_parked_gets_are_answered_by_the_delivery_reaching_their_floor(self):
+        net = FakeNet()
+        s = Server(SEQUENTIAL, 0, net)
+        r1, r2, r3 = (rec(i, creator=9) for i in (1, 2, 3))
+        s.on_get(P, 1, 3)
+        s.on_get(P, 2, 2)
+        s.on_get(P, 3, 3)
+        s.handle_adeliver(r1)
+        s.handle_adeliver(r1)  # a second copy grows nothing and answers nothing
+        assert net.sent == []
+        s.handle_adeliver(r2)
+        assert sent(net) == [(P, 2, (r1, r2), 2)]
+        s.handle_adeliver(r3)
+        assert sent(net)[1:] == [(P, 1, (r1, r2, r3), 3), (P, 3, (r1, r2, r3), 3)]
+
     def test_append_ack_reports_the_landing_position(self):
         net = FakeNet()
         s = Server(SEQUENTIAL, 0, net)

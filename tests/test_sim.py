@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,12 @@ from ledgerlab.sim import (
 )
 
 from conftest import HeapLoop, scenario
+
+MINIMAL = {"n": 3, "f": 1, "clients": 1, "mode": "atomic", "workload": [[]]}
+
+
+def without(field):
+    return {k: v for k, v in MINIMAL.items() if k != field}
 
 
 class TestScenarioValidation:
@@ -58,6 +65,27 @@ class TestScenarioValidation:
     def test_malformed_fields_rejected(self, overrides):
         with pytest.raises(ConfigError):
             scenario(**overrides)
+
+    @pytest.mark.parametrize("obj, message", [
+        pytest.param([], "scenario must be a JSON object", id="not-an-object"),
+        pytest.param(without("n"), "scenario missing required field 'n'", id="no-n"),
+        pytest.param(without("workload"), "scenario missing required field 'workload'",
+                     id="no-workload"),
+        *(pytest.param({**MINIMAL, "workload": {"ops_per_client": 4, "append_ratio": ratio}},
+                       "workload.append_ratio must be in [0, 1]", id=f"append-ratio-{ratio}")
+          for ratio in (1.5, True)),
+        pytest.param({**MINIMAL, "workload": {"ops_per_client": 4,
+                                              "payloads": {"kind": "account", "extra": 1}}},
+                     "unknown payload fields: ['extra']", id="account-payload-extra-field"),
+        pytest.param({**MINIMAL, "workload": {"ops_per_client": 4,
+                                              "payloads": {"kind": "token", "extra": 1}}},
+                     "token payloads take no extra fields", id="token-payload-extra-field"),
+        pytest.param({**MINIMAL, "crash_schedule": {"fixed": {"max_crashes": 1}}},
+                     "crash generator must be {'random': {...}}", id="crash-generator-not-random"),
+    ])
+    def test_config_error_messages(self, obj, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            scenario_from_dict(obj)
 
     def test_majority_requirement_named_in_error(self):
         with pytest.raises(ConfigError, match="majority"):
