@@ -38,6 +38,7 @@ candidate does.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Sequence
 
 from .histories import APPEND, GET, Op
@@ -73,7 +74,7 @@ def complete_history(completed: Sequence[Op], pending: Sequence[Op],
             if g.kind == GET:
                 read.update(pending_rids.intersection(g.seq))
     kept = [op for op in pending if op.rid in read]
-    return [tuple(sorted((*completed, *kept), key=lambda op: op.invoke_i))]
+    return [tuple(sorted((*completed, *kept), key=attrgetter("invoke_i")))]
 
 
 # -- sequential replay -------------------------------------------------------
@@ -168,7 +169,7 @@ def _ordering_violation(ops: Sequence[Op], longest_get: Op | None, pos: dict[str
     """
     rank = [2 * len(op.seq) if op.kind == GET else 2 * pos.get(op.rid, math.inf) + 1
             for op in ops]
-    by_response = sorted(range(len(ops)), key=lambda i: ops[i].response_i)
+    by_response = sorted(range(len(ops)), key=[op.response_i for op in ops].__getitem__)
     top: dict[int | None, int] = {}  # group -> index of its max-rank op
     k = 0
     for j, y in enumerate(ops):

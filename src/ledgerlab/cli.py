@@ -12,7 +12,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import checkers, sim
@@ -171,6 +170,8 @@ def run_campaign(scenario: Scenario, start: int, count: int,
     payloads = [(scenario, start + i, names) for i in range(count)]
     jobs = min(jobs, count)
     if jobs > 1:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_campaign_worker, payloads, chunksize=16))
     else:
@@ -180,19 +181,18 @@ def run_campaign(scenario: Scenario, start: int, count: int,
                  for name in names}
     failing = []
     for row in rows:
-        if "error" in row:
-            for name in names:
-                aggregate[name]["error"] += 1
-            failing.append({"seed": row["seed"], "error": row["error"]})
-            continue
         bad = {}
         for name in names:
-            status = row["verdicts"][name]["status"]
-            aggregate[name][status] += 1
-            if status != "pass":
-                bad[name] = {k: row["verdicts"][name].get(k)
-                             for k in ("status", "violated", "witness")}
-        if bad:
+            verdict = row["verdicts"].get(name)
+            if verdict is None:  # the seed raised before this checker gave one
+                aggregate[name]["error"] += 1
+                continue
+            aggregate[name][verdict["status"]] += 1
+            if verdict["status"] != "pass":
+                bad[name] = {k: verdict.get(k) for k in ("status", "violated", "witness")}
+        if "error" in row:
+            failing.append({"seed": row["seed"], "error": row["error"]})
+        elif bad:
             failing.append({"seed": row["seed"], "checkers": bad})
     return {
         "scenario_sha256": scenario.sha256(),

@@ -5,7 +5,8 @@ total-order broadcast service.  Every append broadcasts its record; a
 delivered record joins the replica once and acks the append if this server
 stashed it.  A get the replica is too short for waits under its floor, and
 the delivery that brings the replica to that length answers it.  A server's
-one stash maps each broadcast it awaits to the request it answers.
+one stash maps each broadcast it awaits to the request it answers: an
+append by its record id, an atomic get by its ``(client, c)`` pair.
 The levels differ in two decisions only:
 
 * an eventual append is acked at request time, before its record is
@@ -57,8 +58,8 @@ class Server:
         self.sid = sid
         self.net = net
         self.replica = Ledger()
-        # awaited broadcast (a Record, equal by id, or an atomic get) -> asker
-        self.stash: dict[Record | tuple[Client, int], tuple[Client, int]] = {}
+        # awaited broadcast (an append's record id, or an atomic get) -> asker
+        self.stash: dict[str | tuple[Client, int], tuple[Client, int]] = {}
         self.parked: dict[int, list[tuple[Client, int]]] = {}  # floor -> [(client, c)]
         self.crashed = False
 
@@ -77,7 +78,7 @@ class Server:
             # acked before the record is anywhere: the defining weakness
             self.net.send(client.on_response, c, None, None)
         else:
-            self.stash[record] = (client, c)
+            self.stash[record.rid] = (client, c)
 
     def on_get(self, client: Client, c: int, floor: int) -> None:
         """``floor``: serve only once the replica is this long; 0 outside
@@ -99,7 +100,7 @@ class Server:
         # Acknowledge on any delivery of the record while stashed, not only
         # the first: the first copy can land before this server has even seen
         # the client's request, and the client must still get an answer.
-        asker = self.stash.pop(payload, None)
+        asker = self.stash.pop(payload.rid if record else payload, None)
         if asker is not None:
             client, c = asker
             self.net.send(client.on_response, c, None if record else self.replica, len(self.replica))

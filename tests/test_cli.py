@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -498,8 +501,8 @@ class FakePool:
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    from ledgerlab import cli
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(FakePool, "max_workers", [])
     return FakePool
 
@@ -633,3 +636,39 @@ def test_consensus_refuses_a_value_count_unlike_the_proposers(capsys):
     assert main(["consensus", "--n", "3", "--f", "1", "--proposers", "3",
                  "--values", "a,b"]) == 2
     assert "2 values for 3 proposers" in capsys.readouterr().err
+
+
+def test_campaign_counts_the_verdicts_a_seed_gave_before_it_raised(scen_file, tmp_path,
+                                                                   monkeypatch):
+    from ledgerlab import cli
+    real_run_checker = cli.run_checker
+
+    def run_checker(name, artifact):
+        if name == "abcast":
+            raise RuntimeError("boom")
+        return real_run_checker(name, artifact)
+    monkeypatch.setattr(cli, "run_checker", run_checker)
+    rep = tmp_path / "rep"
+    assert main(["campaign", "--scenario", scen_file(), "--seeds", "0:1", "--checker", "atomic",
+                 "--checker", "abcast", "--jobs", "1", "--out", str(rep)]) == 3
+    report = json.loads((rep / "report.json").read_text())
+    assert report["aggregate"]["atomic"] == {"pass": 1, "fail": 0, "divergence": 0, "error": 0}
+    assert report["aggregate"]["abcast"] == {"pass": 0, "fail": 0, "divergence": 0, "error": 1}
+    assert report["failing"] == [{"seed": 0, "error": "RuntimeError: boom"}]
+
+
+def test_run_check_and_a_one_process_campaign_load_no_process_pool(scen_file, tmp_path):
+    import ledgerlab
+    art, scen = tmp_path / "art", scen_file()
+    code = f"""
+import sys
+from ledgerlab.cli import main
+assert main(["run", "--scenario", {scen!r}, "--out", {str(art)!r}]) == 0
+assert main(["check", {str(art)!r}, "--checker", "atomic"]) == 0
+assert main(["campaign", "--scenario", {scen!r}, "--seeds", "0:2", "--jobs", "1"]) == 0
+print(sorted(m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(ledgerlab.__file__).parents[1])}
+                         ).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -389,7 +389,8 @@ class TestEventLoop:
             sim.schedule(-1, lambda: None)
 
     # 20 000 sends read past the first chunks of words, each larger than the last
-    @pytest.mark.parametrize("max_delay", [1, 2, 3, 7, 10, 16, 1000, 2 ** 31, 2 ** 32 - 1])
+    @pytest.mark.parametrize("max_delay", [1, 2, 3, 7, 10, 16, 128, 255, 256, 257, 1000,
+                                           2 ** 31, 2 ** 32 - 1])
     def test_delay_draws_are_the_randint_stream(self, max_delay):
         sim = Simulator(scenario(seed=11, max_delay=max_delay))
         rng = random.Random("net:11")
