@@ -190,10 +190,13 @@ def run_campaign(scenario: Scenario, start: int, count: int,
             aggregate[name][verdict["status"]] += 1
             if verdict["status"] != "pass":
                 bad[name] = {k: verdict.get(k) for k in ("status", "violated", "witness")}
+        entry = {"seed": row["seed"]}
+        if bad:
+            entry["checkers"] = bad
         if "error" in row:
-            failing.append({"seed": row["seed"], "error": row["error"]})
-        elif bad:
-            failing.append({"seed": row["seed"], "checkers": bad})
+            entry["error"] = row["error"]
+        if len(entry) > 1:
+            failing.append(entry)
     return {
         "scenario_sha256": scenario.sha256(),
         "seeds": {"start": start, "count": count},
@@ -214,12 +217,11 @@ def format_report(report: dict) -> str:
         lines.append(f"{name:<12} {agg['pass']:>6} {agg['fail']:>6} "
                      f"{agg['divergence']:>6} {agg['error']:>6}")
     for entry in report["failing"][:20]:
+        parts = [f"{name}={v['status']}({v.get('violated')})"
+                 for name, v in entry.get("checkers", {}).items()]
         if "error" in entry:
-            lines.append(f"seed {entry['seed']}: ERROR {entry['error']}")
-        else:
-            parts = [f"{name}={v['status']}({v.get('violated')})"
-                     for name, v in entry["checkers"].items()]
-            lines.append(f"seed {entry['seed']}: {' '.join(parts)}")
+            parts.append(f"ERROR {entry['error']}")
+        lines.append(f"seed {entry['seed']}: {' '.join(parts)}")
     if len(report["failing"]) > 20:
         lines.append(f"... and {len(report['failing']) - 20} more failing seeds")
     return "\n".join(lines)

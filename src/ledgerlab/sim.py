@@ -21,7 +21,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -362,33 +362,17 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
     return RunArtifact(history, abtrace, None, meta["probe_from_t"], scenario)
 
 
-@cache  # one entry per max_delay below 256, built once per process
-def _delay_table(max_delay: int) -> tuple[bytes, bytes]:
-    """For ``max_delay < 256``: the `bytes.translate` table taking a word's
-    top byte to its delay, and the top bytes whose draw randint rejects."""
-    draws = [b >> (8 - max_delay.bit_length()) for b in range(256)]
-    return (bytes(1 + r if r < max_delay else 0 for r in draws),
-            bytes(b for b, r in enumerate(draws) if r >= max_delay))
-
-
 def _delay_chunks(getrandbits, max_delay: int):
     """Successive ``randint(1, max_delay)`` values of the RNG behind
-    ``getrandbits``, a chunk of 64 to 4096 words at a time.  For
+    ``getrandbits``, a list per chunk of 64 to 4096 words.  For
     ``max_delay < 2**32`` randint's draw is the top ``max_delay.bit_length()``
     bits of one word, kept iff below ``max_delay``, and word i of
-    ``getrandbits(32*m)`` sits at bits 32i..32i+31.  For ``max_delay < 256``
-    the draw lies in the word's top byte, every fourth byte of the chunk's
-    little-endian bytes, and one `bytes.translate` by `_delay_table` decodes
-    the chunk; a larger ``max_delay`` is decoded word by word with `struct`."""
-    table, rejected = _delay_table(max_delay) if max_delay < 256 else (None, None)
+    ``getrandbits(32*m)`` sits at bits 32i..32i+31."""
     shift = 32 - max_delay.bit_length()
     m = 64
     while True:
-        raw = getrandbits(32 * m).to_bytes(4 * m, "little")
-        if table is not None:
-            yield raw[3::4].translate(table, rejected)
-        else:
-            yield [1 + r for w in struct.unpack(f"<{m}I", raw) if (r := w >> shift) < max_delay]
+        words = struct.unpack(f"<{m}I", getrandbits(32 * m).to_bytes(4 * m, "little"))
+        yield [1 + r for w in words if (r := w >> shift) < max_delay]
         m = min(2 * m, 4096)
 
 

@@ -638,23 +638,32 @@ def test_consensus_refuses_a_value_count_unlike_the_proposers(capsys):
     assert "2 values for 3 proposers" in capsys.readouterr().err
 
 
-def test_campaign_counts_the_verdicts_a_seed_gave_before_it_raised(scen_file, tmp_path,
-                                                                   monkeypatch):
+# atomic gives its verdict, then abcast raises; a divergence given first still exits 4
+@pytest.mark.parametrize("atomic, code", [(None, 3), ("fail", 3), ("divergence", 4)])
+def test_campaign_counts_the_verdicts_a_seed_gave_before_it_raised(scen_file, tmp_path, capsys,
+                                                                   monkeypatch, atomic, code):
     from ledgerlab import cli
+    from ledgerlab.verdicts import Verdict
     real_run_checker = cli.run_checker
 
     def run_checker(name, artifact):
         if name == "abcast":
             raise RuntimeError("boom")
-        return real_run_checker(name, artifact)
+        return Verdict(atomic, "P", ["o1"]) if atomic else real_run_checker(name, artifact)
     monkeypatch.setattr(cli, "run_checker", run_checker)
     rep = tmp_path / "rep"
     assert main(["campaign", "--scenario", scen_file(), "--seeds", "0:1", "--checker", "atomic",
-                 "--checker", "abcast", "--jobs", "1", "--out", str(rep)]) == 3
+                 "--checker", "abcast", "--jobs", "1", "--out", str(rep)]) == code
     report = json.loads((rep / "report.json").read_text())
-    assert report["aggregate"]["atomic"] == {"pass": 1, "fail": 0, "divergence": 0, "error": 0}
+    status = atomic or "pass"
+    assert report["aggregate"]["atomic"] == {"pass": 0, "fail": 0, "divergence": 0, "error": 0,
+                                             status: 1}
     assert report["aggregate"]["abcast"] == {"pass": 0, "fail": 0, "divergence": 0, "error": 1}
-    assert report["failing"] == [{"seed": 0, "error": "RuntimeError: boom"}]
+    checkers = {"checkers": {"atomic": {"status": atomic, "violated": "P", "witness": ["o1"]}}}
+    assert report["failing"] == [{"seed": 0, **(checkers if atomic else {}),
+                                  "error": "RuntimeError: boom"}]
+    shown = f"atomic={atomic}(P) " if atomic else ""
+    assert f"seed 0: {shown}ERROR RuntimeError: boom" in capsys.readouterr().out
 
 
 def test_run_check_and_a_one_process_campaign_load_no_process_pool(scen_file, tmp_path):
