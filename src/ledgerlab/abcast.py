@@ -103,21 +103,23 @@ def trace_from_jsonl(text: str, n: int) -> AbTrace:
     order: ``{"server", "crash", "t"}`` with the server's number, an integer
     or null crash and integer delivery times that never decrease and end no
     later than the crash.  Whitespace and key order are free; a repeated key
-    is not (see `jsonl_objects`).  Raises ValueError naming the first line
-    that breaks this.
+    is not (see `jsonl_objects`).  Every line is parsed before any is
+    checked, as it always was: a line that is not one JSON object is named
+    before a wrong line count, and that before a malformed line.  Raises
+    ValueError naming the first line that breaks this.
     """
-    numbers, objs = jsonl_objects(text, "trace")
-    if len(objs) != n + 1:
-        raise ValueError(f"trace has {len(objs)} lines, want {n + 1}: "
+    rows = list(jsonl_objects(text, "trace"))
+    if len(rows) != n + 1:
+        raise ValueError(f"trace has {len(rows)} lines, want {n + 1}: "
                          f"the broadcasts and one per server")
-    head = objs[0]
+    line, head = rows[0]
     sender = head.get("sender")
     if not (head.keys() == {"sender", "t"} and _ints(sender) and _ints(head["t"])
             and len(sender) == len(head["t"])
             and 0 <= min(sender, default=0) and max(sender, default=0) < n):
-        raise ValueError(f"malformed trace line {numbers[0]}")
+        raise ValueError(f"malformed trace line {line}")
     trace = AbTrace(n, sender, head["t"])
-    for sid, line, obj in zip(range(n), numbers[1:], objs[1:]):
+    for sid, (line, obj) in zip(range(n), rows[1:]):
         crash, t = obj.get("crash"), obj.get("t")
         if not (obj.keys() == {"server", "crash", "t"}
                 and type(obj["server"]) is int and obj["server"] == sid

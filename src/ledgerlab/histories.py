@@ -29,6 +29,11 @@ agree with it.  The loader keeps ``ref`` as one list too, and every get that
 does not diverge from it is loaded as an `IdPrefix` view of it; only a
 diverging get holds a tuple of its own, and a longer diverging get starts a
 new list.  So a loaded correct run holds its reads as one id list.
+
+The writer yields the file a line at a time.  The loader parses a chunk of
+lines at a time (`jsonl_objects`) and turns it into events before it parses
+the next, so a load error names the first line that breaks the rules, in
+file order.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, NamedTuple, Sequence
+from itertools import compress, islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ledger import ACK, NACK, IdPrefix, is_int, make_rid  # noqa: F401  (is_int re-exported)
 
@@ -60,10 +66,11 @@ class HistoryEvent:
     seq: Sequence[str] | None = None  # an `IdPrefix` view or a tuple
 
 
-def events_to_jsonl(events: Iterable[HistoryEvent]) -> str:
-    """The history as JSONL in the layout of the module docstring, in the bytes
-    ``json.dumps(obj, separators=(",", ":"))`` gives: each string goes through
-    the encoder json.dumps itself uses, and each int through int formatting.
+def history_lines(events: Iterable[HistoryEvent]) -> Iterator[str]:
+    """The history's JSONL lines, one at a time and each ending in ``"\\n"``,
+    in the layout of the module docstring and in the bytes ``json.dumps(obj,
+    separators=(",", ":"))`` gives: each string goes through the encoder
+    json.dumps itself uses, and each int through int formatting.
 
     ``ref`` is one list.  A read is the first ``n`` ids of its ``ids`` list (a
     view's list, or a tuple itself), and ``agree[id(ids)]`` holds ``ids`` and a
@@ -73,7 +80,6 @@ def events_to_jsonl(events: Iterable[HistoryEvent]) -> str:
     """
     ref: list[str] = []
     agree: dict[int, list] = {}  # id(ids) -> [ids, marked length]; holds ids alive
-    lines = []
     for e in events:
         line = (f'{{"op":{_quote(e.op_id)},"client":{e.client:d},"ev":{_quote(e.ev)},'
                 f'"kind":{_quote(e.kind)},"c":{e.c:d},"t":{e.t:d}')
@@ -97,8 +103,12 @@ def events_to_jsonl(events: Iterable[HistoryEvent]) -> str:
                 del ref[p:]
                 ref += ids[p:n]
                 mark[1] = n
-        lines.append(line + "}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        yield line + "}\n"
+
+
+def events_to_jsonl(events: Iterable[HistoryEvent]) -> str:
+    """The history as JSONL: the `history_lines` joined."""
+    return "".join(history_lines(events))
 
 
 _REQUIRED = ("op", "client", "ev", "kind", "c", "t")
@@ -122,62 +132,66 @@ def unique_keys(pairs: list[tuple]) -> dict:
     return obj
 
 
-def jsonl_objects(text: str, what: str) -> tuple[list[int], list[dict]]:
-    """The line numbers and objects of the non-blank lines of ``text``, under
-    the rule of both artifact files: each such line is one JSON object, each
-    key once; whitespace and key order are free.  Raises ValueError naming
-    the first line that breaks it, as the ``what`` line.
+_CHUNK_LINES = 512  # non-blank lines per `jsonl_objects` parse
 
-    The lines are parsed by one ``json.loads``, joined by ``",\\n"``, which
-    no JSON string can hold.  If every line opens with ``{`` and the parse
-    makes only top-level objects, no separator fell inside a value (the
-    ``{`` after it would have opened a nested object); so with as many
-    objects as lines, each line holds exactly its object.  Otherwise each
-    line is parsed alone.
+
+def jsonl_objects(text: str, what: str) -> Iterator[tuple[int, dict]]:
+    """The line number and object of each non-blank line of ``text``, in file
+    order, under the rule of both artifact files: each such line is one JSON
+    object, each key once; whitespace and key order are free.  Raises
+    ValueError naming the first line that breaks it, as the ``what`` line.
+
+    Each chunk of ``_CHUNK_LINES`` such lines is parsed when it is reached, so a
+    caller that checks each object as it comes names the first line that
+    breaks its own rules or this one.  The chunk is one ``json.loads``, its
+    lines joined by ``",\\n"``, which no JSON string can hold.  If every line
+    opens with ``{`` and the parse makes only top-level objects, no separator
+    fell inside a value (the ``{`` after it would have opened a nested
+    object); so with as many objects as lines, each line holds exactly its
+    object.  Otherwise each line is parsed alone, as it is yielded.
     """
     lines = text.splitlines()
-    numbers = [n for n, line in enumerate(lines, 1) if line.strip()]
-    if len(numbers) < len(lines):
-        lines = [lines[n - 1] for n in numbers]
-    made = 0
+    numbered = compress(enumerate(lines, 1), map(str.strip, lines))
 
     def counted(pairs: list[tuple]) -> dict:
         nonlocal made
         made += 1
         return unique_keys(pairs)
 
-    try:
-        objs = json.loads("[" + ",\n".join(lines) + "]", object_pairs_hook=counted)
-    except (RecursionError, ValueError):
-        objs = None
-    if not (objs is not None and made == len(objs) == len(lines)
-            and all([line[0] == "{" or line.lstrip(" \t")[:1] == "{" for line in lines])):
-        objs = []
-        for n, line in zip(numbers, lines):
+    while chunk := list(islice(numbered, _CHUNK_LINES)):
+        numbers, chunk_lines = zip(*chunk)
+        made = 0
+        try:
+            objs = json.loads("[" + ",\n".join(chunk_lines) + "]", object_pairs_hook=counted)
+        except (RecursionError, ValueError):
+            objs = None
+        if objs is not None and made == len(objs) == len(chunk_lines) and all(
+                [line[0] == "{" or line.lstrip(" \t")[:1] == "{" for line in chunk_lines]):
+            yield from zip(numbers, objs)
+            continue
+        for n, line in chunk:
             try:
                 obj = json.loads(line, object_pairs_hook=unique_keys)
             except (RecursionError, ValueError) as e:
                 raise ValueError(f"{what} line {n} is not JSON: {e}") from None
             if type(obj) is not dict:
                 raise ValueError(f"{what} line {n} is not a JSON object")
-            objs.append(obj)
-    return numbers, objs
+            yield n, obj
 
 
 def events_from_jsonl(text: str) -> list[HistoryEvent]:
     """Parse history JSONL; a get that does not diverge from the longest read
     before it is an `IdPrefix` view of that read's list.
 
-    Raises ValueError naming the line on a line that is not one JSON object
-    with unique keys (see `jsonl_objects`), or on an event whose fields
-    differ from the layout in the module docstring: a field missing, extra
-    or of the wrong type or value, or a ``p`` beyond the longest earlier
-    read.
+    Raises ValueError naming the first line, in file order, that is not one
+    JSON object with unique keys (see `jsonl_objects`) or holds an event
+    whose fields differ from the layout in the module docstring: a field
+    missing, extra or of the wrong type or value, or a ``p`` beyond the
+    longest earlier read.
     """
-    numbers, objs = jsonl_objects(text, "history")
     events = []
     ref: list[str] = []  # only grows: a longer diverging read starts a new list
-    for n, obj in zip(numbers, objs):
+    for n, obj in jsonl_objects(text, "history"):
         try:
             keys, carried_ok = _LAYOUTS[obj["ev"], obj["kind"]]
         except (KeyError, TypeError):

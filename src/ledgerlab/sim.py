@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from . import protocols
 from .abcast import AbTrace, BroadcastService, trace_from_jsonl
-from .histories import HistoryEvent, Op, events_from_jsonl, events_to_jsonl, unique_keys
+from .histories import HistoryEvent, Op, events_from_jsonl, history_lines, unique_keys
 from .ledger import (Record, ValidityPredicate, is_int, predicate_from_config,
                      predicate_to_config)
 
@@ -331,7 +331,8 @@ class RunArtifact:
     def write(self, outdir: str | Path) -> Path:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "history.jsonl").write_text(events_to_jsonl(self.history))
+        with (out / "history.jsonl").open("w") as f:
+            f.writelines(history_lines(self.history))
         (out / "abtrace.jsonl").write_text(self.abtrace.to_jsonl())
         (out / "meta.json").write_text(self.scenario.meta_json(self.probe_from_t))
         return out

@@ -246,6 +246,8 @@ def _line(k, text):
                  id="last-delivery-after-crash"),
     pytest.param(GOOD[:3], "trace has 3 lines, want 4", id="missing-server-line"),
     pytest.param([*GOOD, GOOD[3]], "trace has 5 lines, want 4", id="extra-server-line"),
+    pytest.param([*_line(0, '{"sender":[0,3],"t":[0,1]}')[:3], GOOD[3][:-1]],
+                 "trace line 4 is not JSON", id="every-line-parsed-before-any-is-checked"),
     pytest.param(_line(1, "[0]"), "trace line 2 is not a JSON object", id="array-line"),
     pytest.param(_line(1, GOOD[1] + GOOD[1]), "trace line 2 is not JSON", id="two-on-a-line"),
     pytest.param(_line(1, '{"server":0,"server":0,"crash":null,"t":[2,3]}'),

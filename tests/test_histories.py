@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ledgerlab.histories import (
+    _CHUNK_LINES,
     HistoryEvent,
     events_from_jsonl,
     events_to_jsonl,
@@ -178,11 +179,38 @@ def test_jsonl_objects_names_a_line_split_inside_an_array(lines):
     text = "\n".join(lines) + "\n"
     assert len(json.loads("[" + ",\n".join(lines) + "]")) == len(lines)
     with pytest.raises(ValueError, match="^h line 1 is not JSON"):
-        jsonl_objects(text, "h")
+        list(jsonl_objects(text, "h"))
 
 
 def test_jsonl_objects_takes_nested_objects_on_their_own_lines():
-    assert jsonl_objects('{"a":{"b":[{}]}}\n\n {"c":1}', "h") == ([1, 3], [{"a": {"b": [{}]}}, {"c": 1}])
+    assert list(jsonl_objects('{"a":{"b":[{}]}}\n\n {"c":1}', "h")) == [(1, {"a": {"b": [{}]}}),
+                                                                          (3, {"c": 1})]
+
+
+def _gets(count):
+    """A history of ``count`` get invokes, one JSONL line each."""
+    return events_to_jsonl([ev(f"0.{c}", 0, "invoke", "get", c, c) for c in range(1, count + 1)])
+
+
+# One chunk, and a last line two chunks after the first.
+@pytest.mark.parametrize("count", [3, 2 * _CHUNK_LINES + 1])
+def test_a_history_error_names_the_first_line_that_breaks_the_rule(count):
+    lines = _gets(count).splitlines()
+    lines[0] = lines[0].replace('"get"', '"put"')
+    lines[-1] = lines[-1][:len(lines[-1]) // 2]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ValueError, match="^malformed history event on line 1$"):
+        events_from_jsonl(text)
+    with pytest.raises(ValueError, match=f"^h line {count} is not JSON"):
+        list(jsonl_objects(text, "h"))
+
+
+def test_jsonl_objects_parses_a_chunk_only_when_it_is_reached():
+    text = _gets(_CHUNK_LINES) + "{\n"
+    objects = jsonl_objects(text, "h")
+    assert next(objects) == (1, json.loads(text.splitlines()[0]))
+    with pytest.raises(ValueError, match=f"^h line {_CHUNK_LINES + 1} is not JSON"):
+        list(objects)
 
 
 def test_pairing_completed_and_pending():
