@@ -9,13 +9,12 @@ deliberately independent in spirit:
   sequence ranks a get ``2*len(seq)``, an append ``2*pos+1`` (+inf if
   unread), and x preceding y requires rank(x) <= rank(y).  One sweep checks
   it in O(n log n) for n ops.  Before it, the integrity and chain screen
-  compares each get with a prefix of the longest one.  A loaded correct run
-  holds its gets as views of one id list (see `histories`), so each
-  comparison is O(1) and the screen is O(gets + longest read); a get held
-  as a tuple or a view of another list costs its length.  A Python loop
-  over the ids runs only for a history that fails, to name its first
-  violation.  A check finds the last longest get and its ids' positions
-  once, for every screen.
+  compares each get with a prefix of the longest one.  A correct run, in
+  memory or loaded, holds its gets as views of one id list (see
+  `histories`), so each comparison is O(1) and the screen is
+  O(gets + longest read).  A Python loop over the ids runs only for a
+  history that fails, to name its first violation.  A check finds the last
+  longest get and its ids' positions once, for every screen.
 * an exhaustive oracle -- for small histories, a pruned DFS over all
   precedence-respecting permutations that replays the sequential ledger and
   accepts iff some permutation reproduces every recorded return value.

@@ -23,12 +23,11 @@ with the number of records, not with the number of ids read.  Any sequence
 round-trips, a divergent or fabricated one included, so the checkers see
 exactly the sequences that were returned.
 
-Neither side copies a read.  The writer keeps ``ref`` as one growing list
-and, per id list that the reads are views of, how far that list is known to
-agree with it.  The loader keeps ``ref`` as one list too, and every get that
-does not diverge from it is loaded as an `IdPrefix` view of it; only a
-diverging get holds a tuple of its own, and a longer diverging get starts a
-new list.  So a loaded correct run holds its reads as one id list.
+Neither side copies a read, and a correct run holds its reads as `IdPrefix`
+views of one id list, in memory (see `ledgerlab.protocols`) and loaded.  The
+writer keeps ``ref`` as the longest read, the loader as one list: a get that
+does not diverge from it loads as a view of it, a diverging get as a tuple of
+its own, and a longer diverging get starts a new list.
 
 The writer yields the file a line at a time.  The loader parses a chunk of
 lines at a time (`jsonl_objects`) and turns it into events before it parses
@@ -72,14 +71,11 @@ def history_lines(events: Iterable[HistoryEvent]) -> Iterator[str]:
     separators=(",", ":"))`` gives: each string goes through the encoder
     json.dumps itself uses, and each int through int formatting.
 
-    ``ref`` is one list.  A read is the first ``n`` ids of its ``ids`` list (a
-    view's list, or a tuple itself), and ``agree[id(ids)]`` holds ``ids`` and a
-    length of it known to equal ``ref``'s start, so each id of a growing list
-    is compared once.  Only a longer read that diverges rewrites ``ref``, and
-    cuts every mark back to where it diverged.
+    A read is the first ``n`` ids of a list that only grows (a view's, or a
+    tuple), and so is ``ref``: a read of ``ref``'s own list agrees with it up
+    to the shorter length, and any other read is compared id by id.
     """
-    ref: list[str] = []
-    agree: dict[int, list] = {}  # id(ids) -> [ids, marked length]; holds ids alive
+    ref_ids, ref_n = (), 0  # ref is ref_ids[:ref_n]
     for e in events:
         line = (f'{{"op":{_quote(e.op_id)},"client":{e.client:d},"ev":{_quote(e.ev)},'
                 f'"kind":{_quote(e.kind)},"c":{e.c:d},"t":{e.t:d}')
@@ -89,20 +85,14 @@ def history_lines(events: Iterable[HistoryEvent]) -> Iterator[str]:
             line += f',"result":{_quote(e.result)}'
         if e.seq is not None:
             ids, n = (e.seq.ids, e.seq.n) if type(e.seq) is IdPrefix else (e.seq, len(e.seq))
-            mark = agree.setdefault(id(ids), [ids, 0])
-            p, stop = mark[1], min(n, len(ref))
-            while p < stop and ids[p] == ref[p]:
-                p += 1
-            mark[1] = p
-            p = min(p, n)
+            p = stop = min(n, ref_n)
+            if ids is not ref_ids:
+                p = 0
+                while p < stop and ids[p] == ref_ids[p]:
+                    p += 1
             line += f',"p":{p:d},"tail":[{",".join(map(_quote, ids[p:n]))}]'
-            if n > len(ref):
-                if p < len(ref):
-                    for other in agree.values():
-                        other[1] = min(other[1], p)
-                del ref[p:]
-                ref += ids[p:n]
-                mark[1] = n
+            if n > ref_n:
+                ref_ids, ref_n = ids, n
         yield line + "}\n"
 
 

@@ -6,7 +6,7 @@ and serves read-side repair from one fold per predicate.  The validated
 ledger additionally filters every append through a pluggable validity
 predicate and answers ``nack`` when the extended sequence would violate it.
 These objects are the reference behaviour that the offline checkers replay,
-and each simulated server holds one as its replica state.
+and one plain ledger is a simulated run's record order (see `protocols`).
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ class Ledger:
     def __init__(self) -> None:
         self._items: list[Record] = []
         self._ids: list[str] = []
-        self._rids: set[str] = set()
+        self.positions: dict[str, int] = {}  # record id -> its index
         # id(pred) -> (pred.step, state, kept_ids, upto), the bound step keeping pred
         # alive: the fold has run over len(upto) - 1 records; the first i keep upto[i].
         self._folds: dict[int, tuple] = {}
@@ -267,17 +267,17 @@ class Ledger:
         return IdPrefix(kept_ids, upto[n])
 
     def append(self, r: Record) -> str:
-        if r.rid in self._rids:
+        if r.rid in self.positions:
             raise DuplicateRecordError(f"record id {r.rid} already in ledger")
         return ACK if self.add(r) else NACK
 
     def add(self, r: Record) -> bool:
         """Append ``r`` if its id is new and any predicate admits it; say whether it did."""
-        if r.rid in self._rids:
+        if r.rid in self.positions:
             return False
+        self.positions[r.rid] = len(self._items)
         self._items.append(r)
         self._ids.append(r.rid)
-        self._rids.add(r.rid)
         return True
 
 
@@ -294,4 +294,4 @@ class ValidatedLedger(Ledger):
         self._state = pred.start()
 
     def add(self, r: Record) -> bool:
-        return r.rid not in self._rids and self.pred.step(self._state, r) and super().add(r)
+        return r.rid not in self.positions and self.pred.step(self._state, r) and super().add(r)

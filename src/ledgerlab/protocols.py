@@ -1,12 +1,14 @@
 """Client interfaces and the replicated-server state machine.
 
 All three consistency levels run one replica state machine on top of the
-total-order broadcast service.  Every append broadcasts its record; a
-delivered record joins the replica once and acks the append if this server
-stashed it.  A get the replica is too short for waits under its floor, and
-the delivery that brings the replica to that length answers it.  A server's
-one stash maps each broadcast it awaits to the request it answers: an
-append by its record id, an atomic get by its ``(client, c)`` pair.
+total-order broadcast service.  Every append broadcasts its record; a delivered
+record joins the replica once and acks the append if this server stashed it.
+Servers deliver in one order, so a replica is a length into the run's record
+order, ``net.order``, until a delivery off it gives the server a `Ledger` of
+its own.  A get the replica is too short for waits under its floor, and the
+delivery that brings the replica to that length answers it.  A server's one
+stash maps each broadcast it awaits to the request it answers: an append by
+its record id, an atomic get by its ``(client, c)`` pair.
 The levels differ in two decisions only:
 
 * an eventual append is acked at request time, before its record is
@@ -57,7 +59,8 @@ class Server:
         self.mode = mode
         self.sid = sid
         self.net = net
-        self.replica = Ledger()
+        self.replica: Ledger = net.order  # the replica is its first `length` records
+        self.length = 0
         # awaited broadcast (an append's record id, or an atomic get) -> asker
         self.stash: dict[str | tuple[Client, int], tuple[Client, int]] = {}
         self.parked: dict[int, list[tuple[Client, int]]] = {}  # floor -> [(client, c)]
@@ -88,28 +91,35 @@ class Server:
         if self.mode == ATOMIC:
             self.net.abroadcast(self.sid, (client, c))
             self.stash[client, c] = (client, c)
-        elif len(self.replica) >= floor:
-            self.net.send(client.on_response, c, self.replica, len(self.replica))
+        elif self.length >= floor:
+            self.net.send(client.on_response, c, self.replica, self.length)
         else:
             self.parked.setdefault(floor, []).append((client, c))
 
     def handle_adeliver(self, payload: Record | tuple[Client, int]) -> None:
         record = isinstance(payload, Record)
         if record:
-            self.replica.add(payload)
+            order, n = self.replica, self.length
+            pos = order.positions.get(payload.rid, len(order))  # a new record's: the end
+            if pos >= n:  # else a copy of a record it holds
+                if pos > n:  # off the order, as in no correct run: a replica of its own
+                    self.replica = Ledger()
+                    for r in order.get()[:n]:
+                        self.replica.add(r)
+                self.replica.add(payload)  # a no-op for the order's next record
+                self.length = n + 1
         # Acknowledge on any delivery of the record while stashed, not only
         # the first: the first copy can land before this server has even seen
         # the client's request, and the client must still get an answer.
         asker = self.stash.pop(payload.rid if record else payload, None)
         if asker is not None:
             client, c = asker
-            self.net.send(client.on_response, c, None if record else self.replica, len(self.replica))
+            self.net.send(client.on_response, c, None if record else self.replica, self.length)
         # A get parks under a floor above the length, and each growth adds one
         # record, so exactly one growth reaches it; a duplicate reaches none.
         if self.parked:
-            length = len(self.replica)
-            for client, c in self.parked.pop(length, ()):
-                self.net.send(client.on_response, c, self.replica, length)
+            for client, c in self.parked.pop(self.length, ()):
+                self.net.send(client.on_response, c, self.replica, self.length)
 
 
 def server_subset(cid: int, n: int, f: int) -> list[int]:
@@ -123,9 +133,9 @@ class Client:
     A get records `Ledger.read_ids` of the replica that answered it: a view
     of that replica's id list, never a copy.  With a validity predicate
     configured, get responses are filtered at this boundary (the read-side
-    repair construction, folded once per replica, whose kept ids are the
-    list viewed); the protocol-level length bookkeeping still uses the raw
-    replica length.
+    repair construction, folded once per record order, whose kept ids are
+    the list viewed); the protocol-level length bookkeeping still uses the
+    raw replica length.
     """
 
     def __init__(self, cid: int, mode: str, targets: list[Server], net,
@@ -166,11 +176,11 @@ class Client:
                 self.net.send(server.on_get, self, c, self.last_len)
 
     def on_response(self, c: int, replica: Ledger | None, n: int | None) -> None:
-        """A get is answered by its ``replica`` and that replica's length
-        ``n`` at send time: the replica never shrinks or reorders, so the
-        pair is a snapshot even if it grows before the client reads it.  An
-        append is acked with no replica, and ``n`` is the replica's length
-        when its record landed, or None for an eventual ack."""
+        """A get is answered by its server's ``replica`` and length ``n``
+        at send time: the replica never shrinks or reorders, so the pair is a
+        snapshot even if it grows before the client reads it.  An append is
+        acked with no replica, and ``n`` is the server's length when its
+        record landed, or None for an eventual ack."""
         if self.crashed:
             return
         inv = self.pending

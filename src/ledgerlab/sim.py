@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 from . import protocols
 from .abcast import AbTrace, BroadcastService, trace_from_jsonl
 from .histories import HistoryEvent, Op, events_from_jsonl, history_lines, unique_keys
-from .ledger import (Record, ValidityPredicate, is_int, predicate_from_config,
+from .ledger import (Ledger, Record, ValidityPredicate, is_int, predicate_from_config,
                      predicate_to_config)
 
 
@@ -379,18 +379,18 @@ def _delay_chunks(getrandbits, max_delay: int):
 
 class Simulator:
     """Calendar-queue event loop (R. Brown, CACM 1988): a slot of ``(handler,
-    args)`` per due time, in filing order, and a heap of the due times.  A
-    slot runs in order, with what is filed into it meanwhile, so events run
-    in (time, scheduling order).  It is the ``net`` of every server, client
-    and the broadcast service: ``now`` (sim time), ``trace`` (the `AbTrace`:
-    the broadcast service appends each broadcast's sender and time and each
-    delivery's time, and a crash sets its server's crash time),
-    ``history`` (the clients' `HistoryEvent` list), ``schedule(delay, fn,
-    *args)``, ``send(fn, *args)`` (the same after the run's next network
-    delay, see `_delay_chunks`) and ``abroadcast(sid, payload)``.  There is
-    no message type and no relay: a message is ``send`` of its receiver's
-    handler, such as a server's ``on_append``/``on_get`` or a client's
-    ``on_response``, with its fields as the arguments.
+    args)`` per due time, in filing order, and a heap of the due times.  A slot
+    runs in order, with what is filed into it meanwhile, so events run in
+    (time, scheduling order).  It is the ``net`` of every server, client and the
+    broadcast service: ``now`` (sim time), ``order`` (the run's record order,
+    see `protocols`), ``trace`` (the `AbTrace`: the broadcast service appends
+    each broadcast's sender and time and each delivery's time, and a crash sets
+    its server's crash time), ``history`` (the clients' `HistoryEvent` list),
+    ``schedule(delay, fn, *args)``, ``send(fn, *args)`` (the same after the
+    run's next network delay, see `_delay_chunks`) and ``abroadcast(sid,
+    payload)``.  There is no message type and no relay: a message is ``send`` of
+    its receiver's handler, such as a server's ``on_append``/``on_get`` or a
+    client's ``on_response``, with its fields as the arguments.
 
     A Simulator runs once.  ``run`` drops its ``servers``, ``clients`` and
     ``abroadcast`` before it returns, and a crashed server drops what it
@@ -407,6 +407,7 @@ class Simulator:
             random.Random(f"net:{scenario.seed}").getrandbits, scenario.max_delay))
         self.trace = AbTrace(scenario.n)
         self.history: list[HistoryEvent] = []
+        self.order = Ledger()
 
         self.servers = [protocols.Server(scenario.mode, sid, self)
                         for sid in range(scenario.n)]
@@ -481,7 +482,7 @@ class Simulator:
             self._drain()
             self._check_liveness()
 
-        states = {sid: s.replica.get() for sid, s in enumerate(self.servers)}
+        states = {sid: s.replica.get()[:s.length] for sid, s in enumerate(self.servers)}
         # Build the trace's row view inside the run: perfbench's tracer
         # counts its rows off this result in a span outside every layer.
         self.trace.events  # noqa: B018

@@ -1,5 +1,7 @@
+import pytest
+
 from ledgerlab.histories import pair_events
-from ledgerlab.ledger import ACK, account_balance, filter_valid, make_record
+from ledgerlab.ledger import ACK, Ledger, account_balance, filter_valid, make_record
 from ledgerlab.protocols import (
     ATOMIC,
     EVENTUAL,
@@ -14,13 +16,15 @@ from conftest import scenario
 
 
 class FakeNet:
-    """Records each message as its handler and arguments instead of delivering it."""
+    """Records each message as its handler and arguments instead of delivering
+    it; ``order`` is the record order its servers share."""
 
     def __init__(self):
         self.sent = []
         self.broadcasts = []
         self.history = []
         self.now = 0
+        self.order = Ledger()
 
     def send(self, fn, *args):
         self.sent.append((fn, args))
@@ -165,6 +169,40 @@ class TestSequentialServer:
         r = rec(1, creator=3)
         s.on_append(P, 1, r)
         s.handle_adeliver(r)
+        assert sent(net) == [(P, 1, None, 2)]
+
+
+class TestSharedOrder:
+    @pytest.mark.parametrize("stray", ["new", "later-in-the-order"])
+    def test_a_record_off_the_order_gives_the_server_a_replica_of_its_own(self, stray):
+        net = FakeNet()
+        a, b = Server(SEQUENTIAL, 0, net), Server(SEQUENTIAL, 1, net)
+        r1, r2, r3 = (rec(i, creator=9) for i in (1, 2, 3))
+        for r in (r1, r2, r3) if stray == "later-in-the-order" else (r1, r2):
+            a.handle_adeliver(r)
+        b.handle_adeliver(r1)
+        b.on_get(P, 1, 0)
+        b.handle_adeliver(r3)  # not the order's next record, r2
+        assert b.replica is not net.order
+        assert (b.replica.get(), b.length) == ((r1, r3), 2)
+        order = net.order.get()
+        assert (a.replica, a.length) == (net.order, len(order))
+        assert order == ((r1, r2, r3) if stray == "later-in-the-order" else (r1, r2))
+        a.on_get(P, 2, 0)
+        b.on_get(P, 3, 0)
+        assert sent(net) == [(P, 1, (r1,), 1), (P, 2, order, len(order)), (P, 3, (r1, r3), 2)]
+
+    def test_a_copy_of_a_held_record_changes_nothing_and_acks_a_stashed_append(self):
+        net = FakeNet()
+        a, b = Server(ATOMIC, 0, net), Server(ATOMIC, 1, net)
+        r1, r2 = rec(1, creator=3), rec(2, creator=3)
+        for s in (a, b):
+            s.handle_adeliver(r1)
+            s.handle_adeliver(r2)
+        b.on_append(P, 1, r1)
+        b.handle_adeliver(r1)
+        assert net.order.get() == (r1, r2)
+        assert (b.replica, b.length) == (net.order, 2)
         assert sent(net) == [(P, 1, None, 2)]
 
 

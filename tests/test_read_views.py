@@ -1,6 +1,6 @@
-"""Loaded reads are views of one id list, judged as the same reads held as tuples.
+"""Reads are views of one id list, judged as the same reads held as tuples.
 
-* A loaded artifact of a correct run holds one id list: every get's ``seq``
+* A correct run holds one id list, in memory and loaded: every get's ``seq``
   is an `IdPrefix` view of the same list.
 * The atomic, sequential and eventual verdicts (status, tag and witness, or
   the refusal) on a loaded artifact equal those on a copy whose every
@@ -26,12 +26,18 @@ CHECKERS = ("atomic", "sequential", "eventual")
 
 
 @pytest.fixture(scope="module")
-def loaded(tmp_path_factory):
-    """Each pinned scenario at each seed, run, written and loaded back."""
-    out = tmp_path_factory.mktemp("runs")
-    return {(name, seed): load_artifact(
-                run(scenario_from_dict({**SCENARIOS[name], "seed": seed})).write(out / f"{name}-{seed}"))
+def in_memory():
+    """Each pinned scenario at each seed, run."""
+    return {(name, seed): run(scenario_from_dict({**SCENARIOS[name], "seed": seed}))
             for name in sorted(SCENARIOS) for seed in SEEDS}
+
+
+@pytest.fixture(scope="module")
+def loaded(in_memory, tmp_path_factory):
+    """Each run of ``in_memory``, written and loaded back."""
+    out = tmp_path_factory.mktemp("runs")
+    return {(name, seed): load_artifact(artifact.write(out / f"{name}-{seed}"))
+            for (name, seed), artifact in in_memory.items()}
 
 
 def _reads(artifact: RunArtifact) -> list:
@@ -56,12 +62,20 @@ def assert_judged_as_tuples(artifact: RunArtifact) -> list:
     return outcomes
 
 
-def test_a_loaded_correct_run_holds_one_id_list(loaded):
-    for key, artifact in loaded.items():
+def assert_one_id_list(artifacts: dict) -> None:
+    for key, artifact in artifacts.items():
         reads = _reads(artifact)
         assert reads, key
         assert all(type(seq) is IdPrefix for seq in reads), key
         assert len({id(seq.ids) for seq in reads}) == 1, key
+
+
+def test_a_loaded_correct_run_holds_one_id_list(loaded):
+    assert_one_id_list(loaded)
+
+
+def test_an_in_memory_correct_run_holds_one_id_list(in_memory):
+    assert_one_id_list(in_memory)
 
 
 def test_loaded_runs_are_judged_as_their_tuple_copies(loaded):
