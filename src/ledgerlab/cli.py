@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import time
@@ -28,11 +27,6 @@ EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_FAIL = 3
 EXIT_DIVERGENCE = 4
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("LEDGERLAB_LOG", "off").upper()
-    logging.basicConfig(level=level if level in ("DEBUG", "INFO") else logging.WARNING)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -332,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -29,10 +29,10 @@ writer keeps ``ref`` as the longest read, the loader as one list: a get that
 does not diverge from it loads as a view of it, a diverging get as a tuple of
 its own, and a longer diverging get starts a new list.
 
-The writer yields the file a line at a time.  The loader parses a chunk of
-lines at a time (`jsonl_objects`) and turns it into events before it parses
-the next, so a load error names the first line that breaks the rules, in
-file order.
+The writer yields the file a line at a time.  The loader parses a line at
+a time (`jsonl_objects`) and turns it into an event before it parses the
+next, so a load error names the first line that breaks the rules, in file
+order.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from itertools import compress, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ledger import ACK, NACK, IdPrefix, is_int, make_rid  # noqa: F401  (is_int re-exported)
@@ -122,7 +121,7 @@ def unique_keys(pairs: list[tuple]) -> dict:
     return obj
 
 
-_CHUNK_LINES = 512  # non-blank lines per `jsonl_objects` parse
+ARTIFACT_JSON = json.JSONDecoder(object_pairs_hook=unique_keys)  # decodes every artifact file
 
 
 def jsonl_objects(text: str, what: str) -> Iterator[tuple[int, dict]]:
@@ -131,42 +130,23 @@ def jsonl_objects(text: str, what: str) -> Iterator[tuple[int, dict]]:
     object, each key once; whitespace and key order are free.  Raises
     ValueError naming the first line that breaks it, as the ``what`` line.
 
-    Each chunk of ``_CHUNK_LINES`` such lines is parsed when it is reached, so a
-    caller that checks each object as it comes names the first line that
-    breaks its own rules or this one.  The chunk is one ``json.loads``, its
-    lines joined by ``",\\n"``, which no JSON string can hold.  If every line
-    opens with ``{`` and the parse makes only top-level objects, no separator
-    fell inside a value (the ``{`` after it would have opened a nested
-    object); so with as many objects as lines, each line holds exactly its
-    object.  Otherwise each line is parsed alone, as it is yielded.
+    Each line is parsed when it is reached, so a caller that checks each
+    object as it comes names the first line that breaks its own rules or this
+    one.
     """
-    lines = text.splitlines()
-    numbered = compress(enumerate(lines, 1), map(str.strip, lines))
-
-    def counted(pairs: list[tuple]) -> dict:
-        nonlocal made
-        made += 1
-        return unique_keys(pairs)
-
-    while chunk := list(islice(numbered, _CHUNK_LINES)):
-        numbers, chunk_lines = zip(*chunk)
-        made = 0
-        try:
-            objs = json.loads("[" + ",\n".join(chunk_lines) + "]", object_pairs_hook=counted)
-        except (RecursionError, ValueError):
-            objs = None
-        if objs is not None and made == len(objs) == len(chunk_lines) and all(
-                [line[0] == "{" or line.lstrip(" \t")[:1] == "{" for line in chunk_lines]):
-            yield from zip(numbers, objs)
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
             continue
-        for n, line in chunk:
-            try:
-                obj = json.loads(line, object_pairs_hook=unique_keys)
-            except (RecursionError, ValueError) as e:
-                raise ValueError(f"{what} line {n} is not JSON: {e}") from None
-            if type(obj) is not dict:
-                raise ValueError(f"{what} line {n} is not a JSON object")
-            yield n, obj
+        body = line.strip(" \t")  # JSON's whitespace within a line
+        try:
+            obj, end = ARTIFACT_JSON.raw_decode(body)
+            if end != len(body):
+                raise json.JSONDecodeError("Extra data", body, end)
+        except (RecursionError, ValueError) as e:
+            raise ValueError(f"{what} line {n} is not JSON: {e}") from None
+        if type(obj) is not dict:
+            raise ValueError(f"{what} line {n} is not a JSON object")
+        yield n, obj
 
 
 def events_from_jsonl(text: str) -> list[HistoryEvent]:

@@ -11,12 +11,9 @@ and one plain ledger is a simulated run's record order (see `protocols`).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Mapping
-
-log = logging.getLogger("ledgerlab.ledger")
 
 ACK = "ack"
 NACK = "nack"
@@ -104,7 +101,6 @@ class ValidityPredicate:
         elif self.kind == "account_balance":
             parsed = _parse_transfer(r.payload)
             if parsed is None:
-                log.debug("account_balance: unparseable payload %r (record %s)", r.payload, r.rid)
                 return False
             action, acct, amount = parsed
             balance = state.get(acct, 0) + (amount if action == "deposit" else -amount)

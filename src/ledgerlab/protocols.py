@@ -33,15 +33,11 @@ what it provides.
 
 from __future__ import annotations
 
-import logging
-
 from .histories import INVOKE, RESPONSE, HistoryEvent
 from .ledger import ACK, Ledger, Record, ValidityPredicate, make_rid
 # Read-side repair's definition stays importable here: Client reads it through
 # Ledger.read_ids, and perfbench's tracer wraps protocols.filter_valid.
 from .ledger import filter_valid  # noqa: F401
-
-log = logging.getLogger("ledgerlab.protocols")
 
 EVENTUAL = "eventual"
 SEQUENTIAL = "sequential"
@@ -185,7 +181,6 @@ class Client:
             return
         inv = self.pending
         if inv is None or c != inv.c:
-            log.debug("client %d dropped duplicate/stale response c=%d", self.cid, c)
             return
         if replica is None:
             result, seq = ACK, None

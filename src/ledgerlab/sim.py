@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from . import protocols
 from .abcast import AbTrace, BroadcastService, trace_from_jsonl
-from .histories import HistoryEvent, Op, events_from_jsonl, history_lines, unique_keys
+from .histories import ARTIFACT_JSON, HistoryEvent, Op, events_from_jsonl, history_lines
 from .ledger import (Ledger, Record, ValidityPredicate, is_int, predicate_from_config,
                      predicate_to_config)
 
@@ -341,7 +341,7 @@ class RunArtifact:
 def load_artifact(artifact_dir: str | Path) -> RunArtifact:
     d = Path(artifact_dir)
     try:
-        meta = json.loads((d / "meta.json").read_text(), object_pairs_hook=unique_keys)
+        meta = ARTIFACT_JSON.decode((d / "meta.json").read_text())
         fields = {"probe_from_t", "scenario", "scenario_sha256", "seed"}
         if not (isinstance(meta, dict) and meta.keys() == fields):
             raise ValueError(f"meta.json must hold exactly the fields {sorted(fields)}")

@@ -209,6 +209,9 @@ def _meta_field(path, value):
     ("meta.json", lambda text: text.replace('\n "seed": ', '\n "seed": 99,\n "seed": '), "atomic"),
     ("abtrace.jsonl", _server_line(lambda obj: obj["t"].extend([1, 0])), "abcast"),
     ("abtrace.jsonl", _server_line(lambda obj: obj.__setitem__("crash", 0)), "abcast"),
+    ("history.jsonl", lambda text: text.replace("\n", "", 1), "atomic"),
+    ("history.jsonl", lambda text: text.replace(",", ",\n", 1), "atomic"),
+    ("history.jsonl", lambda text: "\u00a0" + text, "atomic"),
 ], ids=["history-string-counter", "meta-list", "history-list-client",
         "history-list-op", "history-string-time-eventual", "history-bool-counter",
         "history-unknown-ev", "history-unknown-kind", "history-string-seq",
@@ -223,7 +226,9 @@ def _meta_field(path, value):
         "meta-probe-from-t-zero-eventual", "history-missing-p", "history-missing-tail",
         "history-p-beyond-longest-earlier-read", "history-negative-p", "history-bool-p",
         "history-string-p", "history-v1-seq-line", "meta-repeated-seed",
-        "abtrace-decreasing-times", "abtrace-delivery-after-crash"])
+        "abtrace-decreasing-times", "abtrace-delivery-after-crash",
+        "history-two-events-on-one-line", "history-event-split-over-two-lines",
+        "history-nbsp-before-brace"])
 def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt, checker):
     art = tmp_path / "art"
     main(["run", "--scenario", scen_file(), "--out", str(art)])
@@ -557,11 +562,6 @@ def test_divergence_maps_to_exit_4():
     assert _verdict_exit(Verdict("divergence")) == 4
     assert _verdict_exit(Verdict("fail", "A2", ["0.1"])) == 3
     assert _verdict_exit(Verdict("pass")) == 0
-
-
-def test_log_env_var_is_accepted(scen_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("LEDGERLAB_LOG", "debug")
-    assert main(["run", "--scenario", scen_file(), "--out", str(tmp_path / "a")]) == 0
 
 
 def out_decisions(text):

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ledgerlab.histories import (
-    _CHUNK_LINES,
     HistoryEvent,
     events_from_jsonl,
     events_to_jsonl,
@@ -182,9 +181,15 @@ def test_jsonl_objects_names_a_line_split_inside_an_array(lines):
         list(jsonl_objects(text, "h"))
 
 
-def test_jsonl_objects_takes_nested_objects_on_their_own_lines():
-    assert list(jsonl_objects('{"a":{"b":[{}]}}\n\n {"c":1}', "h")) == [(1, {"a": {"b": [{}]}}),
-                                                                          (3, {"c": 1})]
+# Nested objects, JSON's in-line whitespace at either end, CRLF line ends,
+# and blank lines, one of only U+3000.
+@pytest.mark.parametrize("text", [
+    '{"a":{"b":[{}]}}\n\n {"c":1}',
+    ' \t{"a":{"b":[{}]}}\t \n\u3000\n\t{"c":1} ',
+    '{"a":{"b":[{}]}}\r\n\r\n{"c":1}\r\n',
+])
+def test_jsonl_objects_takes_nested_objects_on_their_own_lines(text):
+    assert list(jsonl_objects(text, "h")) == [(1, {"a": {"b": [{}]}}), (3, {"c": 1})]
 
 
 def _gets(count):
@@ -192,8 +197,7 @@ def _gets(count):
     return events_to_jsonl([ev(f"0.{c}", 0, "invoke", "get", c, c) for c in range(1, count + 1)])
 
 
-# One chunk, and a last line two chunks after the first.
-@pytest.mark.parametrize("count", [3, 2 * _CHUNK_LINES + 1])
+@pytest.mark.parametrize("count", [3, 1025])
 def test_a_history_error_names_the_first_line_that_breaks_the_rule(count):
     lines = _gets(count).splitlines()
     lines[0] = lines[0].replace('"get"', '"put"')
@@ -205,12 +209,12 @@ def test_a_history_error_names_the_first_line_that_breaks_the_rule(count):
         list(jsonl_objects(text, "h"))
 
 
-def test_jsonl_objects_parses_a_chunk_only_when_it_is_reached():
-    text = _gets(_CHUNK_LINES) + "{\n"
+def test_jsonl_objects_parses_a_line_only_when_it_is_reached():
+    text = _gets(1) + "{\n"
     objects = jsonl_objects(text, "h")
     assert next(objects) == (1, json.loads(text.splitlines()[0]))
-    with pytest.raises(ValueError, match=f"^h line {_CHUNK_LINES + 1} is not JSON"):
-        list(objects)
+    with pytest.raises(ValueError, match="^h line 2 is not JSON"):
+        next(objects)
 
 
 def test_pairing_completed_and_pending():

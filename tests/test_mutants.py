@@ -70,6 +70,17 @@ def apply_records_twice(self, payload):
     handle_adeliver(self, payload)
 
 
+def fabricate_a_record(self, client, c, floor):
+    """Server 0 answers each get with its own copy of its prefix plus a record
+    9.1 that no client appended."""
+    if self.sid != 0 or self.crashed:
+        return on_get(self, client, c, floor)
+    own = Ledger()
+    for r in [*self.replica.get()[:self.length], Record("9.1", 9, "x")]:
+        own.add(r)
+    self.net.send(client.on_response, c, own, len(own))
+
+
 def ack_without_broadcast(self, client, c, record):
     """An eventual append acked, and its record never broadcast."""
     if not self.crashed:
@@ -85,6 +96,8 @@ def ack_without_broadcast(self, client, c, record):
                  id="record-applied-twice"),
     pytest.param("on_append", ack_without_broadcast, "eventual", {"ProbeCompleteness": 50},
                  id="eventual-append-never-broadcast"),
+    pytest.param("on_get", fabricate_a_record, "eventual", {"Fabrication": 49},
+                 id="eventual-get-fabricates-a-record"),
 ])
 def test_mutant_fails_its_checker(monkeypatch, method, mutant, mode, counts):
     monkeypatch.setattr(protocols.Server, method, mutant)

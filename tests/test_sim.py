@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ledgerlab.abcast import check_abcast_trace
-from ledgerlab.histories import _CHUNK_LINES, events_to_jsonl, pair_events
+from ledgerlab.histories import events_to_jsonl, pair_events
 from ledgerlab.sim import (
     ConfigError,
     Simulator,
@@ -365,16 +365,15 @@ def test_both_artifact_files_follow_one_malformed_input_rule(tmp_path, name, edi
             load_artifact(out)
 
 
-@pytest.mark.parametrize("overrides,chunks", [
-    pytest.param({"clients": 1, "workload": [[]], "probe_gets": 0}, 0, id="empty"),
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"clients": 1, "workload": [[]], "probe_gets": 0}, id="empty"),
     pytest.param({"n": 5, "f": 2, "clients": 16, "crash_schedule": [[0, 40], [3, 90]],
-                  "workload": {"ops_per_client": 40, "append_ratio": 0.6}}, 3, id="three-chunks"),
+                  "workload": {"ops_per_client": 40, "append_ratio": 0.6}}, id="n5-f2-16x40"),
 ])
-def test_the_written_history_is_events_to_jsonl(tmp_path, overrides, chunks):
+def test_the_written_history_is_events_to_jsonl(tmp_path, overrides):
     art = run(scenario(**overrides))
     text = (art.write(tmp_path / "art") / "history.jsonl").read_text()
     assert text == events_to_jsonl(art.history)
-    assert -(-len(art.history) // _CHUNK_LINES) == chunks
 
 
 class TestEventLoop:
