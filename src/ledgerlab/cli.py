@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import checkers, sim
 from .abcast import check_abcast_trace
-from .histories import APPEND, GET, INVOKE, RESPONSE, pair_events
+from .histories import APPEND, ARTIFACT_JSON, GET, INVOKE, RESPONSE, pair_events
 from .ledger import ACK
 from .sim import ConfigError, RunArtifact, Scenario
 from .verdicts import DIVERGENCE, FAIL, Verdict
@@ -31,7 +31,7 @@ EXIT_DIVERGENCE = 4
 
 def load_scenario(path: str | Path) -> Scenario:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = ARTIFACT_JSON.decode(Path(path).read_text())
     except OSError as e:
         raise ConfigError(f"scenario file unreadable: {e}")
     except (RecursionError, ValueError) as e:  # not UTF-8, too deep, or an int too long
@@ -192,7 +192,7 @@ def run_campaign(scenario: Scenario, start: int, count: int,
         if len(entry) > 1:
             failing.append(entry)
     return {
-        "scenario_sha256": scenario.sha256(),
+        "scenario_sha256": scenario.sha256,
         "seeds": {"start": start, "count": count},
         "checkers": list(names),
         "aggregate": aggregate,

@@ -114,14 +114,14 @@ _LAYOUTS = {
 
 
 def unique_keys(pairs: list[tuple]) -> dict:
-    """The ``object_pairs_hook`` of every artifact file: ValueError on a repeated key."""
+    """The ``object_pairs_hook`` of every JSON input: ValueError on a repeated key."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         raise ValueError("repeated key")
     return obj
 
 
-ARTIFACT_JSON = json.JSONDecoder(object_pairs_hook=unique_keys)  # decodes every artifact file
+ARTIFACT_JSON = json.JSONDecoder(object_pairs_hook=unique_keys)  # scenario and artifact files
 
 
 def jsonl_objects(text: str, what: str) -> Iterator[tuple[int, dict]]:

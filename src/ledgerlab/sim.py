@@ -41,21 +41,20 @@ class SimulationError(Exception):
     """An internal invariant broke mid-run (a bug, not a user error)."""
 
 
-_SCENARIO_FIELDS = {"n", "f", "clients", "mode", "seed", "max_delay", "probe_gets",
-                    "workload", "crash_schedule", "client_crashes", "predicate"}
 _WORKLOAD_SPEC_FIELDS = {"ops_per_client", "append_ratio", "payloads"}
 _PAYLOAD_KINDS = ("token", "account")
+_ACCOUNT_DEFAULTS = {"accounts": ["A"], "max_amount": 10}  # an account payload's omitted fields
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated, normalized description of one run."""
+    """Validated, normalized description of one run: its fields and JSON defaults."""
 
     n: int
     f: int
     clients: int
     mode: str
-    seed: int
+    seed: int = 0
     max_delay: int = 10
     probe_gets: int = 2
     workload: object = None  # explicit per-client op lists or a generator spec
@@ -65,21 +64,13 @@ class Scenario:
 
     def to_dict(self) -> dict:
         """The scenario as JSON values; json writes its stored tuples as arrays."""
-        out: dict = {
-            "n": self.n, "f": self.f, "clients": self.clients, "mode": self.mode,
-            "seed": self.seed, "max_delay": self.max_delay, "probe_gets": self.probe_gets,
-            "workload": self.workload, "crash_schedule": self.crash_schedule,
-            "client_crashes": self.client_crashes,
-        }
-        if self.predicate is not None:
-            out["predicate"] = predicate_to_config(self.predicate)
+        out = {name: getattr(self, name) for name in _SCENARIO_FIELDS}
+        if (pred := out.pop("predicate")) is not None:
+            out["predicate"] = predicate_to_config(pred)
         return out
 
-    def sha256(self) -> str:
-        return self._sha256
-
     @cached_property
-    def _sha256(self) -> str:
+    def sha256(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -88,7 +79,7 @@ class Scenario:
         indent=1)`` and a newline, with the scenario block encoded once."""
         return (f'{{\n "probe_from_t": {json.dumps(probe_from_t)},\n'
                 f' "scenario": {self._meta_block},\n'
-                f' "scenario_sha256": "{self._sha256}",\n "seed": {self.seed}\n}}\n')
+                f' "scenario_sha256": "{self.sha256}",\n "seed": {self.seed}\n}}\n')
 
     @cached_property
     def _meta_block(self) -> str:
@@ -99,6 +90,11 @@ class Scenario:
     def with_seed(self, seed: int) -> "Scenario":
         return dataclasses.replace(
             self, seed=_uint(seed, "seed must be an unsigned 64-bit integer", below=2 ** 64))
+
+
+_SCENARIO_FIELDS = [f.name for f in dataclasses.fields(Scenario)]
+_SCENARIO_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)
+                      if f.default is not dataclasses.MISSING}
 
 
 def _uint(v, message: str, *, minimum: int = 0, below: float = math.inf) -> int:
@@ -127,9 +123,10 @@ def scenario_from_dict(obj: Mapping) -> Scenario:
     """Parse and validate a scenario object; unknown fields are rejected."""
     if not isinstance(obj, Mapping):
         raise ConfigError("scenario must be a JSON object")
-    unknown = set(obj) - _SCENARIO_FIELDS
+    unknown = set(obj).difference(_SCENARIO_FIELDS)
     if unknown:
         raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
+    obj = {**_SCENARIO_DEFAULTS, **obj}
 
     n = _require_uint(obj, "n", minimum=1)
     f = _require_uint(obj, "f")
@@ -146,21 +143,18 @@ def scenario_from_dict(obj: Mapping) -> Scenario:
             f"f={f} with n={n} violates the broadcast service's majority "
             f"requirement (need f < n/2)")
 
-    seed = _uint(obj.get("seed", 0), "seed must be an unsigned 64-bit integer", below=2 ** 64)
+    seed = _uint(obj["seed"], "seed must be an unsigned 64-bit integer", below=2 ** 64)
     # A delay draw reads one 32-bit word of the network RNG (see _delay_chunks).
-    max_delay = _uint(obj.get("max_delay", 10), "max_delay must be an integer in [1, 2**32)",
+    max_delay = _uint(obj["max_delay"], "max_delay must be an integer in [1, 2**32)",
                       minimum=1, below=2 ** 32)
-    probe_gets = _uint(obj.get("probe_gets", 2), "probe_gets must be a non-negative integer")
+    probe_gets = _uint(obj["probe_gets"], "probe_gets must be a non-negative integer")
 
-    workload = _validate_workload(obj.get("workload"), clients)
-    crash_schedule = _validate_crashes(obj.get("crash_schedule", []), n, f)
-    client_crashes = _crash_entries(
-        obj.get("client_crashes", []), clients, "client",
-        ("malformed client crash entry {!r}", "client crash id {!r} out of range",
-         "client crash time {!r} must be a non-negative integer"))
+    workload = _validate_workload(obj["workload"], clients)
+    crash_schedule = _validate_crashes(obj["crash_schedule"], n, f)
+    client_crashes = _crash_entries(obj["client_crashes"], clients, "client")
 
     predicate = None
-    if obj.get("predicate") is not None:
+    if obj["predicate"] is not None:
         try:
             predicate = predicate_from_config(obj["predicate"])
         except ValueError as e:
@@ -188,15 +182,15 @@ def _validate_workload(workload, clients: int):
         if not isinstance(payloads, Mapping) or payloads.get("kind") not in _PAYLOAD_KINDS:
             raise ConfigError(f"workload.payloads.kind must be one of {_PAYLOAD_KINDS}")
         if payloads["kind"] == "account":
-            extra = set(payloads) - {"kind", "accounts", "max_amount"}
+            extra = set(payloads) - {"kind", *_ACCOUNT_DEFAULTS}
             if extra:
                 raise ConfigError(f"unknown payload fields: {sorted(extra)}")
-            accounts = payloads.get("accounts", ["A"])
+            accounts = payloads.get("accounts", _ACCOUNT_DEFAULTS["accounts"])
             if not (isinstance(accounts, list) and accounts and all(
                     isinstance(a, str) and a and ":" not in a for a in accounts)):
                 raise ConfigError("workload.payloads.accounts must be a non-empty list "
                                   "of non-empty account names without ':'")
-            _uint(payloads.get("max_amount", 10),
+            _uint(payloads.get("max_amount", _ACCOUNT_DEFAULTS["max_amount"]),
                   "workload.payloads.max_amount must be a non-negative integer")
         elif set(payloads) - {"kind"}:
             raise ConfigError("token payloads take no extra fields")
@@ -242,31 +236,26 @@ def _validate_crashes(crashes, n: int, f: int):
             raise ConfigError(f"max_crashes={max_crashes} exceeds the tolerance bound f={f}")
         until = _uint(spec.get("until", 100), "until must be a non-negative integer")
         return {"random": {"max_crashes": max_crashes, "until": until}}
-    entries = _crash_entries(
-        crashes, n, "server",
-        ("malformed crash entry {!r}", "crash server id {!r} out of range",
-         "crash time {!r} must be a non-negative integer"))
+    entries = _crash_entries(crashes, n, "server")
     if len(entries) > f:
         raise ConfigError(f"{len(entries)} crashes requested but tolerance bound is f={f}")
     return entries
 
 
-def _crash_entries(crashes, bound: int, label: str, texts: tuple[str, str, str]):
-    """Validate explicit [[id, time], ...] crash entries for servers or clients.
-
-    Ids lie in [0, bound) and appear at most once; ``texts`` are the error
-    messages for a malformed entry, a bad id and a bad time, each formatted
-    with the offending value.
-    """
-    malformed, bad_id, bad_time = texts
+def _crash_entries(crashes, bound: int, label: str):
+    """Validate explicit [[id, time], ...] crash entries for the ``label``
+    processes, "server" or "client": ids lie in [0, bound) and appear at most
+    once, and times are non-negative.  Each error message names the label and
+    the offending value, as in ``server crash id 7 out of range``."""
     if not _is_list(crashes):
         raise ConfigError(f"{label} crashes must be a list of [id, time] entries")
     entries = []
     seen: set[int] = set()
     for entry in crashes:
         if not (_is_list(entry) and len(entry) == 2):
-            raise ConfigError(malformed.format(entry))
-        pid, t = _uint(entry[0], bad_id, below=bound), _uint(entry[1], bad_time)
+            raise ConfigError(f"malformed {label} crash entry {entry!r}")
+        pid = _uint(entry[0], f"{label} crash id {{!r}} out of range", below=bound)
+        t = _uint(entry[1], f"{label} crash time {{!r}} must be a non-negative integer")
         if pid in seen:
             raise ConfigError(f"{label} {pid} crashed twice in the schedule")
         seen.add(pid)
@@ -278,17 +267,16 @@ def generate_workload(spec: Mapping, clients: int, seed: int) -> list[list[tuple
     """Expand a generator spec into explicit per-client operation lists."""
     rng = random.Random(f"workload:{seed}")
     ratio = spec["append_ratio"]
-    payloads = spec["payloads"]
+    payloads = {**_ACCOUNT_DEFAULTS, **spec["payloads"]}
     out = []
     for cid in range(clients):
         ops: list[tuple[str, str | None]] = []
         for i in range(spec["ops_per_client"]):
             if rng.random() < ratio:
                 if payloads["kind"] == "account":
-                    accounts = payloads.get("accounts", ["A"])
                     action = rng.choice(("deposit", "withdraw"))
-                    acct = rng.choice(accounts)
-                    amount = rng.randint(0, payloads.get("max_amount", 10))
+                    acct = rng.choice(payloads["accounts"])
+                    amount = rng.randint(0, payloads["max_amount"])
                     ops.append(("append", f"{action}:{acct}:{amount}"))
                 else:
                     ops.append(("append", f"w{cid}.{i}"))
@@ -346,7 +334,7 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
         if not (isinstance(meta, dict) and meta.keys() == fields):
             raise ValueError(f"meta.json must hold exactly the fields {sorted(fields)}")
         scenario = scenario_from_dict(meta["scenario"])
-        if meta["scenario_sha256"] != scenario.sha256():
+        if meta["scenario_sha256"] != scenario.sha256:
             raise ValueError("scenario_sha256 does not match the scenario")
         if not (is_int(meta["seed"]) and meta["seed"] == scenario.seed):
             raise ValueError("seed does not match the scenario")

@@ -254,6 +254,14 @@ def test_undecodable_scenario_exits_2(tmp_path, capsys, monkeypatch, command, ar
     assert "scenario file is not valid JSON" in capsys.readouterr().err
 
 
+def test_scenario_with_a_repeated_key_exits_2(scen_file, tmp_path, capsys):
+    path = Path(scen_file())
+    path.write_text(path.read_text().replace('"n": 3,', '"n": 3, "n": 5,', 1))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "repeated key" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("name,line,message", [
     ("meta.json", 0, "artifact corrupt: RecursionError"),
     ("history.jsonl", 2, "history line 3 is not JSON"),

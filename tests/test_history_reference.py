@@ -249,14 +249,14 @@ def test_hypothesis_histories_agree_with_the_references(events, probe_from_t):
 # -- inputs: byte-level mutations of pinned artifacts ---------------------------------
 
 
-# A history of 1.3 k lines, which the decoder parses in three chunks.
-CHUNKED = {"n": 5, "f": 2, "clients": 16, "mode": "atomic", "seed": 1,
+# A history of 1.3 k lines: 16 clients on five servers, two of which crash.
+LARGE = {"n": 5, "f": 2, "clients": 16, "mode": "atomic", "seed": 1,
            "workload": {"ops_per_client": 40, "append_ratio": 0.6},
            "crash_schedule": [[0, 40], [3, 90]]}
 
 
 def _artifact(name: str) -> RunArtifact:
-    return run(scenario_from_dict(CHUNKED if name == "atomic-chunked" else SCENARIOS[name]))
+    return run(scenario_from_dict(LARGE if name == "atomic-n5-f2" else SCENARIOS[name]))
 
 
 def _lines_holding_two_objects(text, rng):
@@ -341,7 +341,7 @@ def _mutants(text, mutation):
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-@pytest.mark.parametrize("scenario", ["eventual", "atomic", "atomic-chunked"])
+@pytest.mark.parametrize("scenario", ["eventual", "atomic", "atomic-n5-f2"])
 def test_mutated_histories_agree_with_the_references(scenario, mutation):
     artifact = _artifact(scenario)
     probe_from_t = artifact.probe_from_t

@@ -1,19 +1,26 @@
-"""Protocol mutants: a server that breaks one decision must fail its checker.
+"""Protocol mutants: a process that breaks one decision must fail its checker.
 
 The clients judge nothing themselves; the offline checker is the only judge,
 so a mutant shows up as a `fail` verdict, never as an error row.  Each mutant
-replaces one `protocols.Server` handler, and over the first 50 campaign seeds
-its checker names exactly the tags of its committed count table; the correct
-protocols pass them all.
+replaces one attribute of `protocols` (a `Server` or `Client` handler, or the
+result a client records for an ack), and over the first 50 campaign seeds
+each checker of its row fails exactly the tags of its committed count table;
+the correct protocols pass them all.
+
+`TAG_MATRIX` maps each tag the checkers can emit to the mutant and checker
+whose count table holds it, or says why no mutant reaches it yet.
 """
 
+import re
 from collections import Counter
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from ledgerlab import protocols
+from ledgerlab import abcast, checkers, protocols
 from ledgerlab.cli import run_campaign
-from ledgerlab.ledger import Ledger, Record
+from ledgerlab.ledger import NACK, Ledger, Record
 
 from conftest import scenario
 
@@ -27,26 +34,21 @@ CAMPAIGN = {
 
 on_get = protocols.Server.on_get
 handle_adeliver = protocols.Server.handle_adeliver
+on_response = protocols.Client.on_response
 
 
-def violations(mode: str) -> Counter:
-    """How many of seeds 0..49 that mode's checker fails, per tag; no error rows."""
-    report = run_campaign(scenario(mode=mode, **CAMPAIGN), 0, 50, (mode,))
-    assert report["aggregate"][mode]["error"] == 0
-    return Counter(row["verdicts"][mode]["violated"] for row in report["rows"]
-                   if row["verdicts"][mode]["status"] == "fail")
+def violations(mode: str, names: tuple[str, ...]) -> dict[str, Counter]:
+    """Per checker, how many of seeds 0..49 of that mode it fails, per tag; no error rows."""
+    report = run_campaign(scenario(mode=mode, **CAMPAIGN), 0, 50, names)
+    assert all(report["aggregate"][name]["error"] == 0 for name in names)
+    return {name: Counter(row["verdicts"][name]["violated"] for row in report["rows"]
+                          if row["verdicts"][name]["status"] == "fail")
+            for name in names}
 
 
-def test_sequential_gets_that_ignore_their_floor_fail_the_checker(monkeypatch):
-    monkeypatch.setattr(protocols.Server, "on_get",
-                        lambda self, client, c, floor: on_get(self, client, c, 0))
-    assert violations("sequential") == {"S3": 3, "S4": 3}
-
-
-def local_get(self, client, c, floor):
-    """Answer an atomic get from the local replica, without broadcasting it."""
-    if not self.crashed:
-        self.net.send(client.on_response, c, self.replica, self.length)
+def ignore_the_floor(self, client, c, floor):
+    """Serve a get at once, whatever the client's floor."""
+    on_get(self, client, c, 0)
 
 
 def skip_one_record(self, payload):
@@ -87,23 +89,97 @@ def ack_without_broadcast(self, client, c, record):
         self.net.send(client.on_response, c, None, None)
 
 
-@pytest.mark.parametrize("method, mutant, mode, counts", [
-    pytest.param("on_get", local_get, "atomic", {"A2": 5, "A3": 3},
-                 id="atomic-get-answered-locally"),
-    pytest.param("handle_adeliver", skip_one_record, "sequential", {"PrefixChain": 26},
-                 id="server-skips-a-delivered-record"),
-    pytest.param("handle_adeliver", apply_records_twice, "atomic", {"Duplicate": 50},
-                 id="record-applied-twice"),
-    pytest.param("on_append", ack_without_broadcast, "eventual", {"ProbeCompleteness": 50},
-                 id="eventual-append-never-broadcast"),
-    pytest.param("on_get", fabricate_a_record, "eventual", {"Fabrication": 49},
-                 id="eventual-get-fabricates-a-record"),
-])
-def test_mutant_fails_its_checker(monkeypatch, method, mutant, mode, counts):
-    monkeypatch.setattr(protocols.Server, method, mutant)
-    assert violations(mode) == counts
+def ack_keeps_the_floor(self, c, replica, n):
+    """An append ack leaves the client's sequential floor where it was."""
+    on_response(self, c, replica, self.last_len if replica is None else n)
+
+
+class Mutant(NamedTuple):
+    target: object  # what the mutant patches: protocols, or one of its classes
+    name: str
+    value: object
+    mode: str
+    counts: dict[str, dict[str, int]]  # checker -> tag -> failing seeds of 0..49
+
+
+MUTANTS = {
+    # A sequential get served at once is an atomic get answered from the local
+    # replica, one fault, so the atomic checker judges it too.
+    "sequential-get-ignores-its-floor": Mutant(
+        protocols.Server, "on_get", ignore_the_floor, "sequential",
+        {"sequential": {"S3": 3, "S4": 3}, "atomic": {"A2": 5, "A3": 3}}),
+    "server-skips-a-delivered-record": Mutant(
+        protocols.Server, "handle_adeliver", skip_one_record, "sequential",
+        {"sequential": {"PrefixChain": 26}}),
+    "record-applied-twice": Mutant(
+        protocols.Server, "handle_adeliver", apply_records_twice, "atomic",
+        {"atomic": {"Duplicate": 50}}),
+    "eventual-append-never-broadcast": Mutant(
+        protocols.Server, "on_append", ack_without_broadcast, "eventual",
+        {"eventual": {"ProbeCompleteness": 50}}),
+    "eventual-get-fabricates-a-record": Mutant(
+        protocols.Server, "on_get", fabricate_a_record, "eventual",
+        {"eventual": {"Fabrication": 49}}),
+    **{f"{mode}-ack-recorded-as-nack": Mutant(
+        protocols, "ACK", NACK, mode, {mode: {"SeqSpec": 50}}) for mode in protocols.MODES},
+    "sequential-ack-leaves-the-floor": Mutant(
+        protocols.Client, "on_response", ack_keeps_the_floor, "sequential",
+        {"sequential": {"S3": 3}}),
+}
+
+
+@pytest.mark.parametrize("ident", MUTANTS)
+def test_mutant_fails_its_checker(monkeypatch, ident):
+    mutant = MUTANTS[ident]
+    monkeypatch.setattr(mutant.target, mutant.name, mutant.value)
+    assert violations(mutant.mode, tuple(mutant.counts)) == mutant.counts
 
 
 @pytest.mark.parametrize("mode", protocols.MODES)
 def test_correct_protocols_pass_the_same_seeds(mode):
-    assert violations(mode) == {}
+    assert violations(mode, (mode,)) == {mode: {}}
+
+
+# Each tag the checkers can emit: the mutant and checker that reach it, or
+# why no mutant does yet (the ROADMAP item it waits on, or the hand-built
+# history in tests/test_checkers.py that reaches it).
+TAG_MATRIX = {
+    "A1": "waits on ROADMAP item 1: the atomic ack-at-request mutant passes 50 of 50 "
+          "seeds while the broadcast orders a message at its call",
+    "A2": ("sequential-get-ignores-its-floor", "atomic"),
+    "A3": ("sequential-get-ignores-its-floor", "atomic"),
+    "A4": "a get would have to see an append invoked after it returned; reached by "
+          "TestAtomicChecker::test_get_before_append_cannot_see_the_record",
+    "S1": "reached by TestSequentialConsistencyChecker::test_own_appends_keep_their_order",
+    "S2": "a get would have to see its own client's later append; reached by "
+          "TestSequentialConsistencyChecker::test_get_cannot_see_own_future_append",
+    "S3": ("sequential-ack-leaves-the-floor", "sequential"),
+    "S4": ("sequential-get-ignores-its-floor", "sequential"),
+    "SeqSpec": ("atomic-ack-recorded-as-nack", "atomic"),
+    "Def5-2a": "waits on ROADMAP item 4: no run acks a record its predicate refuses",
+    "Def5-2b": "waits on ROADMAP item 4: no run nacks a record its predicate admits",
+    "Fabrication": ("eventual-get-fabricates-a-record", "eventual"),
+    "Duplicate": ("record-applied-twice", "atomic"),
+    "PrefixChain": ("server-skips-a-delivered-record", "sequential"),
+    "ProbeCompleteness": ("eventual-append-never-broadcast", "eventual"),
+    "Validity": "waits on ROADMAP item 13's broadcast service mutants",
+    "UniformAgreement": "waits on ROADMAP item 13's broadcast service mutants",
+    "UniformIntegrity": "waits on ROADMAP item 13's broadcast service mutants",
+}
+
+
+@pytest.mark.parametrize("tag", TAG_MATRIX)
+def test_a_mutant_reaches_each_tag(tag):
+    row = TAG_MATRIX[tag]
+    if isinstance(row, str):
+        pytest.skip(f"{tag}: {row}")
+    ident, checker = row
+    assert tag in MUTANTS[ident].counts[checker]
+
+
+def test_the_matrix_lists_exactly_the_tags_the_checkers_emit():
+    source = "".join(Path(m.__file__).read_text() for m in (checkers, abcast))
+    emitted = set(re.findall(r'failed\("([^"]+)"', source))
+    emitted |= {tag for table in checkers._TAGS.values() for tag in table.values()}
+    assert emitted == TAG_MATRIX.keys()
+    assert len(emitted) == 18

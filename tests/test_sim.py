@@ -82,6 +82,12 @@ class TestScenarioValidation:
                      "token payloads take no extra fields", id="token-payload-extra-field"),
         pytest.param({**MINIMAL, "crash_schedule": {"fixed": {"max_crashes": 1}}},
                      "crash generator must be {'random': {...}}", id="crash-generator-not-random"),
+        *(pytest.param({**MINIMAL, field: entries}, message, id=f"{field}-{ident}")
+          for field, label in (("crash_schedule", "server"), ("client_crashes", "client"))
+          for entries, message, ident in (
+              ([[0]], f"malformed {label} crash entry [0]", "malformed-entry"),
+              ([[7, 1]], f"{label} crash id 7 out of range", "id-out-of-range"),
+              ([[0, -1]], f"{label} crash time -1 must be a non-negative integer", "bad-time"))),
     ])
     def test_config_error_messages(self, obj, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -150,7 +156,7 @@ class TestScenarioValidation:
     def test_canonical_hash_stable_under_key_order(self):
         d = scenario().to_dict()
         shuffled = dict(reversed(list(d.items())))
-        assert scenario_from_dict(d).sha256() == scenario_from_dict(shuffled).sha256()
+        assert scenario_from_dict(d).sha256 == scenario_from_dict(shuffled).sha256
 
     @pytest.mark.parametrize("overrides", [
         pytest.param({}, id="generator"),
@@ -165,10 +171,10 @@ class TestScenarioValidation:
     def test_meta_text_and_hash_are_the_json_module_encodings(self, overrides):
         sc = scenario(**overrides)
         canonical = json.dumps(sc.to_dict(), sort_keys=True, separators=(",", ":"))
-        assert sc.sha256() == hashlib.sha256(canonical.encode()).hexdigest()
+        assert sc.sha256 == hashlib.sha256(canonical.encode()).hexdigest()
         for probe_from_t in (None, 0, 12345):
             meta = {"probe_from_t": probe_from_t, "scenario": sc.to_dict(),
-                    "scenario_sha256": sc.sha256(), "seed": sc.seed}
+                    "scenario_sha256": sc.sha256, "seed": sc.seed}
             assert sc.meta_json(probe_from_t) == json.dumps(meta, sort_keys=True, indent=1) + "\n"
 
     def test_explicit_workload_round_trips_through_to_dict(self):
