@@ -16,14 +16,13 @@ and none is later than its crash.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import count, repeat
 from operator import ge, le
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .histories import jsonl_objects
+from .histories import compact_json, jsonl_objects
 from .verdicts import Verdict, failed, passed
 
 BROADCAST = "broadcast"
@@ -82,12 +81,16 @@ class AbTrace:
                  if s.crash is not None]
         return rows
 
-    def to_jsonl(self) -> str:
+    def lines(self) -> Iterator[str]:
         """One line of broadcast columns, then one line per server, each in
         the bytes of ``json.dumps(obj, separators=(",", ":"))``."""
-        rows: list[dict] = [{"sender": self.sender, "t": self.t}]
-        rows += [{"server": sid, "crash": s.crash, "t": s.t} for sid, s in enumerate(self.servers)]
-        return "".join([json.dumps(row, separators=(",", ":")) + "\n" for row in rows])
+        yield compact_json({"sender": self.sender, "t": self.t}) + "\n"
+        for sid, s in enumerate(self.servers):
+            yield compact_json({"server": sid, "crash": s.crash, "t": s.t}) + "\n"
+
+    def to_jsonl(self) -> str:
+        """The trace as JSONL: its `lines` joined."""
+        return "".join(self.lines())
 
 
 def _ints(v) -> bool:

@@ -1,25 +1,19 @@
 """Operation histories: the invocation/response log captured by the simulator.
 
 A history is an ordered sequence of events; the order of the list is the
-real-time order.  Events serialize to JSONL, one object per line, with this
-layout (the writer's key order; a reader takes any, see `jsonl_objects`):
-
-    {"op":"<id>","client":<int>,"ev":"invoke"|"response","kind":"get"|"append",
-     "c":<int>,"t":<int>,"payload":"<str>"?,"result":"ack"|"nack"?,
-     "p":<int>?,"tail":["<rid>",...]?}
-
-Appends carry their payload on the invoke and their ack/nack on the response;
-gets carry their returned record-id sequence on the response, as ``p`` and
-``tail``.  No event carries any other field.  An op's id ``op`` is
-`<client>.<c>`, and an append's record id is its op id.
+real-time order.  Its JSONL file has a line per column, ``{"<name>":[...]}``,
+in the order of `_COLUMNS`: ``op`` ("<id>"), ``client``, ``ev``
+("invoke"|"response"), ``kind`` ("get"|"append"), ``c`` and ``t``, one entry
+per event; ``payload`` ("<str>") per append invoke; ``result`` ("ack"|"nack")
+per append response; and ``p`` and ``tail`` (["<rid>",...]) per get response.
 
 A get's sequence is stored against ``ref``, the longest sequence among the
-get responses before it in the file (``()`` before the first; a later
-response replaces it only if strictly longer): ``p`` is the length of the
-common prefix of the sequence and ``ref``, and ``tail`` is the rest, so the
-sequence is ``ref[:p] + tail``.  In a run whose reads form one growing order
-each ``tail`` holds only the records new to its read, and the file grows
-with the number of records, not with the number of ids read.  Any sequence
+get responses before it (``()`` before the first; a later response replaces
+it only if strictly longer): ``p`` is the length of the common prefix of the
+sequence and ``ref``, and ``tail`` is the rest, so the sequence is
+``ref[:p] + tail``.  In a run whose reads form one growing order each
+``tail`` holds only the records new to its read, and the file grows with the
+number of records, not with the number of ids read.  Any sequence
 round-trips, a divergent or fabricated one included, so the checkers see
 exactly the sequences that were returned.
 
@@ -28,22 +22,18 @@ views of one id list, in memory (see `ledgerlab.protocols`) and loaded.  The
 writer keeps ``ref`` as the longest read, the loader as one list: a get that
 does not diverge from it loads as a view of it, a diverging get as a tuple of
 its own, and a longer diverging get starts a new list.
-
-The writer yields the file a line at a time.  The loader parses a line at
-a time (`jsonl_objects`) and turns it into an event before it parses the
-next, so a load error names the first line that breaks the rules, in file
-order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Sequence
 
-from .ledger import ACK, NACK, IdPrefix, is_int, make_rid  # noqa: F401  (is_int re-exported)
+from .ledger import ACK, NACK, IdPrefix, make_rid
 
 INVOKE = "invoke"
 RESPONSE = "response"
@@ -64,53 +54,48 @@ class HistoryEvent:
     seq: Sequence[str] | None = None  # an `IdPrefix` view or a tuple
 
 
-def history_lines(events: Iterable[HistoryEvent]) -> Iterator[str]:
-    """The history's JSONL lines, one at a time and each ending in ``"\\n"``,
-    in the layout of the module docstring and in the bytes ``json.dumps(obj,
-    separators=(",", ":"))`` gives: each string goes through the encoder
-    json.dumps itself uses, and each int through int formatting.
+# Each column in file order: its entries' type (JSON's exact types: no int is a
+# bool), their values (None: any) and the (ev, kind) that has one (None: all).
+_COLUMNS = {"op": (str, None, None), "client": (int, None, None),
+            "ev": (str, {INVOKE, RESPONSE}, None), "kind": (str, {GET, APPEND}, None),
+            "c": (int, None, None), "t": (int, None, None),
+            "payload": (str, None, (INVOKE, APPEND)),
+            "result": (str, {ACK, NACK}, (RESPONSE, APPEND)),
+            "p": (int, None, (RESPONSE, GET)), "tail": (list, None, (RESPONSE, GET))}
+compact_json = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(obj, separators=...)
 
-    A read is the first ``n`` ids of a list that only grows (a view's, or a
-    tuple), and so is ``ref``: a read of ``ref``'s own list agrees with it up
-    to the shorter length, and any other read is compared id by id.
-    """
+
+def history_lines(events: Sequence[HistoryEvent]) -> Iterator[str]:
+    """The history's JSONL lines in the layout of the module docstring, one
+    column at a time, each ending in ``"\\n"`` and encoded by one C call."""
+    for name, attr in zip(_COLUMNS, ("op_id", "client", "ev", "kind", "c", "t")):
+        yield compact_json({name: list(map(attrgetter(attr), events))}) + "\n"
+    yield compact_json({"payload": [e.payload for e in events
+                                if e.kind == APPEND and e.ev == INVOKE]}) + "\n"
+    yield compact_json({"result": [e.result for e in events
+                               if e.kind == APPEND and e.ev == RESPONSE]}) + "\n"
+    ps, tails = [], []
+    # A read is the first n ids of a list that only grows, and so is ref: a
+    # read of ref's own list agrees with it up to the shorter length.
     ref_ids, ref_n = (), 0  # ref is ref_ids[:ref_n]
-    for e in events:
-        line = (f'{{"op":{_quote(e.op_id)},"client":{e.client:d},"ev":{_quote(e.ev)},'
-                f'"kind":{_quote(e.kind)},"c":{e.c:d},"t":{e.t:d}')
-        if e.payload is not None:
-            line += f',"payload":{_quote(e.payload)}'
-        if e.result is not None:
-            line += f',"result":{_quote(e.result)}'
-        if e.seq is not None:
-            ids, n = (e.seq.ids, e.seq.n) if type(e.seq) is IdPrefix else (e.seq, len(e.seq))
-            p = stop = min(n, ref_n)
-            if ids is not ref_ids:
-                p = 0
-                while p < stop and ids[p] == ref_ids[p]:
-                    p += 1
-            line += f',"p":{p:d},"tail":[{",".join(map(_quote, ids[p:n]))}]'
-            if n > ref_n:
-                ref_ids, ref_n = ids, n
-        yield line + "}\n"
+    for seq in [e.seq for e in events if e.kind == GET and e.ev == RESPONSE]:
+        ids, n = (seq.ids, seq.n) if type(seq) is IdPrefix else (seq, len(seq))
+        p = stop = min(n, ref_n)
+        if ids is not ref_ids:
+            p = 0
+            while p < stop and ids[p] == ref_ids[p]:
+                p += 1
+        ps.append(p)
+        tails.append(ids[p:n])
+        if n > ref_n:
+            ref_ids, ref_n = ids, n
+    yield compact_json({"p": ps}) + "\n"
+    yield compact_json({"tail": tails}) + "\n"
 
 
-def events_to_jsonl(events: Iterable[HistoryEvent]) -> str:
+def events_to_jsonl(events: Sequence[HistoryEvent]) -> str:
     """The history as JSONL: the `history_lines` joined."""
     return "".join(history_lines(events))
-
-
-_REQUIRED = ("op", "client", "ev", "kind", "c", "t")
-# Per (ev, kind): its keys, and a check of the fields it carries beyond the
-# required ones.  JSON values are of exact types, so ``type(v) is int`` is `is_int`.
-_LAYOUTS = {
-    (INVOKE, GET): ({*_REQUIRED}, lambda obj: True),
-    (INVOKE, APPEND): ({*_REQUIRED, "payload"}, lambda obj: type(obj["payload"]) is str),
-    (RESPONSE, GET): ({*_REQUIRED, "p", "tail"},
-                      lambda obj: (type(obj["p"]) is int and type(obj["tail"]) is list
-                                   and all(map(str.__instancecheck__, obj["tail"])))),
-    (RESPONSE, APPEND): ({*_REQUIRED, "result"}, lambda obj: obj["result"] in (ACK, NACK)),
-}
 
 
 def unique_keys(pairs: list[tuple]) -> dict:
@@ -129,19 +114,12 @@ def jsonl_objects(text: str, what: str) -> Iterator[tuple[int, dict]]:
     order, under the rule of both artifact files: each such line is one JSON
     object, each key once; whitespace and key order are free.  Raises
     ValueError naming the first line that breaks it, as the ``what`` line.
-
-    Each line is parsed when it is reached, so a caller that checks each
-    object as it comes names the first line that breaks its own rules or this
-    one.
     """
     for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        body = line.strip(" \t")  # JSON's whitespace within a line
         try:
-            obj, end = ARTIFACT_JSON.raw_decode(body)
-            if end != len(body):
-                raise json.JSONDecodeError("Extra data", body, end)
+            obj = ARTIFACT_JSON.decode(line)
         except (RecursionError, ValueError) as e:
             raise ValueError(f"{what} line {n} is not JSON: {e}") from None
         if type(obj) is not dict:
@@ -153,39 +131,57 @@ def events_from_jsonl(text: str) -> list[HistoryEvent]:
     """Parse history JSONL; a get that does not diverge from the longest read
     before it is an `IdPrefix` view of that read's list.
 
-    Raises ValueError naming the first line, in file order, that is not one
-    JSON object with unique keys (see `jsonl_objects`) or holds an event
-    whose fields differ from the layout in the module docstring: a field
-    missing, extra or of the wrong type or value, or a ``p`` beyond the
-    longest earlier read.
+    Every line is parsed before any is checked (see `jsonl_objects`); then a
+    ValueError names the first column, and in it the entry, that breaks the
+    layout of the module docstring.
     """
-    events = []
+    rows = list(jsonl_objects(text, "history"))
+    if len(rows) != len(_COLUMNS):
+        raise ValueError(f"history has {len(rows)} lines, want {len(_COLUMNS)}: one per column")
+    cols, counts = [], Counter()
+    for (line, obj), (name, (typ, values, owner)) in zip(rows, _COLUMNS.items()):
+        col = obj.get(name)
+        if obj.keys() != {name} or type(col) is not list:
+            raise ValueError(f"history line {line} is not the {name!r} column")
+        if owner is None:
+            want, unit = len(cols[0] if cols else col), "event"
+        else:  # ev and kind, cols[2] and cols[3], are checked by now
+            counts = counts or Counter(zip(cols[2], cols[3]))
+            want, unit = counts[owner], f"{owner[1]} {owner[0]}"
+        if len(col) != want:
+            raise ValueError(f"history column {name!r}: {len(col)} entries for {want} {unit}s")
+        if not (set(map(type, col)) <= {typ} and (values is None or set(col) <= values)):
+            i = next(i for i, v in enumerate(col)
+                     if type(v) is not typ or values is not None and v not in values)
+            what = f"of type {typ.__name__}" if values is None else f"one of {sorted(values)}"
+            raise ValueError(f"history column {name!r}, {unit} {i}: {col[i]!r} is not {what}")
+        cols.append(col)
+    op, client, ev, kind, c, t, payload, result, p, tail = cols
+    payloads, results, reads = iter(payload), iter(result), enumerate(zip(p, tail))
     ref: list[str] = []  # only grows: a longer diverging read starts a new list
-    for n, obj in jsonl_objects(text, "history"):
-        try:
-            keys, carried_ok = _LAYOUTS[obj["ev"], obj["kind"]]
-        except (KeyError, TypeError):
-            raise ValueError(f"malformed history event on line {n}") from None
-        if not (obj.keys() == keys and type(obj["op"]) is str and type(obj["client"]) is int
-                and type(obj["c"]) is int and type(obj["t"]) is int and carried_ok(obj)):
-            raise ValueError(f"malformed history event on line {n}")
-        seq = None
-        if "p" in obj:
-            p = obj["p"]
-            if not 0 <= p <= len(ref):
-                raise ValueError(f"history event on line {n}: p={p} outside 0..{len(ref)}")
-            tail = obj["tail"]
-            end, known = p + len(tail), min(p + len(tail), len(ref))
-            if ref[p:known] == tail[:known - p]:
-                ref += tail[known - p:]
-                seq = IdPrefix(ref, end)
+    events = list(map(HistoryEvent, op, client, ev, kind, c, t))
+    for e in events:
+        if e.kind == APPEND:
+            if e.ev == INVOKE:
+                e.payload = next(payloads)
             else:
-                seq = (*ref[:p], *tail)
+                e.result = next(results)
+        elif e.ev == RESPONSE:
+            g, (start, ids) = next(reads)
+            if not set(map(type, ids)) <= {str}:
+                raise ValueError(f"history column 'tail', get response {g}: an id is not a str")
+            if not 0 <= start <= len(ref):
+                raise ValueError(f"history column 'p', get response {g}: {start} not in "
+                                 f"0..{len(ref)}")
+            end, known = start + len(ids), min(start + len(ids), len(ref))
+            if ref[start:known] == ids[:known - start]:
+                ref += ids[known - start:]
+                e.seq = IdPrefix(ref, end)
+            else:
+                e.seq = (*ref[:start], *ids)
                 if end > len(ref):
-                    ref = list(seq)
-                    seq = IdPrefix(ref, end)
-        events.append(HistoryEvent(obj["op"], obj["client"], obj["ev"], obj["kind"], obj["c"],
-                                   obj["t"], obj.get("payload"), obj.get("result"), seq))
+                    ref = list(e.seq)
+                    e.seq = IdPrefix(ref, end)
     return events
 
 

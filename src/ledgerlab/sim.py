@@ -321,7 +321,8 @@ class RunArtifact:
         out.mkdir(parents=True, exist_ok=True)
         with (out / "history.jsonl").open("w") as f:
             f.writelines(history_lines(self.history))
-        (out / "abtrace.jsonl").write_text(self.abtrace.to_jsonl())
+        with (out / "abtrace.jsonl").open("w") as f:
+            f.writelines(self.abtrace.lines())
         (out / "meta.json").write_text(self.scenario.meta_json(self.probe_from_t))
         return out
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ledgerlab.cli import load_scenario, main
+from ledgerlab.histories import events_from_jsonl, events_to_jsonl
 
 BASE = {
     "n": 3, "f": 1, "clients": 2, "mode": "atomic", "seed": 3,
@@ -124,11 +125,6 @@ def _jsonl_edit(has, edit):
     return corrupt
 
 
-def _jsonl_field(key, value):
-    """Set ``key`` to ``value`` on the first JSONL line that carries it."""
-    return _jsonl_edit(lambda obj: key in obj, lambda obj: obj.__setitem__(key, value))
-
-
 def _broadcast_line(edit):
     """Apply ``edit`` to a trace's broadcast columns."""
     return _jsonl_edit(lambda obj: "sender" in obj, edit)
@@ -139,10 +135,71 @@ def _server_line(edit):
     return _jsonl_edit(lambda obj: "server" in obj, edit)
 
 
-def _jsonl_without(*keys):
-    """Delete ``keys`` from the first JSONL line that carries them."""
-    return _jsonl_edit(lambda obj: obj.keys() >= set(keys),
-                       lambda obj: [obj.pop(k) for k in keys])
+def _columns(text):
+    """A history file's columns, as a name -> list dict in file order."""
+    return {k: v for line in text.splitlines() for k, v in json.loads(line).items()}
+
+
+def _column_edit(edit):
+    """Apply ``edit`` to the columns of a history file, kept in their order."""
+    def corrupt(text):
+        columns = _columns(text)
+        edit(columns)
+        return "".join(json.dumps({k: v}, separators=(",", ":")) + "\n"
+                       for k, v in columns.items())
+    return corrupt
+
+
+def _entry(name, value):
+    """Set the first entry of the history column ``name`` to ``value``."""
+    return _column_edit(lambda columns: columns[name].__setitem__(0, value))
+
+
+def _without_first(*names):
+    """Drop the first entry of each of the history columns ``names``."""
+    return _column_edit(lambda columns: [columns[name].pop(0) for name in names])
+
+
+def _one_entry_short(name):
+    return _column_edit(lambda columns: columns[name].pop())
+
+
+def _one_entry_long(name):
+    return _column_edit(lambda columns: columns[name].append(columns[name][0]))
+
+
+def _payload_on_a_get_invoke(columns):
+    """Give the first get invoke a payload: one more payload, in its place."""
+    events = list(zip(columns["ev"], columns["kind"]))
+    i = events.index(("invoke", "get"))
+    columns["payload"].insert(events[:i].count(("invoke", "append")), "x")
+
+
+def _line_edit(edit):
+    """Apply ``edit`` to the list of a file's lines."""
+    def corrupt(text):
+        lines = text.splitlines(keepends=True)
+        edit(lines)
+        return "".join(lines)
+    return corrupt
+
+
+def _one_event_per_line(text):
+    """The history in the earlier layout: one event per line, each carrying
+    its own payload, result or p and tail."""
+    columns = _columns(text)
+    carried = {
+        ("invoke", "append"): iter([{"payload": v} for v in columns["payload"]]),
+        ("response", "append"): iter([{"result": v} for v in columns["result"]]),
+        ("response", "get"): iter([{"p": p, "tail": tail}
+                                   for p, tail in zip(columns["p"], columns["tail"])]),
+    }
+    lines = []
+    for op, client, ev, kind, c, t in zip(*list(columns.values())[:6]):
+        obj = {"op": op, "client": client, "ev": ev, "kind": kind, "c": c, "t": t,
+               **next(carried.get((ev, kind), iter([{}])))}
+        lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
+    return "".join(lines)
 
 
 def _v1_read(obj):
@@ -164,19 +221,19 @@ def _meta_field(path, value):
 
 
 @pytest.mark.parametrize("name,corrupt,checker", [
-    ("history.jsonl", _jsonl_field("c", "c"), "atomic"),
+    ("history.jsonl", _entry("c", "c"), "atomic"),
     ("meta.json", lambda _: "[]", "atomic"),
-    ("history.jsonl", _jsonl_field("client", [0]), "atomic"),
-    ("history.jsonl", _jsonl_field("op", ["x"]), "atomic"),
-    ("history.jsonl", _jsonl_field("t", "x"), "eventual"),
-    ("history.jsonl", _jsonl_field("c", True), "atomic"),
-    ("history.jsonl", _jsonl_field("ev", "done"), "atomic"),
-    ("history.jsonl", _jsonl_field("kind", "put"), "atomic"),
-    ("history.jsonl", _jsonl_field("tail", "0.1"), "atomic"),
-    ("history.jsonl", _jsonl_field("tail", [1]), "atomic"),
-    ("history.jsonl", _jsonl_field("payload", 5), "atomic"),
-    ("history.jsonl", _jsonl_field("result", ["ack"]), "atomic"),
-    ("history.jsonl", _jsonl_field("result", "zzz"), "atomic"),
+    ("history.jsonl", _entry("client", [0]), "atomic"),
+    ("history.jsonl", _entry("op", ["x"]), "atomic"),
+    ("history.jsonl", _entry("t", "x"), "eventual"),
+    ("history.jsonl", _entry("c", True), "atomic"),
+    ("history.jsonl", _entry("ev", "done"), "atomic"),
+    ("history.jsonl", _entry("kind", "put"), "atomic"),
+    ("history.jsonl", _entry("tail", "0.1"), "atomic"),
+    ("history.jsonl", _entry("tail", [1]), "atomic"),
+    ("history.jsonl", _entry("payload", 5), "atomic"),
+    ("history.jsonl", _entry("result", ["ack"]), "atomic"),
+    ("history.jsonl", _entry("result", "zzz"), "atomic"),
     ("abtrace.jsonl", _broadcast_line(lambda obj: obj["sender"].__setitem__(0, 3)), "abcast"),
     ("abtrace.jsonl", _broadcast_line(lambda obj: obj["t"].pop()), "abcast"),
     ("abtrace.jsonl", _server_line(lambda obj: obj["t"].__setitem__(0, str(obj["t"][0]))),
@@ -188,30 +245,42 @@ def _meta_field(path, value):
     ("meta.json", _meta_field(("scenario", "predicate"), {"kind": "bogus"}), "vspec"),
     ("meta.json", _meta_field(("probe_from_t",), "x"), "eventual"),
     ("meta.json", _meta_field(("scenario", "n"), "x"), "abcast"),
-    ("history.jsonl", _jsonl_without("result"), "atomic"),
-    ("history.jsonl", _jsonl_without("result"), "sequential"),
-    ("history.jsonl", _jsonl_without("p", "tail"), "atomic"),
-    ("history.jsonl", _jsonl_edit(lambda obj: obj["kind"] == "get",  # a get invoke
-                                  lambda obj: obj.__setitem__("payload", "x")), "atomic"),
+    ("history.jsonl", _without_first("result"), "atomic"),
+    ("history.jsonl", _without_first("result"), "sequential"),
+    ("history.jsonl", _without_first("p", "tail"), "atomic"),
+    ("history.jsonl", _column_edit(_payload_on_a_get_invoke), "atomic"),
     ("meta.json", _meta_field(("scenario_sha256",), "0" * 64), "atomic"),
     ("meta.json", _meta_field(("seed",), 999), "abcast"),
     ("meta.json", _meta_field(("bogus",), 1), "atomic"),
     ("abtrace.jsonl", _jsonl_edit(lambda obj: True, lambda obj: obj.__setitem__("bogus", 1)),
      "abcast"),
     ("meta.json", _meta_field(("probe_from_t",), 0), "eventual"),
-    ("history.jsonl", _jsonl_without("p"), "atomic"),
-    ("history.jsonl", _jsonl_without("tail"), "atomic"),
-    ("history.jsonl", _jsonl_field("p", 1), "atomic"),  # the first read has no earlier one
-    ("history.jsonl", _jsonl_field("p", -1), "atomic"),
-    ("history.jsonl", _jsonl_field("p", False), "atomic"),
-    ("history.jsonl", _jsonl_field("p", "0"), "atomic"),
-    ("history.jsonl", _jsonl_edit(lambda obj: "p" in obj, _v1_read), "atomic"),
+    ("history.jsonl", _without_first("p"), "atomic"),
+    ("history.jsonl", _without_first("tail"), "atomic"),
+    ("history.jsonl", _entry("p", 1), "atomic"),  # the first read has no earlier one
+    ("history.jsonl", _entry("p", -1), "atomic"),
+    ("history.jsonl", _entry("p", False), "atomic"),
+    ("history.jsonl", _entry("p", "0"), "atomic"),
+    ("history.jsonl",
+     lambda text: _jsonl_edit(lambda obj: "p" in obj, _v1_read)(_one_event_per_line(text)),
+     "atomic"),
     ("meta.json", lambda text: text.replace('\n "seed": ', '\n "seed": 99,\n "seed": '), "atomic"),
     ("abtrace.jsonl", _server_line(lambda obj: obj["t"].extend([1, 0])), "abcast"),
     ("abtrace.jsonl", _server_line(lambda obj: obj.__setitem__("crash", 0)), "abcast"),
     ("history.jsonl", lambda text: text.replace("\n", "", 1), "atomic"),
     ("history.jsonl", lambda text: text.replace(",", ",\n", 1), "atomic"),
     ("history.jsonl", lambda text: "\u00a0" + text, "atomic"),
+    ("history.jsonl", _one_entry_short("t"), "atomic"),
+    ("history.jsonl", _one_entry_short("payload"), "atomic"),
+    ("history.jsonl", _one_entry_long("payload"), "atomic"),
+    ("history.jsonl", _one_entry_short("result"), "atomic"),
+    ("history.jsonl", _one_entry_long("result"), "atomic"),
+    ("history.jsonl", _one_entry_short("p"), "atomic"),
+    ("history.jsonl", _one_entry_long("p"), "atomic"),
+    ("history.jsonl", _line_edit(lambda lines: lines.pop(3)), "atomic"),
+    ("history.jsonl", _line_edit(lambda lines: lines.insert(4, lines[4])), "atomic"),
+    ("history.jsonl", _line_edit(lambda lines: lines.insert(4, lines.pop(5))), "atomic"),
+    ("history.jsonl", _one_event_per_line, "atomic"),
 ], ids=["history-string-counter", "meta-list", "history-list-client",
         "history-list-op", "history-string-time-eventual", "history-bool-counter",
         "history-unknown-ev", "history-unknown-kind", "history-string-seq",
@@ -227,8 +296,13 @@ def _meta_field(path, value):
         "history-p-beyond-longest-earlier-read", "history-negative-p", "history-bool-p",
         "history-string-p", "history-v1-seq-line", "meta-repeated-seed",
         "abtrace-decreasing-times", "abtrace-delivery-after-crash",
-        "history-two-events-on-one-line", "history-event-split-over-two-lines",
-        "history-nbsp-before-brace"])
+        "history-two-columns-on-one-line", "history-column-split-over-two-lines",
+        "history-nbsp-before-brace", "history-unequal-event-columns",
+        "history-payload-one-short", "history-payload-one-long",
+        "history-result-one-short", "history-result-one-long",
+        "history-p-one-short", "history-p-one-long", "history-missing-column-line",
+        "history-repeated-column-line", "history-swapped-column-lines",
+        "history-one-event-per-line"])
 def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt, checker):
     art = tmp_path / "art"
     main(["run", "--scenario", scen_file(), "--out", str(art)])
@@ -317,7 +391,7 @@ def test_nacked_append_fails_seqspec(scen_file, tmp_path, checker):
     art = tmp_path / "art"
     main(["run", "--scenario", scen_file(), "--out", str(art)])
     history = art / "history.jsonl"
-    history.write_text(_jsonl_field("result", "nack")(history.read_text()))
+    history.write_text(_entry("result", "nack")(history.read_text()))
     assert main(["check", str(art), "--checker", checker]) == 3
     verdict = json.loads((art / "verdict.json").read_text())
     assert verdict["violated"] == "SeqSpec" and len(verdict["witness"]) == 1
@@ -338,19 +412,19 @@ def test_eventual_check_requires_probes(scen_file, tmp_path):
 
 
 def _phases(art):
-    """The history lines of ``art`` as objects, split at the probe phase's start."""
+    """The history events of ``art``, split at the probe phase's start."""
     probe_from_t = json.loads((art / "meta.json").read_text())["probe_from_t"]
-    objs = [json.loads(line) for line in (art / "history.jsonl").read_text().splitlines()]
-    return ([o for o in objs if o["t"] < probe_from_t],
-            [o for o in objs if o["t"] >= probe_from_t], probe_from_t)
+    events = events_from_jsonl((art / "history.jsonl").read_text())
+    return ([e for e in events if e.t < probe_from_t],
+            [e for e in events if e.t >= probe_from_t], probe_from_t)
 
 
 def _probe_reuses_a_workload_id(art):
     workload, probes, _ = _phases(art)
-    first_probe = probes[0]["op"]
-    for o in probes:
-        if o["op"] == first_probe:
-            o["op"] = workload[0]["op"]
+    first_probe = probes[0].op_id
+    for e in probes:
+        if e.op_id == first_probe:
+            e.op_id = workload[0].op_id
     return workload + probes
 
 
@@ -361,7 +435,7 @@ def _probe_while_workload_pending(art):
 
 def _op_spans_the_probe_start(art):
     workload, probes, probe_from_t = _phases(art)
-    workload[-1]["t"] = probe_from_t  # the last workload op answers in the probe phase
+    workload[-1].t = probe_from_t  # the last workload op answers in the probe phase
     return workload + probes
 
 
@@ -376,8 +450,7 @@ def test_cross_phase_pairing_errors_exit_2(scen_file, tmp_path, capsys, edit, at
     # splits the ops at the probe phase's start.
     art = tmp_path / "art"
     main(["run", "--scenario", scen_file(clients=1), "--out", str(art)])
-    lines = [json.dumps(o, separators=(",", ":")) for o in edit(art)]
-    (art / "history.jsonl").write_text("\n".join(lines) + "\n")
+    (art / "history.jsonl").write_text(events_to_jsonl(edit(art)))
     assert main(["check", str(art), "--checker", "eventual"]) == 2
     assert "artifact corrupt" in capsys.readouterr().err
     assert main(["check", str(art), "--checker", "atomic"]) == atomic_exit
@@ -626,6 +699,13 @@ def test_campaign_exits_4_when_the_oracle_disagrees(scen_file, tmp_path, monkeyp
     assert [row["verdicts"]["atomic"]["status"] for row in report["rows"]] == ["divergence"] * 3
 
 
+def _without_the_last_event(columns):
+    """Drop the last event, a get response, from the columns that hold it."""
+    assert (columns["ev"][-1], columns["kind"][-1]) == ("response", "get")
+    for name in ("op", "client", "ev", "kind", "c", "t", "p", "tail"):
+        columns[name].pop()
+
+
 def test_vspec_check_refuses_a_pending_op(scen_file, tmp_path, capsys):
     art = tmp_path / "art"
     ops = [[["append", "deposit:A:1"], ["get", None]]]
@@ -634,7 +714,7 @@ def test_vspec_check_refuses_a_pending_op(scen_file, tmp_path, capsys):
                     predicate={"kind": "account_balance", "balances": {"A": 0}}),
           "--out", str(art)])
     history = art / "history.jsonl"
-    history.write_text("".join(history.read_text().splitlines(keepends=True)[:-1]))
+    history.write_text(_column_edit(_without_the_last_event)(history.read_text()))
     capsys.readouterr()
     assert main(["check", str(art), "--checker", "vspec"]) == 2
     assert "vspec checker needs a complete history" in capsys.readouterr().err

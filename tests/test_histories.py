@@ -20,14 +20,20 @@ def ev(op_id, client, kind_ev, kind, c, t, **kw):
     return HistoryEvent(op_id, client, kind_ev, kind, c, t, **kw)
 
 
-def test_field_order_is_fixed():
-    lines = events_to_jsonl([
+def _columns(text):
+    """The history file ``text`` as a column-name -> list dict, in file order."""
+    return {k: v for line in text.splitlines() for k, v in json.loads(line).items()}
+
+
+def test_columns_come_in_a_fixed_order():
+    text = events_to_jsonl([
         ev("1.2", 1, "response", "get", 2, 9, seq=("0.1",)),
         ev("1.1", 1, "invoke", "append", 1, 3, payload="x"),
-    ]).splitlines()
-    assert lines[0] == \
-        '{"op":"1.2","client":1,"ev":"response","kind":"get","c":2,"t":9,"p":0,"tail":["0.1"]}'
-    assert list(json.loads(lines[1])) == ["op", "client", "ev", "kind", "c", "t", "payload"]
+    ])
+    assert text.splitlines() == [
+        '{"op":["1.2","1.1"]}', '{"client":[1,1]}', '{"ev":["response","invoke"]}',
+        '{"kind":["get","append"]}', '{"c":[2,1]}', '{"t":[9,3]}', '{"payload":["x"]}',
+        '{"result":[]}', '{"p":[0]}', '{"tail":[["0.1"]]}']
 
 
 def test_each_read_is_stored_against_the_longest_earlier_read():
@@ -36,9 +42,10 @@ def test_each_read_is_stored_against_the_longest_earlier_read():
     seqs = [("0.1",), ("0.1", "0.2"), (), ("0.1", "0.2", "1.1"), ("0.1", "1.1"), ("0.1", "0.2"),
             ("1.1", "0.2", "0.1"), ("1.1",)]
     events = [ev(f"2.{k}", 2, "response", "get", k, k, seq=s) for k, s in enumerate(seqs, 1)]
-    stored = [(o["p"], o["tail"]) for o in map(json.loads, events_to_jsonl(events).splitlines())]
-    assert stored == [(0, ["0.1"]), (1, ["0.2"]), (0, []), (2, ["1.1"]), (1, ["1.1"]), (2, []),
-                      (0, ["1.1", "0.2", "0.1"]), (0, ["1.1"])]
+    columns = _columns(events_to_jsonl(events))
+    assert list(zip(columns["p"], columns["tail"])) == [
+        (0, ["0.1"]), (1, ["0.2"]), (0, []), (2, ["1.1"]), (1, ["1.1"]), (2, []),
+        (0, ["1.1", "0.2", "0.1"]), (0, ["1.1"])]
 
 
 # Strings such as minted record ids ("0.1") and ones no append mints: quotes,
@@ -94,25 +101,25 @@ def histories(draw):
 
 
 def reference_jsonl(events):
-    """The history writer as one json.dumps per line, over the layout of the
-    module docstring; `events_to_jsonl` must give the same bytes."""
+    """The history writer as one json.dumps per column, over the layout of
+    the module docstring; `events_to_jsonl` must give the same bytes."""
+    columns = {"op": [e.op_id for e in events], "client": [e.client for e in events],
+               "ev": [e.ev for e in events], "kind": [e.kind for e in events],
+               "c": [e.c for e in events], "t": [e.t for e in events],
+               "payload": [e.payload for e in events if (e.ev, e.kind) == ("invoke", "append")],
+               "result": [e.result for e in events if (e.ev, e.kind) == ("response", "append")],
+               "p": [], "tail": []}
     ref = ()
-    lines = []
-    for e in events:
-        obj = {"op": e.op_id, "client": e.client, "ev": e.ev, "kind": e.kind, "c": e.c, "t": e.t}
-        if e.payload is not None:
-            obj["payload"] = e.payload
-        if e.result is not None:
-            obj["result"] = e.result
-        if e.seq is not None:
-            p = 0
-            while p < min(len(e.seq), len(ref)) and e.seq[p] == ref[p]:
-                p += 1
-            obj["p"], obj["tail"] = p, list(e.seq[p:])
-            if len(e.seq) > len(ref):
-                ref = e.seq
-        lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
-    return "".join(lines)
+    for seq in [e.seq for e in events if (e.ev, e.kind) == ("response", "get")]:
+        p = 0
+        while p < min(len(seq), len(ref)) and seq[p] == ref[p]:
+            p += 1
+        columns["p"].append(p)
+        columns["tail"].append(list(seq[p:]))
+        if len(seq) > len(ref):
+            ref = seq
+    return "".join(json.dumps({name: col}, separators=(",", ":")) + "\n"
+                   for name, col in columns.items())
 
 
 @given(histories())
@@ -139,10 +146,11 @@ def test_views_of_two_growing_lists_are_stored_and_loaded_against_one_order():
     events = [ev(f"2.{k}", 2, "response", "get", k, k, seq=r) for k, r in enumerate(reads, 1)]
     text = events_to_jsonl(events)
     assert text == reference_jsonl(events)
-    stored = [(o["p"], o["tail"]) for o in map(json.loads, text.splitlines())]
-    assert stored == [(0, ["0.1"]), (1, ["0.2", "0.3"]), (2, []), (0, ["1.1"]),
-                      (0, ["1.1", "0.1", "0.2", "0.3", "0.4"]), (0, ["0.1", "0.2", "0.3"]), (2, []),
-                      (0, ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6"])]
+    columns = _columns(text)
+    assert list(zip(columns["p"], columns["tail"])) == [
+        (0, ["0.1"]), (1, ["0.2", "0.3"]), (2, []), (0, ["1.1"]),
+        (0, ["1.1", "0.1", "0.2", "0.3", "0.4"]), (0, ["0.1", "0.2", "0.3"]), (2, []),
+        (0, ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6"])]
     loaded = events_from_jsonl(text)
     assert loaded == events
     # the reads that do not diverge from the longest read before them are
@@ -164,7 +172,8 @@ def test_jsonl_round_trip_ends_with_newline():
     text = events_to_jsonl(events)
     assert text.endswith("\n")
     assert events_from_jsonl(text) == events
-    assert events_to_jsonl([]) == ""
+    assert events_to_jsonl([]) == "".join(f'{{"{name}":[]}}\n' for name in _columns(text))
+    assert events_from_jsonl(events_to_jsonl([])) == []
 
 
 # Each text joins into as many top-level objects as it has lines, every line
@@ -193,26 +202,46 @@ def test_jsonl_objects_takes_nested_objects_on_their_own_lines(text):
 
 
 def _gets(count):
-    """A history of ``count`` get invokes, one JSONL line each."""
+    """A history of ``count`` get invokes."""
     return events_to_jsonl([ev(f"0.{c}", 0, "invoke", "get", c, c) for c in range(1, count + 1)])
 
 
 @pytest.mark.parametrize("count", [3, 1025])
-def test_a_history_error_names_the_first_line_that_breaks_the_rule(count):
-    lines = _gets(count).splitlines()
-    lines[0] = lines[0].replace('"get"', '"put"')
+def test_a_history_error_names_a_line_that_is_not_json_first(count):
+    # Every line is parsed before any is checked: a cut last line is named
+    # before a layout error on the first.
+    lines = _gets(count).replace('"get"', '"put"', 1).splitlines()
     lines[-1] = lines[-1][:len(lines[-1]) // 2]
-    text = "\n".join(lines) + "\n"
-    with pytest.raises(ValueError, match="^malformed history event on line 1$"):
+    with pytest.raises(ValueError, match=f"^history line {len(lines)} is not JSON"):
+        events_from_jsonl("\n".join(lines) + "\n")
+    lines.pop()
+    with pytest.raises(ValueError, match="^history has 9 lines, want 10: one per column$"):
+        events_from_jsonl("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda cols: cols["kind"].__setitem__(0, "put"),
+     "^history column 'kind', event 0: 'put' is not one of \\['append', 'get'\\]$"),
+    (lambda cols: cols["c"].pop(), "^history column 'c': 2 entries for 3 events$"),
+    (lambda cols: cols["payload"].append("x"),
+     "^history column 'payload': 1 entries for 0 append invokes$"),
+    (lambda cols: cols["p"].append(0),
+     "^history column 'p': 1 entries for 0 get responses$"),
+    (lambda cols: cols["t"].__setitem__(2, True),
+     "^history column 't', event 2: True is not of type int$"),
+])
+def test_a_history_error_names_the_column_and_the_entry(edit, message):
+    columns = _columns(_gets(3))
+    edit(columns)
+    text = "".join(json.dumps({name: col}) + "\n" for name, col in columns.items())
+    with pytest.raises(ValueError, match=message):
         events_from_jsonl(text)
-    with pytest.raises(ValueError, match=f"^h line {count} is not JSON"):
-        list(jsonl_objects(text, "h"))
 
 
 def test_jsonl_objects_parses_a_line_only_when_it_is_reached():
-    text = _gets(1) + "{\n"
+    text = '{"op":["0.1"]}\n{\n'
     objects = jsonl_objects(text, "h")
-    assert next(objects) == (1, json.loads(text.splitlines()[0]))
+    assert next(objects) == (1, {"op": ["0.1"]})
     with pytest.raises(ValueError, match="^h line 2 is not JSON"):
         next(objects)
 

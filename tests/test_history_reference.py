@@ -1,8 +1,8 @@
-"""The one-pass history decoder and the one shared pairing, against the paths
-they replaced, kept here as references.
+"""The column history decoder and the one shared pairing against
+references.
 
-* `reference_events_from_jsonl` is the per-line loader: one ``json.loads``,
-  one layout check and one event per line.
+* `reference_events_from_jsonl` reads README's column layout one event at a
+  time: one ``json.loads`` per line, one check per entry.
 * `reference_eventual_ops` is the eventual checker's two-half pairing: split
   the events at ``probe_from_t``, then pair each half alone.
 
@@ -13,8 +13,9 @@ accepts; where it rejects a history the reference accepted, pairing the whole
 history must fail, as it does for the atomic checker.
 
 The inputs are the malformed-artifact table of ``test_cli.py``, Hypothesis
-histories, and byte-level mutations of pinned-scenario artifacts, which are
-also driven through ``ledgerlab check`` with every checker.
+histories, and byte-level and column-level mutations of pinned-scenario
+artifacts, which are also driven through ``ledgerlab check`` with every
+checker.
 """
 
 import json
@@ -36,33 +37,14 @@ from ledgerlab.histories import (
     HistoryEvent,
     events_from_jsonl,
     events_to_jsonl,
-    is_int,
     pair_events,
 )
-from ledgerlab.ledger import ACK, NACK
+from ledgerlab.ledger import ACK, NACK, is_int
 from ledgerlab.sim import ConfigError, RunArtifact, run, scenario_from_dict
 
 # -- the references ------------------------------------------------------------
 
-
-def _is_seq(v) -> bool:
-    return isinstance(v, list) and all(isinstance(r, str) for r in v)
-
-
-_REQUIRED = {"op", "client", "ev", "kind", "c", "t"}
-_CARRIED = {
-    (INVOKE, GET): {},
-    (INVOKE, APPEND): {"payload": lambda v: isinstance(v, str)},
-    (RESPONSE, GET): {"p": is_int, "tail": _is_seq},
-    (RESPONSE, APPEND): {"result": lambda v: v in (ACK, NACK)},
-}
-
-
-def _well_formed(obj: dict) -> bool:
-    carried = _CARRIED.get((obj.get("ev"), obj.get("kind")))
-    return (carried is not None and obj.keys() == _REQUIRED | carried.keys()
-            and isinstance(obj["op"], str) and all(is_int(obj[k]) for k in ("client", "c", "t"))
-            and all(check(obj[k]) for k, check in carried.items()))
+COLUMNS = ["op", "client", "ev", "kind", "c", "t", "payload", "result", "p", "tail"]
 
 
 def _unique_keys(pairs):
@@ -72,28 +54,49 @@ def _unique_keys(pairs):
 
 
 def reference_events_from_jsonl(text: str) -> list[HistoryEvent]:
-    """The per-line history loader, which rejects a repeated key."""
+    """The history loader as README's "Run artifacts" states the layout: ten
+    lines, each one object holding one column, in order; the event columns
+    of one length; then the payload of each append invoke, the result of
+    each append response, and the ``p`` and ``tail`` of each get response,
+    in event order."""
+    objs = [json.loads(line, object_pairs_hook=_unique_keys)
+            for line in text.splitlines() if line.strip()]
+    if [list(obj) for obj in objs] != [[name] for name in COLUMNS]:
+        raise ValueError("not one line per column, in order")
+    columns = {name: obj[name] for obj, name in zip(objs, COLUMNS)}
+    if not all(isinstance(col, list) for col in columns.values()):
+        raise ValueError("a column is not an array")
+    if len({len(columns[name]) for name in COLUMNS[:6]}) != 1:
+        raise ValueError("event columns of unequal length")
     events = []
+    for op, client, ev, kind, c, t in zip(*(columns[name] for name in COLUMNS[:6])):
+        if not (isinstance(op, str) and is_int(client) and is_int(c) and is_int(t)
+                and ev in (INVOKE, RESPONSE) and kind in (GET, APPEND)):
+            raise ValueError("malformed event")
+        events.append(HistoryEvent(op, client, ev, kind, c, t))
+
+    def of(ev, kind, *names):
+        chosen = [e for e in events if (e.ev, e.kind) == (ev, kind)]
+        if any(len(columns[name]) != len(chosen) for name in names):
+            raise ValueError(f"not one {names} per {ev} {kind}")
+        return zip(chosen, *(columns[name] for name in names))
+
+    for e, payload in of(INVOKE, APPEND, "payload"):
+        if not isinstance(payload, str):
+            raise ValueError("malformed payload")
+        e.payload = payload
+    for e, result in of(RESPONSE, APPEND, "result"):
+        if result not in (ACK, NACK):
+            raise ValueError("malformed result")
+        e.result = result
     ref: tuple[str, ...] = ()
-    for n, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        obj = json.loads(line, object_pairs_hook=_unique_keys)
-        if not _well_formed(obj):
-            raise ValueError(f"malformed history event on line {n}")
-        seq = None
-        if "p" in obj:
-            p = obj["p"]
-            if not 0 <= p <= len(ref):
-                raise ValueError(f"history event on line {n}: p={p} outside 0..{len(ref)}")
-            seq = ref[:p] + tuple(obj["tail"])
-            if len(seq) > len(ref):
-                ref = seq
-        events.append(HistoryEvent(
-            op_id=obj["op"], client=obj["client"], ev=obj["ev"], kind=obj["kind"],
-            c=obj["c"], t=obj["t"], payload=obj.get("payload"),
-            result=obj.get("result"), seq=seq,
-        ))
+    for e, p, tail in of(RESPONSE, GET, "p", "tail"):
+        if not (is_int(p) and 0 <= p <= len(ref) and isinstance(tail, list)
+                and all(isinstance(rid, str) for rid in tail)):
+            raise ValueError("malformed read")
+        e.seq = ref[:p] + tuple(tail)
+        if len(e.seq) > len(ref):
+            ref = e.seq
     return events
 
 
@@ -112,9 +115,9 @@ def reference_eventual_ops(events, probe_from_t):
 
 # -- the comparisons -----------------------------------------------------------
 
-# What the per-line loader raised on a line that is not a well-formed event:
-# JSON errors are ValueErrors, and a non-object line has no ``.get``.
-REFERENCE_ERRORS = (ValueError, AttributeError, TypeError)
+# What the reference raises on a malformed file: JSON errors are ValueErrors,
+# and a line that is not an object is not iterable or not indexed by name.
+REFERENCE_ERRORS = (ValueError, TypeError)
 
 
 def assert_decoders_agree(text: str):
@@ -124,7 +127,7 @@ def assert_decoders_agree(text: str):
     except REFERENCE_ERRORS:
         expected = None
     if expected is None:
-        with pytest.raises(ValueError, match="line"):
+        with pytest.raises(ValueError, match="^history "):
             events_from_jsonl(text)
         return None
     assert events_from_jsonl(text) == expected
@@ -246,10 +249,10 @@ def test_hypothesis_histories_agree_with_the_references(events, probe_from_t):
     assert_eventual_agrees(events, probe_from_t)
 
 
-# -- inputs: byte-level mutations of pinned artifacts ---------------------------------
+# -- inputs: byte-level and column-level mutations of pinned artifacts ------------
 
 
-# A history of 1.3 k lines: 16 clients on five servers, two of which crash.
+# A history of 1.3 k events: 16 clients on five servers, two of which crash.
 LARGE = {"n": 5, "f": 2, "clients": 16, "mode": "atomic", "seed": 1,
            "workload": {"ops_per_client": 40, "append_ratio": 0.6},
            "crash_schedule": [[0, 40], [3, 90]]}
@@ -322,6 +325,49 @@ def _line_moved(text, rng):
     return "\n".join(lines) + "\n"
 
 
+def _column_edit(edit):
+    """A mutation that applies ``edit(entries, rng)`` to one array of at
+    least two entries on one line of a JSONL file: a column, or half the
+    time, where the column holds arrays (``tail``), one of those."""
+    def mutate(text, rng):
+        rows = [json.loads(line) for line in text.splitlines()]
+        entries = rng.choice([v for row in rows for v in row.values()
+                              if type(v) is list and len(v) > 1])
+        inner = [v for v in entries if type(v) is list and len(v) > 1]
+        if inner and rng.random() < 0.5:
+            entries = rng.choice(inner)
+        edit(entries, rng)
+        return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
+    return mutate
+
+
+def _dropped(entries, rng):
+    del entries[rng.randrange(len(entries))]
+
+
+def _duplicated(entries, rng):
+    i = rng.randrange(len(entries))
+    entries.insert(i, entries[i])
+
+
+def _retyped(entries, rng):
+    i = rng.randrange(len(entries))
+    entries[i] = rng.choice([v for v in (None, True, 1.5, 7, "7", [entries[i]])
+                             if type(v) is not type(entries[i])])
+
+
+def _swapped(entries, rng):
+    i, j = rng.sample(range(len(entries)), 2)
+    entries[i], entries[j] = entries[j], entries[i]
+
+
+# Each edits one entry of one column, or two entries of one column.
+COLUMN_EDITS = {
+    "entry-dropped": _column_edit(_dropped),
+    "entry-duplicated": _column_edit(_duplicated),
+    "entry-retyped": _column_edit(_retyped),
+    "entries-swapped": _column_edit(_swapped),
+}
 # Each of these leaves some line that is not one JSON object.
 BREAKS_LINES = {
     "two-objects-on-a-line": _lines_holding_two_objects,
@@ -329,8 +375,8 @@ BREAKS_LINES = {
     "two-on-a-line-and-one-split": _two_on_one_line_and_one_split,
     "raw-line-break-in-a-string": _raw_character_in_a_string,
 }
-MUTATIONS = {**BREAKS_LINES, "byte-noise": _byte_noise, "digit-change": _digit_change,
-             "line-moved-or-dropped": _line_moved}
+MUTATIONS = {**BREAKS_LINES, **COLUMN_EDITS, "byte-noise": _byte_noise,
+             "digit-change": _digit_change, "line-moved-or-dropped": _line_moved}
 MUTANTS_EACH = 30
 
 
@@ -367,7 +413,8 @@ def test_mutated_artifacts_exit_with_a_documented_code(tmp_path, capsys, name):
     art = _artifact("eventual").write(tmp_path / "art")
     text = (art / name).read_text()
     for mutation in sorted(MUTATIONS):
-        if name != "history.jsonl" and mutation == "two-on-a-line-and-one-split":
+        if (name != "history.jsonl" and mutation == "two-on-a-line-and-one-split"
+                or name == "meta.json" and mutation in COLUMN_EDITS):
             continue
         for j, mutant in enumerate(_mutants(text, mutation)):
             if j % 3:

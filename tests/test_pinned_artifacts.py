@@ -45,27 +45,27 @@ SCENARIOS = {
 
 PINNED = {
     "atomic": {
-        "history.jsonl": "611a49ec657405d2544c0683d90e9bbe1122a7958393daedd26c156ed7c83d5a",
+        "history.jsonl": "34cdd188c5371564427c06a165dd4690cfeacda34773e4639225f8a20d41059f",
         "abtrace.jsonl": "28fb1b9a30b7008cc242989654d49d039ea20db26eb767f4775caa777b23d6f2",
         "meta.json": "e0a937c34e15ca075946bea6b4fe580173353709a9702c34a12e831c8e6875f8",
     },
     "sequential": {
-        "history.jsonl": "0269db0aa20a0964e3662e381b464920d85038118925097529dd7e7c707685b7",
+        "history.jsonl": "e0076de955714f06dc8e2df86c47b1079d440d481ebe16ca4ef327b610465905",
         "abtrace.jsonl": "8dca550d72d5c1240e0a57fa9a82a03797b06787406dcf48a7a250f309ae4900",
         "meta.json": "830675e96d5f51df90d76d327bafbb8eabaffa6760592795bfb4590b59f447bd",
     },
     "eventual": {
-        "history.jsonl": "2044be24ef0f296796c4a9c0063d8bd247ed22185d29f17feab4e2e042e46fe0",
+        "history.jsonl": "077d9e0e90874101bfc73478639d2f1effa0b3e06769d01d7772bd0fa7088c85",
         "abtrace.jsonl": "e9772404c794de0faaf21b4a18f060b39faa167d371dde74fc0675c3498c165d",
         "meta.json": "78016f77a199c113bd45a414672e3dab119b7e69e29400aeff64e0d780bb8702",
     },
     "read-repair": {
-        "history.jsonl": "d058866448d54c52e615b0309a649d57bbf0b2345932f43081404994ec46bbaa",
+        "history.jsonl": "7faecc11c3f57ac8662189ce3b3ae1f2f84736606aae98a94e82f25086fe79d4",
         "abtrace.jsonl": "72bbe57788134b9bb4cd958eb57f949d12b17a3eed93ca027acb3e25b72605b1",
         "meta.json": "bde38bbeaeb06c55ecc096d772738200420121a95260322714842d4e9a7878a5",
     },
     "consensus": {
-        "history.jsonl": "018e55883db4a44611a529eadf7f3d3447a61fe9df30dcc3e144b5ce785becba",
+        "history.jsonl": "ecf631b6a6720fe1fc84598035dc9ccb10f8f4373aee038bacf283425ced8249",
         "abtrace.jsonl": "dcdaaa4af53ed1d569ac18d9e91a719569b17fac531d9d32a191133deab4c2d7",
         "meta.json": "9ec2a45864c23b6edf294918f4cd906d8322734d09524adb2151955004961b7a",
     },
@@ -95,9 +95,9 @@ def test_artifact_bytes_match_the_pinned_hashes(name, tmp_path):
 CAMPAIGN_SEEDS = range(30)
 
 CAMPAIGN_DIGESTS = {
-    "atomic": "2f4927a0486421e624d7f453d65d4d433ed7123145a5911cd76e50b2ac0702d7",
-    "sequential": "351d17120d144a0d97d19e563c64fce9720b7ba5f058f0acd1151b40c062b200",
-    "eventual": "d4d0f31b666d5b8de3b156b183740ed21d35205533c15f4e2b313f9451322c37",
+    "atomic": "7799132f0a1f63f4d1ff3b4c51c6c99c2b4634740fd808027370c91c4fd0a93a",
+    "sequential": "f3b2e1513a21067b363dbca79bc8bcb38ea2fd5f3cb07316660771d7b297cc2d",
+    "eventual": "95a2fffa935982d09947e05d4be0969d0c163a3e45130722cb51b45334fb55b8",
 }
 
 
