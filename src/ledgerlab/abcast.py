@@ -83,8 +83,9 @@ class AbTrace:
 
     def lines(self) -> Iterator[str]:
         """One line of broadcast columns, then one line per server, each in
-        the bytes of ``json.dumps(obj, separators=(",", ":"))``."""
-        yield compact_json({"sender": self.sender, "t": self.t}) + "\n"
+        the bytes of ``json.dumps(obj, separators=(",", ":"))``; the encoder
+        holds a string per int, so each broadcast column is encoded alone."""
+        yield '{"sender":' + compact_json(self.sender) + ',"t":' + compact_json(self.t) + "}\n"
         for sid, s in enumerate(self.servers):
             yield compact_json({"server": sid, "crash": s.crash, "t": s.t}) + "\n"
 

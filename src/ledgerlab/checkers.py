@@ -25,13 +25,13 @@ is necessary, and when all pass, sorting the ops by (rank, invoke index)
 respects precedence and replays the ledger (the appends at positions
 0..m-1, in order, come just before the gets of length m): a linearization.
 
-A history is a tuple of ops in invoke order.  An incomplete one is judged
-through one canonical completion: pending gets are dropped, and a pending
-append is kept iff some completed get or probe get returned its record id.
-An unread pending append precedes nothing and appears in no read, so it can
-always be linearized last or left out; a read one must be kept, or its id is
-a fabrication.  So the canonical candidate passes iff any include/exclude
-candidate does.
+A history is a tuple of ops in invoke order; an append's op id is its record
+id.  An incomplete one is judged through one canonical completion: pending
+gets are dropped, and a pending append is kept iff some completed get or
+probe get returned its id.  An unread pending append precedes nothing and
+appears in no read, so it can always be linearized last or left out; a read
+one must be kept, or its id is a fabrication.  So the canonical candidate
+passes iff any include/exclude candidate does.
 """
 
 from __future__ import annotations
@@ -57,23 +57,23 @@ class CapacityError(CheckerError):
 
 
 def complete_history(completed: Sequence[Op], pending: Sequence[Op],
-                     probe_ops: Sequence[Op] = ()) -> list[tuple[Op, ...]]:
-    """The canonical completion of an incomplete history: its ops in invoke
-    order, as a one-item list.
+                     probe_ops: Sequence[Op] = ()) -> tuple[Op, ...]:
+    """The canonical completion of an incomplete history: a tuple of its ops
+    in invoke order, the one candidate every checker judges.
 
     Pending gets are removed.  A pending append is kept, with an unreachable
-    response index so it precedes nothing, iff its record id appears in the
-    returned sequence of a completed get or of a probe get; otherwise it is
-    dropped.
+    response index so it precedes nothing, iff its op id, the record id it
+    mints, appears in the returned sequence of a completed get or of a probe
+    get; otherwise it is dropped.
     """
-    pending_rids = {op.rid for op in pending if op.kind == APPEND}
+    pending_rids = {op.op_id for op in pending if op.kind == APPEND}
     read: set[str] = set()
     if pending_rids:
         for g in (*completed, *probe_ops):
             if g.kind == GET:
                 read.update(pending_rids.intersection(g.seq))
-    kept = [op for op in pending if op.rid in read]
-    return [tuple(sorted((*completed, *kept), key=attrgetter("invoke_i")))]
+    kept = [op for op in pending if op.op_id in read]
+    return tuple(sorted((*completed, *kept), key=attrgetter("invoke_i")))
 
 
 # -- sequential replay -------------------------------------------------------
@@ -95,11 +95,11 @@ def check_validated_spec(ops: Sequence[Op], pred: ValidityPredicate) -> Verdict:
             continue
         if op.result not in (ACK, NACK):
             return failed("SeqSpec", [op.op_id])
-        valid = pred.step(state, Record(op.rid, op.client, op.payload or ""))
+        valid = pred.step(state, Record(op.op_id, op.client, op.payload or ""))
         if op.result == ACK:
             if not valid:
                 return failed("Def5-2a", [op.op_id])
-            rids.append(op.rid)
+            rids.append(op.op_id)
         elif valid:
             return failed("Def5-2b", [op.op_id])
     return passed()
@@ -166,7 +166,7 @@ def _ordering_violation(ops: Sequence[Op], longest_get: Op | None, pos: dict[str
     rank.  The first op ranked below that max fails, with the earliest-
     responding holder of the max; A1/S1 add the longest get as witness.
     """
-    rank = [2 * len(op.seq) if op.kind == GET else 2 * pos.get(op.rid, math.inf) + 1
+    rank = [2 * len(op.seq) if op.kind == GET else 2 * pos.get(op.op_id, math.inf) + 1
             for op in ops]
     by_response = sorted(range(len(ops)), key=[op.response_i for op in ops].__getitem__)
     top: dict[int | None, int] = {}  # group -> index of its max-rank op
@@ -193,7 +193,7 @@ def _property_check(ops: Sequence[Op], same_client_only: bool) -> Verdict:
     gets, appends = [op for op in ops if op.kind == GET], [op for op in ops if op.kind == APPEND]
     longest_get, longest, pos = _longest_read(gets)
     v = (_non_ack_append(appends)
-         or _integrity_and_chain(gets, {op.rid for op in appends}, longest, pos)
+         or _integrity_and_chain(gets, {op.op_id for op in appends}, longest, pos)
          or _ordering_violation(ops, longest_get, pos, same_client_only))
     return v or passed()
 
@@ -223,14 +223,14 @@ def check_eventual(ops: Sequence[Op], probe_ops: Sequence[Op]) -> Verdict:
     appends = [op for op in ops if op.kind == APPEND]
     _, longest, pos = _longest_read(reads)
     v = (_non_ack_append(appends)
-         or _integrity_and_chain(reads, {op.rid for op in appends}, longest, pos))
+         or _integrity_and_chain(reads, {op.op_id for op in appends}, longest, pos))
     if v is not None:
         return v
     # Past the chain check every probe is a prefix of the longest read: the
     # first append missing from a probe is the first that the shortest misses.
     shortest = min(len(p.seq) for p in probe_ops)
     for a in appends:
-        at = pos.get(a.rid, math.inf)
+        at = pos.get(a.op_id, math.inf)
         if at >= shortest:
             probe = next(p for p in probe_ops if len(p.seq) <= at)
             return failed("ProbeCompleteness", [a.op_id, probe.op_id])
@@ -285,7 +285,7 @@ def linearize(ops: Sequence[Op], same_client_only: bool = False) -> list[Op] | N
             else:
                 if op.result not in (ACK, None):
                     continue
-                new_state = state + (op.rid,)
+                new_state = state + (op.op_id,)
             order.append(op)
             if dfs(mask | 1 << i, new_state):
                 return True
@@ -308,7 +308,7 @@ def verify_history(completed: Sequence[Op], pending: Sequence[Op], checker: str,
     most ``ORACLE_AUTO_LIMIT`` operations; a property/oracle disagreement
     yields a divergence verdict.
     """
-    [ops] = complete_history(completed, pending, probe_ops)
+    ops = complete_history(completed, pending, probe_ops)
     if checker == "eventual":
         return check_eventual(ops, probe_ops)
     if checker not in ("atomic", "sequential"):

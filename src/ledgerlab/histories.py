@@ -186,7 +186,8 @@ def events_from_jsonl(text: str) -> list[HistoryEvent]:
 
 
 class Op(NamedTuple):
-    """One operation reconstructed from its invoke/response event pair.
+    """One operation reconstructed from its invoke/response event pair; an
+    append's ``op_id``, ``<client>.<c>``, is the id of the record it mints.
 
     ``invoke_i``/``response_i`` are positions in the history's event list and
     define real-time precedence: a precedes b iff a.response_i < b.invoke_i.
@@ -201,7 +202,6 @@ class Op(NamedTuple):
     response_i: float = math.inf
     response_t: int | None = None
     payload: str | None = None
-    rid: str | None = None  # record id minted by an append
     result: str | None = None
     seq: Sequence[str] | None = None
 
@@ -238,12 +238,10 @@ def pair_events(events: Sequence[HistoryEvent]) -> tuple[list[Op], list[Op]]:
                 raise ValueError(f"response without invoke for op {e.op_id}")
             if inv.kind != e.kind or inv.c != e.c:
                 raise ValueError(f"response does not match invoke for op {e.op_id}")
-            completed.append(Op(
-                e.op_id, e.client, e.kind, inv_i, inv.t, i, e.t, inv.payload,
-                e.op_id if e.kind == APPEND else None, e.result, e.seq))
+            completed.append(Op(e.op_id, e.client, e.kind, inv_i, inv.t, i, e.t, inv.payload,
+                                e.result, e.seq))
         else:
             raise ValueError(f"unknown event type {e.ev!r}")
     # open_ops is in invoke order: an invoke inserts its client's key, which no op holds.
-    return completed, [Op(inv.op_id, inv.client, inv.kind, inv_i, inv.t, payload=inv.payload,
-                          rid=inv.op_id if inv.kind == APPEND else None)
+    return completed, [Op(inv.op_id, inv.client, inv.kind, inv_i, inv.t, payload=inv.payload)
                        for inv_i, inv in open_ops.values()]

@@ -2,9 +2,9 @@
 
 The plain ledger is an append-only sequence of records read in full by
 ``get``; ``read_ids`` gives a prefix's ids as an `IdPrefix` view, no copy,
-and serves read-side repair from one fold per predicate.  The validated
-ledger additionally filters every append through a pluggable validity
-predicate and answers ``nack`` when the extended sequence would violate it.
+and serves read-side repair through one `ValidatedLedger` per predicate:
+the ledger that filters every append through a pluggable validity predicate
+and answers ``nack`` when the extended sequence would violate it.
 These objects are the reference behaviour that the offline checkers replay,
 and one plain ledger is a simulated run's record order (see `protocols`).
 """
@@ -221,17 +221,17 @@ class Ledger:
     """Append-only record sequence with whole-sequence and prefix-id reads.
 
     The sequence never shrinks or reorders, so a ledger and a length are an
-    immutable snapshot of its first records.  ``read_ids`` alone runs a
-    predicate's fold, for read-side repair.
+    immutable snapshot of its first records, each id once.  ``read_ids``
+    alone runs a predicate, for read-side repair.
     """
 
     def __init__(self) -> None:
         self._items: list[Record] = []
         self._ids: list[str] = []
         self.positions: dict[str, int] = {}  # record id -> its index
-        # id(pred) -> (pred.step, state, kept_ids, upto), the bound step keeping pred
-        # alive: the fold has run over len(upto) - 1 records; the first i keep upto[i].
-        self._folds: dict[int, tuple] = {}
+        # id(pred) -> (ValidatedLedger(pred), upto), which keeps pred alive: it has
+        # been fed len(upto) - 1 records, and the first i of them keep upto[i].
+        self._folds: dict[int, tuple[ValidatedLedger, list[int]]] = {}
 
     def __len__(self) -> int:
         return len(self._items)
@@ -246,21 +246,20 @@ class Ledger:
         With a predicate this equals the ids of ``filter_valid(self.get()[:n],
         pred)``.  `filter_valid` decides each record from the ones kept
         before it, so the filtered view of a prefix is a prefix of the
-        filtered view: one fold per predicate, run only past the furthest
-        length read so far, serves every read, and its kept ids are the list.
+        filtered view: one `ValidatedLedger` per predicate, fed records only
+        past the furthest length read so far, serves every read from its ids.
         """
         if pred is None:
             return IdPrefix(self._ids, n)
         fold = self._folds.get(id(pred))
         if fold is None:
-            fold = self._folds[id(pred)] = (pred.step, pred.start(), [], [0])
-        step, state, kept_ids, upto = fold
+            fold = self._folds[id(pred)] = (ValidatedLedger(pred), [0])
+        kept, upto = fold
         if n >= len(upto):
             for r in self._items[len(upto) - 1:n]:
-                if step(state, r):
-                    kept_ids.append(r.rid)
-                upto.append(len(kept_ids))
-        return IdPrefix(kept_ids, upto[n])
+                kept.add(r)
+                upto.append(len(kept))
+        return IdPrefix(kept._ids, upto[n])
 
     def append(self, r: Record) -> str:
         if r.rid in self.positions:

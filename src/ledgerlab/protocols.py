@@ -129,9 +129,9 @@ class Client:
     A get records `Ledger.read_ids` of the replica that answered it: a view
     of that replica's id list, never a copy.  With a validity predicate
     configured, get responses are filtered at this boundary (the read-side
-    repair construction, folded once per record order, whose kept ids are
-    the list viewed); the protocol-level length bookkeeping still uses the
-    raw replica length.
+    repair construction: the replica keeps one `ValidatedLedger` per
+    predicate, and the get views its ids); the protocol-level length
+    bookkeeping still uses the raw replica length.
     """
 
     def __init__(self, cid: int, mode: str, targets: list[Server], net,

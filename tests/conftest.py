@@ -22,7 +22,7 @@ def op(op_id, kind, inv, res=math.inf, *, seq=None, result="ack", payload=None):
         op_id=op_id, client=int(op_id.split(".")[0]), kind=kind,
         invoke_i=inv, invoke_t=inv, response_i=res,
         response_t=None if res is math.inf else res,
-        payload=payload, rid=op_id if kind == "append" else None,
+        payload=payload,
         result=result if kind == "append" and res is not math.inf else None,
         seq=tuple(seq) if seq is not None else None,
     )

@@ -46,25 +46,23 @@ def integrity_and_chain(gets, appended):
 class TestCompletion:
     def test_complete_history_is_its_own_single_candidate(self):
         ops = [op("0.1", "append", 0, 1), op("0.2", "get", 2, 3, seq=["0.1"])]
-        out = complete_history(ops, [])
-        assert len(out) == 1 and out[0] == tuple(ops)
+        assert complete_history(ops, []) == tuple(ops)
 
     def test_pending_gets_are_removed(self):
         pending = [op("1.1", "get", 4)]
         out = complete_history([op("0.1", "append", 0, 1)], pending)
-        assert len(out) == 1
-        assert all(o.kind == "append" for o in out[0])
+        assert [o.kind for o in out] == ["append"]
 
     def test_pending_appends_fork_into_include_and_exclude(self):
         # the read pending append is kept and precedes nothing; the unread one
         # is dropped
         completed = [op("0.1", "get", 3, 6, seq=["1.1"])]
         pending = [op("1.1", "append", 1), op("2.1", "append", 2)]
-        [h] = complete_history(completed, pending)
+        h = complete_history(completed, pending)
         assert [o.op_id for o in h] == ["1.1", "0.1"]
         assert h[0].response_i == math.inf
         # a probe read keeps a pending append too
-        [h] = complete_history([], pending, [op("0.2", "get", 7, 8, seq=["2.1"])])
+        h = complete_history([], pending, [op("0.2", "get", 7, 8, seq=["2.1"])])
         assert [o.op_id for o in h] == ["2.1"]
 
     def test_forty_pending_appends_get_a_verdict(self):
@@ -81,7 +79,7 @@ class TestCompletion:
     def test_include_candidate_saves_a_history_whose_record_was_read(self):
         completed = [op("0.1", "get", 1, 6, seq=["1.1"])]
         pending = [op("1.1", "append", 0, payload="x")]
-        [h] = complete_history(completed, pending)
+        h = complete_history(completed, pending)
         assert [o.op_id for o in h] == ["1.1", "0.1"]
         assert verify_history(completed, pending, "atomic").ok
         # while the history without the read record is a fabrication
@@ -141,8 +139,8 @@ def mutate_reads(rng, completed, pending, probes):
     """Either erase one pending append's id from every returned sequence, or
     drop, swap or inject one id in one or two of them; half the injected ids
     are pending rids, the rest completed or fabricated ones."""
-    pending_rids = [o.rid for o in pending if o.kind == "append"]
-    pool = [o.rid for o in completed if o.kind == "append"] + ["9.99"]
+    pending_rids = [o.op_id for o in pending if o.kind == "append"]
+    pool = [o.op_id for o in completed if o.kind == "append"] + ["9.99"]
 
     def mutate(g):
         seq = list(g.seq)
@@ -177,7 +175,7 @@ class TestCanonicalCompletion:
             completed, pending, probes = crashy_split(rng, seed)
             k = sum(o.kind == "append" for o in pending)
             assert k <= 8
-            [h] = complete_history(completed, pending, probes)
+            h = complete_history(completed, pending, probes)
             stats["pending"] += k > 0
             stats["max_k"] = max(stats["max_k"], k)
             stats["read_pending"] += any(o.response_i == math.inf for o in h)
@@ -408,14 +406,14 @@ def positional_eventual(h, probe_ops):
     """Reference: the eventual screen as it was before the set test, which
     also compared each record's position across the probes."""
     v = (checkers._non_ack_append(appends_of(h))
-         or integrity_and_chain([*gets_of(h), *probe_ops], {op.rid: op for op in appends_of(h)}))
+         or integrity_and_chain([*gets_of(h), *probe_ops], {op.op_id: op for op in appends_of(h)}))
     if v is not None:
         return v
     probe_pos = [(p, {rid: i for i, rid in enumerate(p.seq or ())}) for p in probe_ops]
     for a in appends_of(h):
         expected = None
         for p, pos in probe_pos:
-            i = pos.get(a.rid)
+            i = pos.get(a.op_id)
             if i is None or (expected is not None and i != expected):
                 return failed("ProbeCompleteness", [a.op_id, p.op_id])
             expected = i
@@ -428,12 +426,12 @@ def nested_eventual(h, probe_ops):
     reads = [*gets_of(h), *probe_ops]
     _, longest, pos = checkers._longest_read(reads)
     v = (checkers._non_ack_append(appends_of(h))
-         or checkers._integrity_and_chain(reads, {op.rid for op in appends_of(h)}, longest, pos))
+         or checkers._integrity_and_chain(reads, {op.op_id for op in appends_of(h)}, longest, pos))
     if v is not None:
         return v
     for a in appends_of(h):
         for p in probe_ops:
-            if pos.get(a.rid, math.inf) >= len(p.seq):
+            if pos.get(a.op_id, math.inf) >= len(p.seq):
                 return failed("ProbeCompleteness", [a.op_id, p.op_id])
     return passed()
 
@@ -472,7 +470,7 @@ class TestEventualSetCheck:
             probes, _ = pair_events([e for e in art.history if e.t >= probe_from_t])
             for how in (None, "drop", "swap", "truncate"):
                 p = mutate_probe(rng, probes, how) if how else probes
-                [h] = complete_history(completed, pending, p)
+                h = complete_history(completed, pending, p)
                 got = check_eventual(h, p)
                 for reference in (positional_eventual, nested_eventual):
                     want = reference(h, p)
@@ -588,18 +586,18 @@ def violates_named_property(tag, witness_ops):
         return False
     if tag in ("A2", "S3"):
         a, g = witness_ops
-        return a.precedes(g) and a.rid not in g.seq
+        return a.precedes(g) and a.op_id not in g.seq
     if tag in ("A3", "S4"):
         g1, g2 = witness_ops
         return g1.precedes(g2) and g2.seq[:len(g1.seq)] != g1.seq
     if tag in ("A4", "S2"):
         g, a = witness_ops
-        return g.precedes(a) and a.rid in g.seq
+        return g.precedes(a) and a.op_id in g.seq
     if tag in ("A1", "S1"):
         a1, a2, g = witness_ops
         pos = {rid: i for i, rid in enumerate(g.seq)}
-        return a1.precedes(a2) and a2.rid in pos and \
-            pos.get(a1.rid, len(g.seq) + 1) > pos[a2.rid]
+        return a1.precedes(a2) and a2.op_id in pos and \
+            pos.get(a1.op_id, len(g.seq) + 1) > pos[a2.op_id]
     if tag == "PrefixChain":
         g1, g2 = witness_ops
         s1, s2 = g1.seq, g2.seq
@@ -740,15 +738,15 @@ def pairwise_ordering_violation(h, same_client_only):
     # append -> append: the earlier record sits earlier in every sequence that
     # has the later one (so the later record also implies the earlier one).
     for a1, a2 in pairs(appends, appends):
-        p2 = pos.get(a2.rid)
+        p2 = pos.get(a2.op_id)
         if p2 is None:
             continue
-        p1 = pos.get(a1.rid)
+        p1 = pos.get(a1.op_id)
         if p1 is None or p1 > p2:
             return failed(tag["aa"], [a1.op_id, a2.op_id, longest_get.op_id])
     # append -> get: the record is visible.
     for a, g in pairs(appends, gets):
-        if a.rid not in membership[g.op_id]:
+        if a.op_id not in membership[g.op_id]:
             return failed(tag["ag"], [a.op_id, g.op_id])
     # get -> get: the earlier one returned a prefix.
     for g1, g2 in pairs(gets, gets):
@@ -756,14 +754,14 @@ def pairwise_ordering_violation(h, same_client_only):
             return failed(tag["gg"], [g1.op_id, g2.op_id])
     # get -> append: the record cannot have been visible yet.
     for g, a in pairs(gets, appends):
-        if a.rid in membership[g.op_id]:
+        if a.op_id in membership[g.op_id]:
             return failed(tag["ga"], [g.op_id, a.op_id])
     return None
 
 
 def pairwise_check(h, same_client_only):
     """Reference screen: shared integrity and chain checks, then the pairwise loop."""
-    appended = {o.rid: o for o in appends_of(h)}
+    appended = {o.op_id: o for o in appends_of(h)}
     return (integrity_and_chain(gets_of(h), appended)
             or pairwise_ordering_violation(h, same_client_only) or passed())
 
@@ -774,7 +772,7 @@ def rank_order(h):
     pos = {rid: i for i, rid in enumerate(longest)}
 
     def rank(o):
-        return 2 * len(o.seq) if o.kind == "get" else 2 * pos.get(o.rid, math.inf) + 1
+        return 2 * len(o.seq) if o.kind == "get" else 2 * pos.get(o.op_id, math.inf) + 1
     return sorted(h, key=lambda o: (rank(o), o.invoke_i))
 
 
@@ -788,7 +786,7 @@ def sweep_corpus(rng):
     for seed in range(60):
         completed, pending, probes = crashy_split(rng, seed)
         for c, p in ((completed, probes), mutate_reads(rng, completed, pending, probes)):
-            [h] = complete_history(c, pending, p)
+            h = complete_history(c, pending, p)
             yield h
 
 
@@ -896,11 +894,11 @@ def chain_corpus(rng):
     for _ in range(300):
         h = random_history(rng, rng.randint(1, 6), rng.randint(2, 80),
                            noise=rng.choice((None, 0, 0.01, 0.05, 0.2)))
-        yield gets_of(h), {o.rid: o for o in appends_of(h)}
+        yield gets_of(h), {o.op_id: o for o in appends_of(h)}
     for seed in range(150):
         completed, pending, probes = crashy_split(rng, seed)
-        [h] = complete_history(completed, pending, probes)
-        gets, appended = [*gets_of(h), *probes], {o.rid: o for o in appends_of(h)}
+        h = complete_history(completed, pending, probes)
+        gets, appended = [*gets_of(h), *probes], {o.op_id: o for o in appends_of(h)}
         yield gets, appended
         if gets:
             for _ in range(4):

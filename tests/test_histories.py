@@ -255,7 +255,7 @@ def test_pairing_completed_and_pending():
     completed, pending = pair_events(events)
     assert [o.op_id for o in completed] == ["0.1"]
     a = completed[0]
-    assert (a.invoke_i, a.response_i, a.rid, a.result) == (0, 2, "0.1", "ack")
+    assert (a.invoke_i, a.response_i, a.op_id, a.result) == (0, 2, "0.1", "ack")
     assert [o.op_id for o in pending] == ["1.1"]
     assert pending[0].response_i == math.inf
 

@@ -319,7 +319,7 @@ def reference_validated_spec(ops, pred):
             if op.seq != tuple(r.rid for r in state):
                 return "SeqSpec", op.op_id
             continue
-        r = Record(op.rid, op.client, op.payload or "")
+        r = Record(op.op_id, op.client, op.payload or "")
         valid = reference_valid(pred, state + [r])
         if op.result == ACK:
             if not valid:
@@ -366,11 +366,12 @@ def test_fold_matches_the_full_replay_reference(stream, pred):
 def test_validated_spec_matches_the_full_replay_reference(moves, pred):
     ops, model = [], []
     for i, (k, payload, move) in enumerate(moves):
-        common = dict(op_id=f"9.{i}", client=0, invoke_i=2 * i, invoke_t=2 * i,
+        common = dict(client=0, invoke_i=2 * i, invoke_t=2 * i,
                       response_i=2 * i + 1, response_t=2 * i + 1)
         if move in ("get", "stale"):
             seq = tuple(r.rid for r in model)
-            ops.append(Op(kind="get", seq=seq[:-1] if move == "stale" else seq, **common))
+            ops.append(Op(op_id=f"9.{i}", kind="get", seq=seq[:-1] if move == "stale" else seq,
+                          **common))
             continue
         r = Record(f"0.{k}", 0, payload)
         if move == "true":
@@ -379,7 +380,7 @@ def test_validated_spec_matches_the_full_replay_reference(moves, pred):
             result = {"ack": ACK, "nack": NACK, "other": None}[move]
         if result == ACK:
             model.append(r)
-        ops.append(Op(kind="append", payload=payload, rid=r.rid, result=result, **common))
+        ops.append(Op(op_id=r.rid, kind="append", payload=payload, result=result, **common))
 
     v = check_validated_spec(ops, pred)
     expected = reference_validated_spec(ops, pred)

@@ -4,8 +4,8 @@ The clients judge nothing themselves; the offline checker is the only judge,
 so a mutant shows up as a `fail` verdict, never as an error row.  Each mutant
 replaces one attribute of `protocols` (a `Server` or `Client` handler, or the
 result a client records for an ack), and over the first 50 campaign seeds
-each checker of its row fails exactly the tags of its committed count table;
-the correct protocols pass them all.
+each checker of its row fails exactly the tags of its committed count table,
+first at its committed seed; the correct protocols pass them all.
 
 `TAG_MATRIX` maps each tag the checkers can emit to the mutant and checker
 whose count table holds it, or says why no mutant reaches it yet.
@@ -37,13 +37,17 @@ handle_adeliver = protocols.Server.handle_adeliver
 on_response = protocols.Client.on_response
 
 
-def violations(mode: str, names: tuple[str, ...]) -> dict[str, Counter]:
-    """Per checker, how many of seeds 0..49 of that mode it fails, per tag; no error rows."""
+def violations(mode: str, names: tuple[str, ...]) -> dict[str, tuple[int | None, Counter]]:
+    """Per checker, the first of seeds 0..49 of that mode it fails (None if none)
+    and how many it fails, per tag; no error rows."""
     report = run_campaign(scenario(mode=mode, **CAMPAIGN), 0, 50, names)
     assert all(report["aggregate"][name]["error"] == 0 for name in names)
-    return {name: Counter(row["verdicts"][name]["violated"] for row in report["rows"]
-                          if row["verdicts"][name]["status"] == "fail")
-            for name in names}
+    out = {}
+    for name in names:
+        failing = [row for row in report["rows"] if row["verdicts"][name]["status"] == "fail"]
+        out[name] = (failing[0]["seed"] if failing else None,
+                     Counter(row["verdicts"][name]["violated"] for row in failing))
+    return out
 
 
 def ignore_the_floor(self, client, c, floor):
@@ -99,7 +103,8 @@ class Mutant(NamedTuple):
     name: str
     value: object
     mode: str
-    counts: dict[str, dict[str, int]]  # checker -> tag -> failing seeds of 0..49
+    # checker -> (its first failing seed, tag -> failing seeds), of seeds 0..49
+    counts: dict[str, tuple[int, dict[str, int]]]
 
 
 MUTANTS = {
@@ -107,24 +112,24 @@ MUTANTS = {
     # replica, one fault, so the atomic checker judges it too.
     "sequential-get-ignores-its-floor": Mutant(
         protocols.Server, "on_get", ignore_the_floor, "sequential",
-        {"sequential": {"S3": 3, "S4": 3}, "atomic": {"A2": 5, "A3": 3}}),
+        {"sequential": (5, {"S3": 3, "S4": 3}), "atomic": (0, {"A2": 5, "A3": 3})}),
     "server-skips-a-delivered-record": Mutant(
         protocols.Server, "handle_adeliver", skip_one_record, "sequential",
-        {"sequential": {"PrefixChain": 26}}),
+        {"sequential": (2, {"PrefixChain": 26})}),
     "record-applied-twice": Mutant(
         protocols.Server, "handle_adeliver", apply_records_twice, "atomic",
-        {"atomic": {"Duplicate": 50}}),
+        {"atomic": (0, {"Duplicate": 50})}),
     "eventual-append-never-broadcast": Mutant(
         protocols.Server, "on_append", ack_without_broadcast, "eventual",
-        {"eventual": {"ProbeCompleteness": 50}}),
+        {"eventual": (0, {"ProbeCompleteness": 50})}),
     "eventual-get-fabricates-a-record": Mutant(
         protocols.Server, "on_get", fabricate_a_record, "eventual",
-        {"eventual": {"Fabrication": 49}}),
+        {"eventual": (0, {"Fabrication": 49})}),
     **{f"{mode}-ack-recorded-as-nack": Mutant(
-        protocols, "ACK", NACK, mode, {mode: {"SeqSpec": 50}}) for mode in protocols.MODES},
+        protocols, "ACK", NACK, mode, {mode: (0, {"SeqSpec": 50})}) for mode in protocols.MODES},
     "sequential-ack-leaves-the-floor": Mutant(
         protocols.Client, "on_response", ack_keeps_the_floor, "sequential",
-        {"sequential": {"S3": 3}}),
+        {"sequential": (5, {"S3": 3})}),
 }
 
 
@@ -137,7 +142,7 @@ def test_mutant_fails_its_checker(monkeypatch, ident):
 
 @pytest.mark.parametrize("mode", protocols.MODES)
 def test_correct_protocols_pass_the_same_seeds(mode):
-    assert violations(mode, (mode,)) == {mode: {}}
+    assert violations(mode, (mode,)) == {mode: (None, {})}
 
 
 # Each tag the checkers can emit: the mutant and checker that reach it, or
@@ -174,7 +179,7 @@ def test_a_mutant_reaches_each_tag(tag):
     if isinstance(row, str):
         pytest.skip(f"{tag}: {row}")
     ident, checker = row
-    assert tag in MUTANTS[ident].counts[checker]
+    assert tag in MUTANTS[ident].counts[checker][1]
 
 
 def test_the_matrix_lists_exactly_the_tags_the_checkers_emit():

@@ -280,7 +280,7 @@ class TestModeExamples:
             completed, _ = pair_events(art.history)
             appends = [op for op in completed if op.kind == "append"]
             gets = [op for op in completed if op.kind == "get"]
-            if any(a.precedes(g) and a.rid not in g.seq for a in appends for g in gets):
+            if any(a.precedes(g) and a.op_id not in g.seq for a in appends for g in gets):
                 found = True
                 break
         assert found
@@ -295,7 +295,7 @@ class TestModeExamples:
                     continue
                 for g in completed:
                     if g.kind == "get" and g.client == a.client and a.precedes(g):
-                        assert a.rid in g.seq
+                        assert a.op_id in g.seq
 
     def test_final_states_agree_on_the_shared_prefix(self):
         art = run(scenario(seed=8, crash_schedule=[[2, 15]],
