@@ -8,10 +8,12 @@ order) and `check_abcast_trace` verifies all four on a recorded trace rather
 than trusting the construction.  The service needs a majority of servers to
 stay up, so scenarios are rejected unless f < n/2.
 
-The trace is columns (`AbTrace`): each broadcast's sender and time, and
-each server's crash time and delivery times.  A server with k delivery
-times delivered messages 0..k-1, in that order, so its times never decrease
-and none is later than its crash.
+The trace (`AbTrace`) is columns, written a line each as the history's are
+(see `histories.read_columns`): each broadcast's ``sender`` and ``t`` (a
+message's number is its index), and each server's ``crash`` (null if none)
+and ``delivered`` times.  A server with k delivery times delivered messages
+0..k-1, in that order, so its times never decrease and none is later than
+its crash.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import count, repeat
 from operator import ge, le
 from typing import Iterator, NamedTuple
 
-from .histories import compact_json, jsonl_objects
+from .histories import compact_json, read_columns
 from .verdicts import Verdict, failed, passed
 
 BROADCAST = "broadcast"
@@ -81,56 +83,42 @@ class AbTrace:
                  if s.crash is not None]
         return rows
 
-    def lines(self) -> Iterator[str]:
-        """One line of broadcast columns, then one line per server, each in
-        the bytes of ``json.dumps(obj, separators=(",", ":"))``; the encoder
-        holds a string per int, so each broadcast column is encoded alone."""
-        yield '{"sender":' + compact_json(self.sender) + ',"t":' + compact_json(self.t) + "}\n"
+    def chunks(self) -> Iterator[str]:
+        """The trace's JSONL in the layout of the module docstring, in the
+        bytes of ``json.dumps(obj, separators=(",", ":"))``, as pieces to
+        write in order.  The encoder holds a string per int, so each column,
+        and each server's delivery list, is encoded alone."""
+        yield '{"sender":' + compact_json(self.sender) + "}\n"
+        yield '{"t":' + compact_json(self.t) + "}\n"
+        yield '{"crash":' + compact_json([s.crash for s in self.servers]) + "}\n"
+        yield '{"delivered":['
         for sid, s in enumerate(self.servers):
-            yield compact_json({"server": sid, "crash": s.crash, "t": s.t}) + "\n"
+            yield ("," if sid else "") + compact_json(s.t)
+        yield "]}\n"
 
     def to_jsonl(self) -> str:
-        """The trace as JSONL: its `lines` joined."""
-        return "".join(self.lines())
-
-
-def _ints(v) -> bool:
-    """A JSON array of integers only (no bools)."""
-    return type(v) is list and set(map(type, v)) <= {int}
+        """The trace as JSONL: its `chunks` joined."""
+        return "".join(self.chunks())
 
 
 def trace_from_jsonl(text: str, n: int) -> AbTrace:
-    """Parse trace JSONL for ``n`` servers.
-
-    The non-blank lines are one ``{"sender", "t"}`` object of equal-length
-    integer arrays, each sender below ``n``, then one object per server in
-    order: ``{"server", "crash", "t"}`` with the server's number, an integer
-    or null crash and integer delivery times that never decrease and end no
-    later than the crash.  Whitespace and key order are free; a repeated key
-    is not (see `jsonl_objects`).  Every line is parsed before any is
-    checked, as it always was: a line that is not one JSON object is named
-    before a wrong line count, and that before a malformed line.  Raises
-    ValueError naming the first line that breaks this.
-    """
-    rows = list(jsonl_objects(text, "trace"))
-    if len(rows) != n + 1:
-        raise ValueError(f"trace has {len(rows)} lines, want {n + 1}: "
-                         f"the broadcasts and one per server")
-    line, head = rows[0]
-    sender = head.get("sender")
-    if not (head.keys() == {"sender", "t"} and _ints(sender) and _ints(head["t"])
-            and len(sender) == len(head["t"])
-            and 0 <= min(sender, default=0) and max(sender, default=0) < n):
-        raise ValueError(f"malformed trace line {line}")
-    trace = AbTrace(n, sender, head["t"])
-    for sid, (line, obj) in zip(range(n), rows[1:]):
-        crash, t = obj.get("crash"), obj.get("t")
-        if not (obj.keys() == {"server", "crash", "t"}
-                and type(obj["server"]) is int and obj["server"] == sid
-                and (crash is None or type(crash) is int) and _ints(t)
-                and all(map(le, t, t[1:])) and (crash is None or not t or t[-1] <= crash)):
-            raise ValueError(f"malformed trace line {line}")
-        trace.servers[sid] = ServerTrace(crash, t)
+    """Parse trace JSONL for ``n`` servers: its columns (see `read_columns`;
+    senders lie in 0..n-1), then each server's times.  A ValueError names the
+    column and the broadcast or server that breaks the layout."""
+    sender, t, crashes, delivered = read_columns(text, "trace", {
+        "sender": ((int,), set(range(n)), "broadcast"), "t": ((int,), None, "broadcast"),
+        "crash": ((int, type(None)), None, "server"), "delivered": ((list,), None, "server"),
+    }, server=n)
+    trace = AbTrace(n, sender, t)
+    for sid, (crash, times) in enumerate(zip(crashes, delivered)):
+        where = f"trace column 'delivered', server {sid}"
+        if not set(map(type, times)) <= {int}:
+            raise ValueError(f"{where}: a time is not an int")
+        if not all(map(le, times, times[1:])):
+            raise ValueError(f"{where}: its times decrease")
+        if crash is not None and times and times[-1] > crash:
+            raise ValueError(f"{where}: time {times[-1]} is after its crash at {crash}")
+        trace.servers[sid] = ServerTrace(crash, times)
     return trace
 
 
@@ -189,12 +177,12 @@ def check_abcast_trace(trace: AbTrace) -> Verdict:
     messages broadcast no later), uniform total order (all per-server
     delivery orders agree on their common messages).
 
-    A server with k delivery times delivered messages 0..k-1 in order, which
-    is at-most-once and in the global order, so total order holds by the
-    trace's form (`trace_from_jsonl` refuses times that contradict it), and
-    the rest reduces to counts and to comparing each server's times with the
-    broadcast times at C speed.  On a trace of the service the loops below
-    visit only the servers; they name a breach.
+    A server's k times in ``delivered`` are of messages 0..k-1 in order,
+    which is at-most-once and in the global order, so total order holds by
+    the trace's form (`trace_from_jsonl` refuses times that decrease or pass
+    the crash), and the rest reduces to counts and to comparing each
+    server's times with the broadcast times at C speed.  On a trace of the
+    service the loops below visit only the servers; they name a breach.
     """
     servers, sent_t = trace.servers, trace.t
     counts = [len(s.t) for s in servers]

@@ -54,14 +54,14 @@ class HistoryEvent:
     seq: Sequence[str] | None = None  # an `IdPrefix` view or a tuple
 
 
-# Each column in file order: its entries' type (JSON's exact types: no int is a
-# bool), their values (None: any) and the (ev, kind) that has one (None: all).
-_COLUMNS = {"op": (str, None, None), "client": (int, None, None),
-            "ev": (str, {INVOKE, RESPONSE}, None), "kind": (str, {GET, APPEND}, None),
-            "c": (int, None, None), "t": (int, None, None),
-            "payload": (str, None, (INVOKE, APPEND)),
-            "result": (str, {ACK, NACK}, (RESPONSE, APPEND)),
-            "p": (int, None, (RESPONSE, GET)), "tail": (list, None, (RESPONSE, GET))}
+# Each column in file order, a row of the table `read_columns` takes.
+_COLUMNS = {"op": ((str,), None, "event"), "client": ((int,), None, "event"),
+            "ev": ((str,), {INVOKE, RESPONSE}, "event"), "kind": ((str,), {GET, APPEND}, "event"),
+            "c": ((int,), None, "event"), "t": ((int,), None, "event"),
+            "payload": ((str,), None, {"kind": APPEND, "ev": INVOKE}),
+            "result": ((str,), {ACK, NACK}, {"kind": APPEND, "ev": RESPONSE}),
+            "p": ((int,), None, {"kind": GET, "ev": RESPONSE}),
+            "tail": ((list,), None, {"kind": GET, "ev": RESPONSE})}
 compact_json = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(obj, separators=...)
 
 
@@ -127,36 +127,47 @@ def jsonl_objects(text: str, what: str) -> Iterator[tuple[int, dict]]:
         yield n, obj
 
 
-def events_from_jsonl(text: str) -> list[HistoryEvent]:
-    """Parse history JSONL; a get that does not diverge from the longest read
-    before it is an `IdPrefix` view of that read's list.
-
-    Every line is parsed before any is checked (see `jsonl_objects`); then a
-    ValueError names the first column, and in it the entry, that breaks the
-    layout of the module docstring.
+def read_columns(text: str, what: str, table: dict, **counts: int) -> list[list]:
+    """The columns of the column file ``what``: a line ``{"<name>":[...]}``
+    per column of ``table``, in its order, each parsed before any is checked
+    (see `jsonl_objects`).  A row of ``table`` is (types, values, unit): the
+    entries' types (JSON's: no int is a bool), their values (None: any), and
+    what has one entry each: a str unit's number is ``counts[unit]``, else
+    its first column's length; a dict unit's is the number of entries at
+    which each named earlier column holds its value.  A ValueError names the
+    first column, and in it the entry, that breaks this.
     """
-    rows = list(jsonl_objects(text, "history"))
-    if len(rows) != len(_COLUMNS):
-        raise ValueError(f"history has {len(rows)} lines, want {len(_COLUMNS)}: one per column")
-    cols, counts = [], Counter()
-    for (line, obj), (name, (typ, values, owner)) in zip(rows, _COLUMNS.items()):
+    rows = list(jsonl_objects(text, what))
+    if len(rows) != len(table):
+        raise ValueError(f"{what} has {len(rows)} lines, want {len(table)}: one per column")
+    cols = {}
+    for (line, obj), (name, (types, values, unit)) in zip(rows, table.items()):
         col = obj.get(name)
         if obj.keys() != {name} or type(col) is not list:
-            raise ValueError(f"history line {line} is not the {name!r} column")
-        if owner is None:
-            want, unit = len(cols[0] if cols else col), "event"
-        else:  # ev and kind, cols[2] and cols[3], are checked by now
-            counts = counts or Counter(zip(cols[2], cols[3]))
-            want, unit = counts[owner], f"{owner[1]} {owner[0]}"
+            raise ValueError(f"{what} line {line} is not the {name!r} column")
+        if type(unit) is dict:
+            if tuple(unit) not in counts:
+                counts[tuple(unit)] = Counter(zip(*map(cols.get, unit)))
+            want, unit = counts[tuple(unit)][tuple(unit.values())], " ".join(unit.values())
+        else:
+            want = counts.setdefault(unit, len(col))
         if len(col) != want:
-            raise ValueError(f"history column {name!r}: {len(col)} entries for {want} {unit}s")
-        if not (set(map(type, col)) <= {typ} and (values is None or set(col) <= values)):
+            raise ValueError(f"{what} column {name!r}: {len(col)} entries for {want} {unit}s")
+        if not (set(map(type, col)) <= set(types) and (values is None or set(col) <= values)):
             i = next(i for i, v in enumerate(col)
-                     if type(v) is not typ or values is not None and v not in values)
-            what = f"of type {typ.__name__}" if values is None else f"one of {sorted(values)}"
-            raise ValueError(f"history column {name!r}, {unit} {i}: {col[i]!r} is not {what}")
-        cols.append(col)
-    op, client, ev, kind, c, t, payload, result, p, tail = cols
+                     if type(v) not in types or values is not None and v not in values)
+            rule = (f"of type {' or '.join(t.__name__ for t in types)}" if values is None
+                    else f"one of {sorted(values)}")
+            raise ValueError(f"{what} column {name!r}, {unit} {i}: {col[i]!r} is not {rule}")
+        cols[name] = col
+    return list(cols.values())
+
+
+def events_from_jsonl(text: str) -> list[HistoryEvent]:
+    """Parse history JSONL, its columns checked by `read_columns`; a get that
+    does not diverge from the longest read before it is an `IdPrefix` view of
+    that read's list."""
+    op, client, ev, kind, c, t, payload, result, p, tail = read_columns(text, "history", _COLUMNS)
     payloads, results, reads = iter(payload), iter(result), enumerate(zip(p, tail))
     ref: list[str] = []  # only grows: a longer diverging read starts a new list
     events = list(map(HistoryEvent, op, client, ev, kind, c, t))

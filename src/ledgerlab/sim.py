@@ -322,7 +322,7 @@ class RunArtifact:
         with (out / "history.jsonl").open("w") as f:
             f.writelines(history_lines(self.history))
         with (out / "abtrace.jsonl").open("w") as f:
-            f.writelines(self.abtrace.lines())
+            f.writelines(self.abtrace.chunks())
         (out / "meta.json").write_text(self.scenario.meta_json(self.probe_from_t))
         return out
 

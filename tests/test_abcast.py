@@ -1,3 +1,4 @@
+import json
 import random
 from operator import attrgetter
 
@@ -118,9 +119,12 @@ def test_trace_jsonl_round_trip():
     loop.drain()
     trace.servers[0].crash = loop.now + 1
     text = trace.to_jsonl()
-    assert text.splitlines()[0] == '{"sender":[2],"t":[0]}'
-    assert text.splitlines()[1].startswith('{"server":0,"crash":%d,"t":[' % (loop.now + 1))
+    assert text.splitlines()[:3] == ['{"sender":[2]}', '{"t":[0]}',
+                                     '{"crash":[%d,null,null]}' % (loop.now + 1)]
+    assert text.splitlines()[3] == '{"delivered":%s}' % json.dumps(
+        [s.t for s in trace.servers], separators=(",", ":"))
     assert text.endswith("\n") and text.count("\n") == 4
+    assert text == "".join(trace.chunks())
     assert trace_from_jsonl(text, 3) == trace
 
 
@@ -148,13 +152,13 @@ def columnar_traces(draw):
 def test_any_trace_round_trips(trace):
     """A trace round-trips iff each server's times never decrease and end no
     later than its crash; otherwise the first server that breaks this is
-    named by its line."""
+    named in the 'delivered' column."""
     broken = [sid for sid, s in enumerate(trace.servers)
               if s.t != sorted(s.t) or (s.crash is not None and s.t and s.t[-1] > s.crash)]
     if not broken:
         assert trace_from_jsonl(trace.to_jsonl(), trace.n) == trace
     else:
-        with pytest.raises(ValueError, match=f"^malformed trace line {broken[0] + 2}$"):
+        with pytest.raises(ValueError, match=f"^trace column 'delivered', server {broken[0]}: "):
             trace_from_jsonl(trace.to_jsonl(), trace.n)
 
 
@@ -180,10 +184,15 @@ def test_events_view_order_and_its_timeline():
         ("crash", 0, None)]
 
 
-GOOD = ['{"sender":[0,1],"t":[0,1]}',
-        '{"server":0,"crash":null,"t":[2,3]}',
-        '{"server":1,"crash":5,"t":[2]}',
-        '{"server":2,"crash":null,"t":[3,4]}']
+GOOD = ['{"sender":[0,1]}',
+        '{"t":[0,1]}',
+        '{"crash":[null,5,null]}',
+        '{"delivered":[[2,3],[2],[3,4]]}']
+# GOOD in the layout before the trace was columns: the broadcasts, then a line per server.
+OLD_LAYOUT = ['{"sender":[0,1],"t":[0,1]}',
+              '{"server":0,"crash":null,"t":[2,3]}',
+              '{"server":1,"crash":5,"t":[2]}',
+              '{"server":2,"crash":null,"t":[3,4]}']
 
 
 def test_the_good_trace_loads():
@@ -198,69 +207,116 @@ def _line(k, text):
     return [*GOOD[:k], text, *GOOD[k + 1:]]
 
 
-# GOOD with one line replaced (or dropped, or added), and what the loader says.
+def _column(name, edit):
+    """GOOD with ``edit`` applied to the entries of column ``name``."""
+    k = next(k for k, line in enumerate(GOOD) if line.startswith(f'{{"{name}"'))
+    entries = json.loads(GOOD[k])[name]
+    edit(entries)
+    return _line(k, json.dumps({name: entries}, separators=(",", ":")))
+
+
+def _set(name, i, value):
+    return _column(name, lambda entries: entries.__setitem__(i, value))
+
+
+def _delivered(sid, times):
+    """GOOD with server ``sid``'s delivery list replaced by the raw JSON ``times``."""
+    lists = [json.dumps(t, separators=(",", ":")) for t in json.loads(GOOD[3])["delivered"]]
+    lists[sid] = times
+    return _line(3, '{"delivered":[%s]}' % ",".join(lists))
+
+
+BAD_TIME = "^trace column 'delivered', server 0: a time is not an int$"
+
+
+# GOOD with one column edited (or a line replaced, dropped or added), and what the loader says.
 @pytest.mark.parametrize("lines,message", [
-    pytest.param(_line(0, '{"sender":[0,3],"t":[0,1]}'), "malformed trace line 1",
+    pytest.param(_set("sender", 1, 3),
+                 r"trace column 'sender', broadcast 1: 3 is not one of \[0, 1, 2\]$",
                  id="sender-equals-n"),
-    pytest.param(_line(0, '{"sender":[-1,1],"t":[0,1]}'), "malformed trace line 1",
+    pytest.param(_set("sender", 0, -1),
+                 r"trace column 'sender', broadcast 0: -1 is not one of \[0, 1, 2\]$",
                  id="negative-sender"),
-    pytest.param(_line(0, '{"sender":[true,1],"t":[0,1]}'), "malformed trace line 1",
+    pytest.param(_set("sender", 0, True),
+                 r"trace column 'sender', broadcast 0: True is not one of \[0, 1, 2\]$",
                  id="bool-sender"),
-    pytest.param(_line(0, '{"sender":[0,1],"t":[0]}'), "malformed trace line 1",
+    pytest.param(_column("t", list.pop), "trace column 't': 1 entries for 2 broadcasts$",
                  id="unequal-broadcast-columns"),
-    pytest.param(_line(0, '{"sender":[0,1],"t":[0,"1"]}'), "malformed trace line 1",
+    pytest.param(_set("t", 1, "1"), "trace column 't', broadcast 1: '1' is not of type int$",
                  id="string-broadcast-time"),
-    pytest.param(_line(0, '{"sender":[0,1],"t":[0,1],"x":[]}'), "malformed trace line 1",
+    pytest.param(_line(0, '{"sender":[0,1],"x":[]}'), "trace line 1 is not the 'sender' column$",
                  id="extra-broadcast-key"),
-    pytest.param(_line(1, '{"server":0,"crash":null,"t":["2",3]}'), "malformed trace line 2",
-                 id="string-time"),
-    pytest.param(_line(1, '{"server":0,"crash":null,"t":[true,3]}'), "malformed trace line 2",
-                 id="bool-time"),
-    pytest.param(_line(1, '{"server":0,"crash":null,"t":[2.0,3]}'), "malformed trace line 2",
-                 id="float-time"),
-    pytest.param(_line(1, '{"server":0,"crash":null,"t":2}'), "malformed trace line 2",
-                 id="int-times"),
-    pytest.param(_line(1, '{"server":0,"crash":null,"t":[2e0,3]}'), "malformed trace line 2",
-                 id="exponent-time"),
-    pytest.param(_line(1, '{"server":0,"crash":null,"t":[02,3]}'), "trace line 2 is not JSON",
-                 id="leading-zero-time"),
-    pytest.param(_line(2, '{"server":1,"crash":true,"t":[2]}'), "malformed trace line 3",
+    pytest.param(_delivered(0, '["2",3]'), BAD_TIME, id="string-time"),
+    pytest.param(_delivered(0, "[true,3]"), BAD_TIME, id="bool-time"),
+    pytest.param(_delivered(0, "[2.0,3]"), BAD_TIME, id="float-time"),
+    pytest.param(_delivered(0, "2"),
+                 "trace column 'delivered', server 0: 2 is not of type list$", id="int-times"),
+    pytest.param(_delivered(0, "null"),
+                 "trace column 'delivered', server 0: None is not of type list$",
+                 id="null-times"),
+    pytest.param(_delivered(0, "[2e0,3]"), BAD_TIME, id="exponent-time"),
+    pytest.param(_delivered(0, "[02,3]"), "trace line 4 is not JSON", id="leading-zero-time"),
+    pytest.param(_set("crash", 1, True),
+                 "trace column 'crash', server 1: True is not of type int or NoneType$",
                  id="bool-crash"),
-    pytest.param(_line(2, '{"server":1,"crash":"5","t":[2]}'), "malformed trace line 3",
+    pytest.param(_set("crash", 1, "5"),
+                 "trace column 'crash', server 1: '5' is not of type int or NoneType$",
                  id="string-crash"),
-    pytest.param(_line(2, '{"server":1,"t":[2]}'), "malformed trace line 3",
-                 id="missing-crash"),
-    pytest.param(_line(2, '{"server":true,"crash":5,"t":[2]}'), "malformed trace line 3",
-                 id="bool-server"),
-    pytest.param(_line(2, '{"server":2,"crash":5,"t":[2]}'), "malformed trace line 3",
-                 id="server-out-of-place"),
-    pytest.param(_line(2, '{"server":1,"crash":5,"t":[2],"x":1}'), "malformed trace line 3",
-                 id="extra-server-key"),
-    pytest.param(_line(3, '{"server":2,"crash":null,"msg":[0,1],"t":[3,4]}'),
-                 "malformed trace line 4", id="msg-column"),
-    pytest.param(_line(1, '{"server":0,"crash":null,"t":[3,2]}'), "malformed trace line 2",
+    pytest.param(_column("crash", lambda crash: crash.pop(1)),
+                 "trace column 'crash': 2 entries for 3 servers$", id="missing-crash"),
+    pytest.param(_column("crash", lambda crash: crash.append(None)),
+                 "trace column 'crash': 4 entries for 3 servers$", id="extra-crash"),
+    pytest.param(_line(2, '{"crash":[null,5,null],"server":[0,1,2]}'),
+                 "trace line 3 is not the 'crash' column$", id="server-column"),
+    pytest.param(_delivered(1, '{"server":1,"t":[2]}'),
+                 r"trace column 'delivered', server 1: \{'server': 1, 't': \[2\]\} is not of "
+                 "type list$", id="server-object"),
+    pytest.param(_line(2, '{"crash":[null,5,null],"x":1}'),
+                 "trace line 3 is not the 'crash' column$", id="extra-server-key"),
+    pytest.param(_line(3, '{"delivered":[[2,3],[2],[3,4]],"msg":[[0,1],[0],[0,1]]}'),
+                 "trace line 4 is not the 'delivered' column$", id="msg-column"),
+    pytest.param(_delivered(0, "[3,2]"),
+                 "trace column 'delivered', server 0: its times decrease$",
                  id="decreasing-times"),
-    pytest.param(_line(2, '{"server":1,"crash":1,"t":[2]}'), "malformed trace line 3",
+    pytest.param(_set("crash", 1, 1),
+                 "trace column 'delivered', server 1: time 2 is after its crash at 1$",
                  id="delivery-after-crash"),
-    pytest.param(_line(3, '{"server":2,"crash":3,"t":[3,4]}'), "malformed trace line 4",
+    pytest.param(_set("crash", 2, 3),
+                 "trace column 'delivered', server 2: time 4 is after its crash at 3$",
                  id="last-delivery-after-crash"),
-    pytest.param(GOOD[:3], "trace has 3 lines, want 4", id="missing-server-line"),
-    pytest.param([*GOOD, GOOD[3]], "trace has 5 lines, want 4", id="extra-server-line"),
-    pytest.param([*_line(0, '{"sender":[0,3],"t":[0,1]}')[:3], GOOD[3][:-1]],
+    pytest.param(_column("delivered", list.pop),
+                 "trace column 'delivered': 2 entries for 3 servers$", id="missing-server-line"),
+    pytest.param(_column("delivered", lambda lists: lists.append([2])),
+                 "trace column 'delivered': 4 entries for 3 servers$", id="extra-server-line"),
+    pytest.param([*_set("sender", 1, 3)[:3], GOOD[3][:-1]],
                  "trace line 4 is not JSON", id="every-line-parsed-before-any-is-checked"),
-    pytest.param(_line(1, "[0]"), "trace line 2 is not a JSON object", id="array-line"),
+    pytest.param(_line(1, "[0]"), "trace line 2 is not a JSON object$", id="array-line"),
     pytest.param(_line(1, GOOD[1] + GOOD[1]), "trace line 2 is not JSON", id="two-on-a-line"),
-    pytest.param(_line(1, '{"server":0,"server":0,"crash":null,"t":[2,3]}'),
-                 "trace line 2 is not JSON: repeated key", id="duplicate-key"),
+    pytest.param(_line(1, '{"t":[0,1],"t":[0,1]}'), "trace line 2 is not JSON: repeated key",
+                 id="duplicate-key"),
+    pytest.param([GOOD[0], *GOOD[2:]], "trace has 3 lines, want 4: one per column$",
+                 id="missing-column-line"),
+    pytest.param([*GOOD[:2], GOOD[1], *GOOD[2:]], "trace has 5 lines, want 4: one per column$",
+                 id="repeated-column-line"),
+    pytest.param([*GOOD[:2], GOOD[3], GOOD[2]], "trace line 3 is not the 'crash' column$",
+                 id="swapped-column-lines"),
+    pytest.param(OLD_LAYOUT, "trace line 1 is not the 'sender' column$", id="old-layout"),
 ])
 def test_malformed_trace_is_rejected(lines, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         trace_from_jsonl("\n".join(lines) + "\n", 3)
 
 
+def test_the_old_layout_is_refused_for_any_number_of_servers():
+    for n in (1, 2, 4, 5):
+        lines = [OLD_LAYOUT[0], *(f'{{"server":{k},"crash":null,"t":[2,3]}}' for k in range(n))]
+        with pytest.raises(ValueError, match=f"^trace has {n + 1} lines, want 4: one per column$"):
+            trace_from_jsonl("\n".join(lines) + "\n", n)
+
+
 def test_times_may_repeat_and_a_delivery_may_share_its_crash_tick():
-    trace = trace_from_jsonl("\n".join(_line(2, '{"server":1,"crash":2,"t":[2,2]}')), 3)
-    assert trace.servers[1] == ServerTrace(2, [2, 2])
+    lines = [*GOOD[:2], '{"crash":[null,2,null]}', '{"delivered":[[2,3],[2,2],[3,4]]}']
+    assert trace_from_jsonl("\n".join(lines), 3).servers[1] == ServerTrace(2, [2, 2])
 
 
 def test_last_line_may_lack_its_newline():

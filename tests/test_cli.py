@@ -125,23 +125,13 @@ def _jsonl_edit(has, edit):
     return corrupt
 
 
-def _broadcast_line(edit):
-    """Apply ``edit`` to a trace's broadcast columns."""
-    return _jsonl_edit(lambda obj: "sender" in obj, edit)
-
-
-def _server_line(edit):
-    """Apply ``edit`` to the trace line of server 0."""
-    return _jsonl_edit(lambda obj: "server" in obj, edit)
-
-
 def _columns(text):
-    """A history file's columns, as a name -> list dict in file order."""
+    """A column file's columns, as a name -> list dict in file order."""
     return {k: v for line in text.splitlines() for k, v in json.loads(line).items()}
 
 
 def _column_edit(edit):
-    """Apply ``edit`` to the columns of a history file, kept in their order."""
+    """Apply ``edit`` to the columns of a history or trace file, kept in their order."""
     def corrupt(text):
         columns = _columns(text)
         edit(columns)
@@ -151,7 +141,7 @@ def _column_edit(edit):
 
 
 def _entry(name, value):
-    """Set the first entry of the history column ``name`` to ``value``."""
+    """Set the first entry of the column ``name`` to ``value``."""
     return _column_edit(lambda columns: columns[name].__setitem__(0, value))
 
 
@@ -166,6 +156,22 @@ def _one_entry_short(name):
 
 def _one_entry_long(name):
     return _column_edit(lambda columns: columns[name].append(columns[name][0]))
+
+
+def _first_delivery(value):
+    """Set server 0's first delivery time to ``value(time)``."""
+    def edit(columns):
+        columns["delivered"][0][0] = value(columns["delivered"][0][0])
+    return _column_edit(edit)
+
+
+def _old_trace_layout(text):
+    """The trace in the earlier layout: its broadcasts, then a line per server."""
+    c = _columns(text)
+    objs = [{"sender": c["sender"], "t": c["t"]},
+            *({"server": k, "crash": crash, "t": t}
+              for k, (crash, t) in enumerate(zip(c["crash"], c["delivered"])))]
+    return "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in objs)
 
 
 def _payload_on_a_get_invoke(columns):
@@ -234,14 +240,13 @@ def _meta_field(path, value):
     ("history.jsonl", _entry("payload", 5), "atomic"),
     ("history.jsonl", _entry("result", ["ack"]), "atomic"),
     ("history.jsonl", _entry("result", "zzz"), "atomic"),
-    ("abtrace.jsonl", _broadcast_line(lambda obj: obj["sender"].__setitem__(0, 3)), "abcast"),
-    ("abtrace.jsonl", _broadcast_line(lambda obj: obj["t"].pop()), "abcast"),
-    ("abtrace.jsonl", _server_line(lambda obj: obj["t"].__setitem__(0, str(obj["t"][0]))),
-     "abcast"),
-    ("abtrace.jsonl", _server_line(lambda obj: obj["t"].__setitem__(0, True)), "abcast"),
-    ("abtrace.jsonl", lambda text: "".join(text.splitlines(True)[:-1]), "abcast"),
-    ("abtrace.jsonl", _server_line(lambda obj: obj.__setitem__("msg", [*range(len(obj["t"]))])),
-     "abcast"),
+    ("abtrace.jsonl", _entry("sender", 3), "abcast"),
+    ("abtrace.jsonl", _one_entry_short("t"), "abcast"),
+    ("abtrace.jsonl", _first_delivery(str), "abcast"),
+    ("abtrace.jsonl", _first_delivery(lambda t: True), "abcast"),
+    ("abtrace.jsonl", _one_entry_short("delivered"), "abcast"),
+    ("abtrace.jsonl", _column_edit(lambda columns: columns.__setitem__(
+        "msg", [[*range(len(t))] for t in columns["delivered"]])), "abcast"),
     ("meta.json", _meta_field(("scenario", "predicate"), {"kind": "bogus"}), "vspec"),
     ("meta.json", _meta_field(("probe_from_t",), "x"), "eventual"),
     ("meta.json", _meta_field(("scenario", "n"), "x"), "abcast"),
@@ -265,8 +270,9 @@ def _meta_field(path, value):
      lambda text: _jsonl_edit(lambda obj: "p" in obj, _v1_read)(_one_event_per_line(text)),
      "atomic"),
     ("meta.json", lambda text: text.replace('\n "seed": ', '\n "seed": 99,\n "seed": '), "atomic"),
-    ("abtrace.jsonl", _server_line(lambda obj: obj["t"].extend([1, 0])), "abcast"),
-    ("abtrace.jsonl", _server_line(lambda obj: obj.__setitem__("crash", 0)), "abcast"),
+    ("abtrace.jsonl", _column_edit(lambda columns: columns["delivered"][0].extend([1, 0])),
+     "abcast"),
+    ("abtrace.jsonl", _entry("crash", 0), "abcast"),
     ("history.jsonl", lambda text: text.replace("\n", "", 1), "atomic"),
     ("history.jsonl", lambda text: text.replace(",", ",\n", 1), "atomic"),
     ("history.jsonl", lambda text: "\u00a0" + text, "atomic"),
@@ -281,6 +287,14 @@ def _meta_field(path, value):
     ("history.jsonl", _line_edit(lambda lines: lines.insert(4, lines[4])), "atomic"),
     ("history.jsonl", _line_edit(lambda lines: lines.insert(4, lines.pop(5))), "atomic"),
     ("history.jsonl", _one_event_per_line, "atomic"),
+    ("abtrace.jsonl", _one_entry_short("crash"), "abcast"),
+    ("abtrace.jsonl", _one_entry_long("crash"), "abcast"),
+    ("abtrace.jsonl", _one_entry_long("delivered"), "abcast"),
+    ("abtrace.jsonl", _entry("delivered", 0), "abcast"),
+    ("abtrace.jsonl", _line_edit(lambda lines: lines.pop(1)), "abcast"),
+    ("abtrace.jsonl", _line_edit(lambda lines: lines.insert(2, lines[2])), "abcast"),
+    ("abtrace.jsonl", _line_edit(lambda lines: lines.insert(2, lines.pop(3))), "abcast"),
+    ("abtrace.jsonl", _old_trace_layout, "abcast"),
 ], ids=["history-string-counter", "meta-list", "history-list-client",
         "history-list-op", "history-string-time-eventual", "history-bool-counter",
         "history-unknown-ev", "history-unknown-kind", "history-string-seq",
@@ -302,7 +316,10 @@ def _meta_field(path, value):
         "history-result-one-short", "history-result-one-long",
         "history-p-one-short", "history-p-one-long", "history-missing-column-line",
         "history-repeated-column-line", "history-swapped-column-lines",
-        "history-one-event-per-line"])
+        "history-one-event-per-line", "abtrace-crash-one-short", "abtrace-crash-one-long",
+        "abtrace-delivered-one-long", "abtrace-delivered-entry-not-a-list",
+        "abtrace-missing-column-line", "abtrace-repeated-column-line",
+        "abtrace-swapped-column-lines", "abtrace-old-layout"])
 def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt, checker):
     art = tmp_path / "art"
     main(["run", "--scenario", scen_file(), "--out", str(art)])
