@@ -8,23 +8,23 @@ order) and `check_abcast_trace` verifies all four on a recorded trace rather
 than trusting the construction.  The service needs a majority of servers to
 stay up, so scenarios are rejected unless f < n/2.
 
-The trace (`AbTrace`) is columns, written a line each as the history's are
-(see `histories.read_columns`): each broadcast's ``sender`` and ``t`` (a
-message's number is its index), and each server's ``crash`` (null if none)
-and ``delivered`` times.  A server with k delivery times delivered messages
-0..k-1, in that order, so its times never decrease and none is later than
-its crash.
+The trace (`AbTrace`) is the columns of `_COLUMNS`, written a line each by
+`histories.column_lines` and read by `histories.read_columns`, as the
+history's are: each broadcast's ``sender`` and ``t`` (a message's number is
+its index), and each server's ``crash`` (null if none) and ``delivered``
+times.  A server with k delivery times delivered messages 0..k-1, in that
+order, so its times never decrease and none is later than its crash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import count, repeat
 from operator import ge, le
 from typing import Iterator, NamedTuple
 
-from .histories import compact_json, read_columns
+from .histories import column_lines, read_columns
 from .verdicts import Verdict, failed, passed
 
 BROADCAST = "broadcast"
@@ -42,27 +42,27 @@ class AbEvent(NamedTuple):
 _row = partial(tuple.__new__, AbEvent)  # AbEvent._make without its Python-level call
 
 
-@dataclass
-class ServerTrace:
-    """One server's part of a trace: its crash time (None if it never
-    crashed) and the time it delivered each of messages 0, 1, ..."""
-
-    crash: int | None = None
-    t: list[int] = field(default_factory=list)
+# Each column in file order, a row of the table `read_columns` takes.
+_COLUMNS = {"sender": ((int,), "server", "broadcast"), "t": ((int,), None, "broadcast"),
+            "crash": ((int, type(None)), None, "server"), "delivered": ((list,), None, "server")}
 
 
 @dataclass
 class AbTrace:
-    """The broadcast columns of n servers: ``sender[m]`` and ``t[m]`` are the
-    server and time of broadcast m; ``servers[k]`` is server k's part."""
+    """The trace's columns, as in the module docstring: ``sender[m]`` and
+    ``t[m]`` are the server and time of broadcast m; ``crash[k]`` and
+    ``delivered[k]`` are server k's crash time (None if none) and the times
+    it delivered messages 0, 1, ..."""
 
-    n: int
-    sender: list[int] = field(default_factory=list)
-    t: list[int] = field(default_factory=list)
-    servers: list[ServerTrace] = field(init=False)
+    sender: list[int]
+    t: list[int]
+    crash: list[int | None]
+    delivered: list[list[int]]
 
-    def __post_init__(self) -> None:
-        self.servers = [ServerTrace() for _ in range(self.n)]
+    @classmethod
+    def empty(cls, n: int) -> AbTrace:
+        """The trace of n servers before any broadcast or crash."""
+        return cls([], [], [None] * n, [[] for _ in range(n)])
 
     @cached_property
     def events(self) -> list[AbEvent]:
@@ -77,40 +77,23 @@ class AbTrace:
         crashes.
         """
         rows = list(map(_row, zip(repeat(BROADCAST), self.sender, self.t, count())))
-        for sid, s in enumerate(self.servers):
-            rows += map(_row, zip(repeat(DELIVER), repeat(sid), s.t, count()))
-        rows += [AbEvent(CRASH, sid, s.crash, None) for sid, s in enumerate(self.servers)
-                 if s.crash is not None]
+        for sid, times in enumerate(self.delivered):
+            rows += map(_row, zip(repeat(DELIVER), repeat(sid), times, count()))
+        rows += [AbEvent(CRASH, sid, t, None) for sid, t in enumerate(self.crash)
+                 if t is not None]
         return rows
 
-    def chunks(self) -> Iterator[str]:
-        """The trace's JSONL in the layout of the module docstring, in the
-        bytes of ``json.dumps(obj, separators=(",", ":"))``, as pieces to
-        write in order.  The encoder holds a string per int, so each column,
-        and each server's delivery list, is encoded alone."""
-        yield '{"sender":' + compact_json(self.sender) + "}\n"
-        yield '{"t":' + compact_json(self.t) + "}\n"
-        yield '{"crash":' + compact_json([s.crash for s in self.servers]) + "}\n"
-        yield '{"delivered":['
-        for sid, s in enumerate(self.servers):
-            yield ("," if sid else "") + compact_json(s.t)
-        yield "]}\n"
-
-    def to_jsonl(self) -> str:
-        """The trace as JSONL: its `chunks` joined."""
-        return "".join(self.chunks())
+    def lines(self) -> Iterator[str]:
+        """The trace's JSONL, as the pieces of `column_lines`."""
+        return column_lines((name, getattr(self, name)) for name in _COLUMNS)
 
 
 def trace_from_jsonl(text: str, n: int) -> AbTrace:
-    """Parse trace JSONL for ``n`` servers: its columns (see `read_columns`;
-    senders lie in 0..n-1), then each server's times.  A ValueError names the
-    column and the broadcast or server that breaks the layout."""
-    sender, t, crashes, delivered = read_columns(text, "trace", {
-        "sender": ((int,), set(range(n)), "broadcast"), "t": ((int,), None, "broadcast"),
-        "crash": ((int, type(None)), None, "server"), "delivered": ((list,), None, "server"),
-    }, server=n)
-    trace = AbTrace(n, sender, t)
-    for sid, (crash, times) in enumerate(zip(crashes, delivered)):
+    """Parse trace JSONL for ``n`` servers: its columns (see `read_columns`),
+    then each server's times.  A ValueError names the column and the
+    broadcast or server that breaks the layout."""
+    trace = AbTrace(*read_columns(text, "trace", _COLUMNS, server=n))
+    for sid, (crash, times) in enumerate(zip(trace.crash, trace.delivered)):
         where = f"trace column 'delivered', server {sid}"
         if not set(map(type, times)) <= {int}:
             raise ValueError(f"{where}: a time is not an int")
@@ -118,7 +101,6 @@ def trace_from_jsonl(text: str, n: int) -> AbTrace:
             raise ValueError(f"{where}: its times decrease")
         if crash is not None and times and times[-1] > crash:
             raise ValueError(f"{where}: time {times[-1]} is after its crash at {crash}")
-        trace.servers[sid] = ServerTrace(crash, times)
     return trace
 
 
@@ -139,16 +121,13 @@ class BroadcastService:
         self.servers = servers
         self.net = net
         self._log: list[object] = []
-        trace = net.trace
-        self._sender, self._sent_t = trace.sender, trace.t
-        # Each server's delivery times; a list's length is the number of the
-        # next message that server delivers.
-        self._times = [s.t for s in trace.servers]
+        # The trace's columns; a server's list of delivery times is as long as
+        # the number of the next message that server delivers.
+        self._sender, self._sent_t, self._times = net.trace.sender, net.trace.t, net.trace.delivered
 
-    def broadcast(self, server: int, payload: object) -> int:
+    def broadcast(self, server: int, payload: object) -> None:
         net = self.net
         assert not self.servers[server].crashed, "broadcast from a crashed server"
-        seq = len(self._log)
         self._log.append(payload)
         self._sender.append(server)
         self._sent_t.append(net.now)
@@ -156,7 +135,6 @@ class BroadcastService:
         for s in self.servers:
             if not s.crashed:
                 send(wake, s)
-        return seq
 
     def _wake(self, server) -> None:
         # A server's j-th wake-up was sent by a broadcast that found it
@@ -184,22 +162,22 @@ def check_abcast_trace(trace: AbTrace) -> Verdict:
     server's times with the broadcast times at C speed.  On a trace of the
     service the loops below visit only the servers; they name a breach.
     """
-    servers, sent_t = trace.servers, trace.t
-    counts = [len(s.t) for s in servers]
-    correct = [sid for sid, s in enumerate(servers) if s.crash is None]
+    crash, sent_t = trace.crash, trace.t
+    counts = list(map(len, trace.delivered))
+    correct = [sid for sid, t in enumerate(crash) if t is None]
     # Validity: a correct sender's message m is delivered iff m < its count,
     # so no breach lies below the least count of a correct server.
     start = min([counts[sid] for sid in correct], default=len(sent_t))
     for msg in range(start, len(sent_t)):
         sid = trace.sender[msg]
-        if servers[sid].crash is None and msg >= counts[sid]:
+        if crash[sid] is None and msg >= counts[sid]:
             return failed("Validity", [f"m{msg}", f"s{sid}"])
     top = max(counts, default=0)  # messages 0..top-1 were delivered somewhere
     for sid in correct:  # Uniform Agreement
         if counts[sid] < top:
             return failed("UniformAgreement", [f"m{counts[sid]}", f"s{sid}"])
-    for sid, s in enumerate(servers):  # Uniform Integrity
-        if counts[sid] > len(sent_t) or not all(map(ge, s.t, sent_t)):
-            msg = next((m for m, (t, t0) in enumerate(zip(s.t, sent_t)) if t < t0), len(sent_t))
+    for sid, times in enumerate(trace.delivered):  # Uniform Integrity
+        if counts[sid] > len(sent_t) or not all(map(ge, times, sent_t)):
+            msg = next((m for m, (t, t0) in enumerate(zip(times, sent_t)) if t < t0), len(sent_t))
             return failed("UniformIntegrity", [f"m{msg}", f"s{sid}"])
     return passed()

@@ -122,7 +122,7 @@ def cmd_run(args) -> int:
     completed = sum(1 for e in events if e.ev == RESPONSE)
     appended = sum(1 for e in events if e.ev == RESPONSE and e.kind == APPEND
                    and e.result == ACK)
-    crashes = sum(s.crash is not None for s in artifact.abtrace.servers)
+    crashes = sum(t is not None for t in artifact.abtrace.crash)
     print(f"run seed={scenario.seed} mode={scenario.mode} "
           f"ops={completed}/{invoked} appended={appended} crashes={crashes} out={out}")
     return EXIT_OK

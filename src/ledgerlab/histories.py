@@ -31,7 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ledger import ACK, NACK, IdPrefix, make_rid
 
@@ -65,15 +65,29 @@ _COLUMNS = {"op": ((str,), None, "event"), "client": ((int,), None, "event"),
 compact_json = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(obj, separators=...)
 
 
-def history_lines(events: Sequence[HistoryEvent]) -> Iterator[str]:
-    """The history's JSONL lines in the layout of the module docstring, one
-    column at a time, each ending in ``"\\n"`` and encoded by one C call."""
-    for name, attr in zip(_COLUMNS, ("op_id", "client", "ev", "kind", "c", "t")):
-        yield compact_json({name: list(map(attrgetter(attr), events))}) + "\n"
-    yield compact_json({"payload": [e.payload for e in events
-                                if e.kind == APPEND and e.ev == INVOKE]}) + "\n"
-    yield compact_json({"result": [e.result for e in events
-                               if e.kind == APPEND and e.ev == RESPONSE]}) + "\n"
+def column_lines(columns: Iterable[tuple[str, Sequence]]) -> Iterator[str]:
+    """The writer's side of `read_columns`: a line ``{"<name>":[...]}`` per
+    (name, column) pair, in order, in the bytes of ``json.dumps(obj,
+    separators=(",", ":"))``, as pieces to write in order.  The encoder holds
+    a string per entry it encodes, so a column is one piece encoded by one C
+    call, but a column of lists is a piece per list."""
+    for name, col in columns:
+        if not (col and type(col[0]) in (list, tuple)):
+            yield compact_json({name: col}) + "\n"
+            continue
+        sep = "{" + compact_json(name) + ":["
+        for entry in col:
+            yield sep + compact_json(entry)
+            sep = ","
+        yield "]}\n"
+
+
+def _history_columns(events: Sequence[HistoryEvent]) -> Iterator[list]:
+    """The history's columns in `_COLUMNS` order, each built when it is reached."""
+    for attr in ("op_id", "client", "ev", "kind", "c", "t"):
+        yield list(map(attrgetter(attr), events))
+    yield [e.payload for e in events if e.kind == APPEND and e.ev == INVOKE]
+    yield [e.result for e in events if e.kind == APPEND and e.ev == RESPONSE]
     ps, tails = [], []
     # A read is the first n ids of a list that only grows, and so is ref: a
     # read of ref's own list agrees with it up to the shorter length.
@@ -89,12 +103,18 @@ def history_lines(events: Sequence[HistoryEvent]) -> Iterator[str]:
         tails.append(ids[p:n])
         if n > ref_n:
             ref_ids, ref_n = ids, n
-    yield compact_json({"p": ps}) + "\n"
-    yield compact_json({"tail": tails}) + "\n"
+    yield ps
+    yield tails
+
+
+def history_lines(events: Sequence[HistoryEvent]) -> Iterator[str]:
+    """The history's JSONL in the layout of the module docstring, as the
+    pieces of `column_lines`."""
+    return column_lines(zip(_COLUMNS, _history_columns(events)))
 
 
 def events_to_jsonl(events: Sequence[HistoryEvent]) -> str:
-    """The history as JSONL: the `history_lines` joined."""
+    """The history as JSONL: its `history_lines` joined."""
     return "".join(history_lines(events))
 
 
@@ -109,12 +129,20 @@ def unique_keys(pairs: list[tuple]) -> dict:
 ARTIFACT_JSON = json.JSONDecoder(object_pairs_hook=unique_keys)  # scenario and artifact files
 
 
-def jsonl_objects(text: str, what: str) -> Iterator[tuple[int, dict]]:
-    """The line number and object of each non-blank line of ``text``, in file
-    order, under the rule of both artifact files: each such line is one JSON
-    object, each key once; whitespace and key order are free.  Raises
-    ValueError naming the first line that breaks it, as the ``what`` line.
+def read_columns(text: str, what: str, table: dict, **counts: int) -> list[list]:
+    """The columns of the column file ``what``, as `column_lines` writes
+    them: a line ``{"<name>":[...]}`` per column of ``table``, in its order.
+    Each non-blank line is one JSON object, each key once; whitespace and
+    key order are free.  Every line is parsed before any column is checked.
+    A row of ``table`` is (types, values, unit): the entries' types (JSON's:
+    no int is a bool), their values (None: any; a str unit's name: 0 up to
+    that unit's number, less one), and what has one entry each: a str
+    unit's number is ``counts[unit]``, else its first column's length; a
+    dict unit's is the number of entries at which each named earlier column
+    holds its value.  A ValueError names the first line, else the first
+    column and in it the entry, that breaks this.
     """
+    rows = []
     for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -124,20 +152,7 @@ def jsonl_objects(text: str, what: str) -> Iterator[tuple[int, dict]]:
             raise ValueError(f"{what} line {n} is not JSON: {e}") from None
         if type(obj) is not dict:
             raise ValueError(f"{what} line {n} is not a JSON object")
-        yield n, obj
-
-
-def read_columns(text: str, what: str, table: dict, **counts: int) -> list[list]:
-    """The columns of the column file ``what``: a line ``{"<name>":[...]}``
-    per column of ``table``, in its order, each parsed before any is checked
-    (see `jsonl_objects`).  A row of ``table`` is (types, values, unit): the
-    entries' types (JSON's: no int is a bool), their values (None: any), and
-    what has one entry each: a str unit's number is ``counts[unit]``, else
-    its first column's length; a dict unit's is the number of entries at
-    which each named earlier column holds its value.  A ValueError names the
-    first column, and in it the entry, that breaks this.
-    """
-    rows = list(jsonl_objects(text, what))
+        rows.append((n, obj))
     if len(rows) != len(table):
         raise ValueError(f"{what} has {len(rows)} lines, want {len(table)}: one per column")
     cols = {}
@@ -153,6 +168,8 @@ def read_columns(text: str, what: str, table: dict, **counts: int) -> list[list]
             want = counts.setdefault(unit, len(col))
         if len(col) != want:
             raise ValueError(f"{what} column {name!r}: {len(col)} entries for {want} {unit}s")
+        if type(values) is str:
+            values = set(range(counts[values]))
         if not (set(map(type, col)) <= set(types) and (values is None or set(col) <= values)):
             i = next(i for i, v in enumerate(col)
                      if type(v) not in types or values is not None and v not in values)

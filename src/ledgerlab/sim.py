@@ -322,7 +322,7 @@ class RunArtifact:
         with (out / "history.jsonl").open("w") as f:
             f.writelines(history_lines(self.history))
         with (out / "abtrace.jsonl").open("w") as f:
-            f.writelines(self.abtrace.chunks())
+            f.writelines(self.abtrace.lines())
         (out / "meta.json").write_text(self.scenario.meta_json(self.probe_from_t))
         return out
 
@@ -394,7 +394,7 @@ class Simulator:
         self._times: list[int] = []  # heap of the due times in _slots
         self._delays = chain.from_iterable(_delay_chunks(
             random.Random(f"net:{scenario.seed}").getrandbits, scenario.max_delay))
-        self.trace = AbTrace(scenario.n)
+        self.trace = AbTrace.empty(scenario.n)
         self.history: list[HistoryEvent] = []
         self.order = Ledger()
 
@@ -439,7 +439,7 @@ class Simulator:
     def _crash_server(self, sid: int) -> None:
         if not self.servers[sid].crashed:  # a server's crash time is its first
             self.servers[sid].crash()
-            self.trace.servers[sid].crash = self.now
+            self.trace.crash[sid] = self.now
 
     def _drain(self) -> None:
         slots, times = self._slots, self._times

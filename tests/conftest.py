@@ -75,13 +75,13 @@ def columnar(n, rows):
     and each server's deliveries are of 0, 1, ... in row order; any other
     raises ValueError.  A server's first crash row is its crash time.
     """
-    trace = AbTrace(n)
+    trace = AbTrace.empty(n)
     for kind, server, t, *msg in rows:
         if kind == "crash":
-            if trace.servers[server].crash is None:
-                trace.servers[server].crash = t
+            if trace.crash[server] is None:
+                trace.crash[server] = t
             continue
-        times = trace.t if kind == "broadcast" else trace.servers[server].t
+        times = trace.t if kind == "broadcast" else trace.delivered[server]
         if msg != [len(times)]:
             raise ValueError(f"{kind} of {msg} at s{server} is not numbered {len(times)}")
         times.append(t)

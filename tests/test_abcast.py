@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ledgerlab.abcast import (AbTrace, BroadcastService, ServerTrace, check_abcast_trace,
-                              trace_from_jsonl)
+from ledgerlab.abcast import AbTrace, BroadcastService, check_abcast_trace, trace_from_jsonl
 
 from conftest import HeapLoop, columnar
 
@@ -19,7 +18,7 @@ class Loop(HeapLoop):
         super().__init__(random.Random(seed), max_delay)
         self.alive = [True] * n
         self.delivered = []
-        self.trace = AbTrace(n)
+        self.trace = AbTrace.empty(n)
         self.servers = [FakeServer(sid, self) for sid in range(n)]
 
     drain = HeapLoop._drain
@@ -82,7 +81,7 @@ def test_wakeups_firing_out_of_order_still_deliver_lowest_first():
         loop.drain()
         for sid in range(3):
             assert [p for s, p in delivered if s == sid] == list(range(6))
-        assert [len(s.t) for s in trace.servers] == [6] * 3
+        assert list(map(len, trace.delivered)) == [6] * 3
 
 
 def test_crashed_server_delivers_nothing_further():
@@ -90,20 +89,25 @@ def test_crashed_server_delivers_nothing_further():
     svc.broadcast(0, "early")
     loop.drain()
     alive[2] = False
-    trace.servers[2].crash = loop.now
+    trace.crash[2] = loop.now
     svc.broadcast(0, "late")
     loop.drain()
     assert (2, "late") not in delivered
     assert (0, "late") in delivered and (1, "late") in delivered
     assert check_abcast_trace(trace).ok
     # its deliveries are a prefix of the global order
-    assert len(trace.servers[2].t) == 1
+    assert len(trace.delivered[2]) == 1
 
 
 def test_sequence_numbers_are_gapless():
-    loop, _, _, _, svc = make_service()
-    seqs = [svc.broadcast(0, i) for i in range(5)]
-    assert seqs == [0, 1, 2, 3, 4]
+    # a message's number is its index in the trace's broadcast columns
+    loop, _, delivered, trace, svc = make_service()
+    for i in range(5):
+        svc.broadcast(0, i)
+    loop.drain()
+    assert trace.sender == [0] * 5 and len(trace.t) == 5
+    assert list(map(len, trace.delivered)) == [5] * 3
+    assert sorted(p for s, p in delivered if s == 0) == [0, 1, 2, 3, 4]
 
 
 def test_broadcast_from_a_crashed_server_is_a_contract_violation():
@@ -117,14 +121,15 @@ def test_trace_jsonl_round_trip():
     loop, _, _, trace, svc = make_service()
     svc.broadcast(2, "m")
     loop.drain()
-    trace.servers[0].crash = loop.now + 1
-    text = trace.to_jsonl()
+    trace.crash[0] = loop.now + 1
+    text = "".join(trace.lines())
     assert text.splitlines()[:3] == ['{"sender":[2]}', '{"t":[0]}',
                                      '{"crash":[%d,null,null]}' % (loop.now + 1)]
     assert text.splitlines()[3] == '{"delivered":%s}' % json.dumps(
-        [s.t for s in trace.servers], separators=(",", ":"))
+        trace.delivered, separators=(",", ":"))
     assert text.endswith("\n") and text.count("\n") == 4
-    assert text == "".join(trace.chunks())
+    # a column a piece, but the delivery lists a piece each, and the line's end
+    assert len(list(trace.lines())) == 3 + 3 + 1
     assert trace_from_jsonl(text, 3) == trace
 
 
@@ -138,13 +143,12 @@ def columnar_traces(draw):
     server, times of any sign and size, and per server a crash time or none
     and up to 8 delivery times, so as many as 8 messages never broadcast."""
     n = draw(st.integers(1, 7))
-    trace = AbTrace(n)
+    trace = AbTrace.empty(n)
     for sender, t in draw(st.lists(st.tuples(st.integers(0, n - 1), TIMES), max_size=8)):
         trace.sender.append(sender)
         trace.t.append(t)
-    for s in trace.servers:
-        s.crash = draw(st.none() | TIMES)
-        s.t = draw(st.lists(TIMES, max_size=8))
+    trace.crash = [draw(st.none() | TIMES) for _ in range(n)]
+    trace.delivered = [draw(st.lists(TIMES, max_size=8)) for _ in range(n)]
     return trace
 
 
@@ -153,20 +157,21 @@ def test_any_trace_round_trips(trace):
     """A trace round-trips iff each server's times never decrease and end no
     later than its crash; otherwise the first server that breaks this is
     named in the 'delivered' column."""
-    broken = [sid for sid, s in enumerate(trace.servers)
-              if s.t != sorted(s.t) or (s.crash is not None and s.t and s.t[-1] > s.crash)]
+    n = len(trace.crash)
+    broken = [sid for sid, (crash, times) in enumerate(zip(trace.crash, trace.delivered))
+              if times != sorted(times) or (crash is not None and times and times[-1] > crash)]
     if not broken:
-        assert trace_from_jsonl(trace.to_jsonl(), trace.n) == trace
+        assert trace_from_jsonl("".join(trace.lines()), n) == trace
     else:
         with pytest.raises(ValueError, match=f"^trace column 'delivered', server {broken[0]}: "):
-            trace_from_jsonl(trace.to_jsonl(), trace.n)
+            trace_from_jsonl("".join(trace.lines()), n)
 
 
 @given(columnar_traces())
 def test_events_view_holds_one_row_per_event(trace):
     rows = [tuple(e) for e in trace.events]
     assert len(trace.events) == len(rows)
-    assert columnar(trace.n, rows) == trace
+    assert columnar(len(trace.crash), rows) == trace
 
 
 def test_events_view_order_and_its_timeline():
@@ -198,9 +203,8 @@ OLD_LAYOUT = ['{"sender":[0,1],"t":[0,1]}',
 def test_the_good_trace_loads():
     trace = trace_from_jsonl("\n".join(GOOD), 3)
     assert trace.sender == [0, 1] and trace.t == [0, 1]
-    assert trace.servers[1] == ServerTrace(5, [2])
-    assert trace.servers[2] == ServerTrace(None, [3, 4])
-    assert trace.to_jsonl() == "\n".join(GOOD) + "\n"
+    assert trace.crash == [None, 5, None] and trace.delivered == [[2, 3], [2], [3, 4]]
+    assert "".join(trace.lines()) == "\n".join(GOOD) + "\n"
 
 
 def _line(k, text):
@@ -316,12 +320,13 @@ def test_the_old_layout_is_refused_for_any_number_of_servers():
 
 def test_times_may_repeat_and_a_delivery_may_share_its_crash_tick():
     lines = [*GOOD[:2], '{"crash":[null,2,null]}', '{"delivered":[[2,3],[2,2],[3,4]]}']
-    assert trace_from_jsonl("\n".join(lines), 3).servers[1] == ServerTrace(2, [2, 2])
+    trace = trace_from_jsonl("\n".join(lines), 3)
+    assert trace.crash[1] == 2 and trace.delivered[1] == [2, 2]
 
 
 def test_last_line_may_lack_its_newline():
-    text = AbTrace(1).to_jsonl()
-    assert trace_from_jsonl(text.rstrip("\n"), 1) == trace_from_jsonl(text, 1) == AbTrace(1)
+    text = "".join(AbTrace.empty(1).lines())
+    assert trace_from_jsonl(text.rstrip("\n"), 1) == trace_from_jsonl(text, 1) == AbTrace.empty(1)
 
 
 class TestTraceChecker:
@@ -418,22 +423,22 @@ def edited_service_traces(draw):
     one added (of a message perhaps never broadcast), one moved before its
     broadcast, or one added after the last crash."""
     n = draw(st.integers(1, 5))
-    trace = AbTrace(n)
+    trace = AbTrace.empty(n)
     for _ in range(draw(st.integers(0, 8))):
         trace.sender.append(draw(st.integers(0, n - 1)))
         trace.t.append(draw(st.integers(0, 20)))
     for sid in draw(st.sets(st.integers(0, n - 1), max_size=n)):
-        trace.servers[sid].crash = draw(st.integers(0, 40))
-    for s in trace.servers:
+        trace.crash[sid] = draw(st.integers(0, 40))
+    for crash, times in zip(trace.crash, trace.delivered):
         t = 0
         for t_sent in trace.t:
             t = max(t, t_sent) + draw(st.integers(0, 5))
-            if s.crash is not None and t > s.crash:
+            if crash is not None and t > crash:
                 break
-            s.t.append(t)
-    last_crash = max([s.crash for s in trace.servers if s.crash is not None], default=0)
+            times.append(t)
+    last_crash = max([t for t in trace.crash if t is not None], default=0)
     for _ in range(draw(st.integers(0, 4))):
-        times = trace.servers[draw(st.integers(0, n - 1))].t
+        times = trace.delivered[draw(st.integers(0, n - 1))]
         edit = draw(st.sampled_from(EDITS))
         at = draw(st.integers(0, len(times)))
         if edit == "extra":
@@ -464,7 +469,7 @@ def test_checker_matches_the_reference_loops(trace):
     """
     v = check_abcast_trace(trace)
     assert (v.status, v.violated, v.witness) == reference_check_abcast_trace(
-        trace.events, trace.n)
+        trace.events, len(trace.crash))
 
 
 @pytest.mark.parametrize("rows,verdict", [

@@ -1,7 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ledgerlab import checkers
 from ledgerlab.checkers import (
@@ -708,6 +711,99 @@ class TestWitnessMinimality:
         by_id = {o.op_id: o for o in h}
         witness_ops = [by_id[w] for w in v.witness if w in by_id]
         assert violates_named_property(tag, witness_ops)
+
+
+def serial_history(steps, late=None, unread=None):
+    """The history of ``steps``, (client, kind) pairs, run one at a time, each
+    get reading every record appended before it, and the op ids of the
+    steps.  Step ``late`` is then invoked after every other op has returned,
+    and the record of step ``unread`` is left out of every read.  Op ids are
+    ``<client>.<c>`` with c counted in invoke order."""
+    times = [2 * i for i in range(len(steps))]
+    if late is not None:
+        times[late] = 2 * len(steps)
+    ids, counters = {}, Counter()
+    for i in sorted(range(len(steps)), key=times.__getitem__):
+        client = steps[i][0]
+        counters[client] += 1
+        ids[i] = f"{client}.{counters[client]}"
+    ops, state = [], []
+    for i, (client, kind) in enumerate(steps):
+        if kind == "append" and i != unread:
+            state.append(ids[i])
+        ops.append(op(ids[i], kind, times[i], times[i] + 1,
+                      seq=list(state) if kind == "get" else None))
+    return hist(*ops), ids
+
+
+KINDS = st.sampled_from(["append", "get"])
+CLIENTS = st.integers(0, 3)
+
+
+def _others(x):
+    """A client other than ``x``."""
+    return st.integers(0, 2).map(lambda c: c + (c >= x))
+
+
+@st.composite
+def reads_of_a_later_append(draw, own_client):
+    """A serial history of at most 10 ops in which client x's append is
+    invoked after a get that reads its record returned: the get is x's own
+    with ``own_client``, else every get after the append's slot is another
+    client's.  Returns the history and the append's op id."""
+    x = draw(CLIENTS)
+    before = draw(st.lists(st.tuples(CLIENTS, KINDS), max_size=4))
+    after = draw(st.lists(st.tuples(CLIENTS if own_client else _others(x), KINDS), max_size=4))
+    reader = x if own_client else draw(_others(x))
+    h, ids = serial_history([*before, (x, "append"), *after, (reader, "get")], late=len(before))
+    return h, ids[len(before)]
+
+
+@given(reads_of_a_later_append(own_client=False))
+def test_a_get_that_reads_another_clients_later_append_fails_a4(case):
+    h, late = case
+    v = check_atomic(h)
+    by_id = {o.op_id: o for o in h}
+    assert v.violated == "A4" and v.witness[1] == late
+    get = by_id[v.witness[0]]
+    assert get.kind == "get" and get.client != by_id[late].client and late in get.seq
+    assert linearize(h) is None
+
+
+@given(reads_of_a_later_append(own_client=True))
+def test_a_get_that_reads_its_own_clients_later_append_fails_s2(case):
+    h, late = case
+    v = check_sequential_consistency(h)
+    by_id = {o.op_id: o for o in h}
+    assert v.violated == "S2" and v.witness[1] == late
+    get = by_id[v.witness[0]]
+    assert get.kind == "get" and get.client == by_id[late].client and late in get.seq
+    assert linearize(h, same_client_only=True) is None
+
+
+@st.composite
+def reads_without_an_earlier_append(draw):
+    """A serial history of at most 10 ops in which client x appends twice in
+    a row, other clients' ops between, and no get reads the first record,
+    while the last op, a get, reads the second.  Returns the history and the
+    two appends' op ids."""
+    x = draw(CLIENTS)
+    before = draw(st.lists(st.tuples(CLIENTS, KINDS), max_size=3))
+    between = draw(st.lists(st.tuples(_others(x), KINDS), max_size=2))
+    after = draw(st.lists(st.tuples(CLIENTS, KINDS), max_size=2))
+    first, second = len(before), len(before) + 1 + len(between)
+    h, ids = serial_history([*before, (x, "append"), *between, (x, "append"), *after,
+                             (draw(CLIENTS), "get")], unread=first)
+    return h, ids[first], ids[second]
+
+
+@given(reads_without_an_earlier_append())
+def test_a_get_that_reads_a_clients_later_append_but_not_its_earlier_one_fails_s1(case):
+    h, first, second = case
+    v = check_sequential_consistency(h)
+    assert v.violated == "S1" and v.witness[:2] == [first, second]
+    assert all(first not in o.seq for o in gets_of(h)) and second in h[-1].seq
+    assert linearize(h, same_client_only=True) is None
 
 
 def pairwise_ordering_violation(h, same_client_only):

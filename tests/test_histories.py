@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ledgerlab.histories
+from ledgerlab import abcast
 from ledgerlab.histories import (
     HistoryEvent,
+    column_lines,
     events_from_jsonl,
     events_to_jsonl,
-    jsonl_objects,
     pair_events,
+    read_columns,
 )
 from ledgerlab.ledger import IdPrefix
 
@@ -132,6 +135,43 @@ def test_any_history_round_trips(events):
     assert events_from_jsonl(events_to_jsonl(events)) == events
 
 
+TABLES = {"history": ledgerlab.histories._COLUMNS, "trace": abcast._COLUMNS}
+ENTRIES = {int: st.integers(), str: TEXT, type(None): st.none(),
+           list: st.lists(st.integers() | TEXT, max_size=3)}
+
+
+@st.composite
+def table_columns(draw, table):
+    """Columns of ``table``'s types and values, each as long as its unit says,
+    and the numbers of its str units (at least 1 for a unit that numbers
+    values); a column or a list may be empty."""
+    units = {u for _, values, unit in table.values() for u in (values, unit) if type(u) is str}
+    counts = {u: draw(st.integers(int(any(v == u for _, v, _ in table.values())), 5))
+              for u in sorted(units)}
+    cols = {}
+    for name, (types, values, unit) in table.items():
+        if type(unit) is dict:
+            first = cols[next(iter(unit))]
+            n = sum(all(cols[k][i] == v for k, v in unit.items()) for i in range(len(first)))
+        else:
+            n = counts[unit]
+        entry = (st.integers(0, counts[values] - 1) if type(values) is str
+                 else st.sampled_from(sorted(values)) if values is not None
+                 else st.one_of([ENTRIES[t] for t in types]))
+        cols[name] = draw(st.lists(entry, min_size=n, max_size=n))
+    return cols, counts
+
+
+@given(st.sampled_from(sorted(TABLES)).flatmap(
+    lambda what: st.tuples(st.just(what), table_columns(TABLES[what]))))
+def test_column_lines_are_read_back_by_read_columns(case):
+    what, (cols, counts) = case
+    text = "".join(column_lines(cols.items()))
+    assert text.splitlines(keepends=True) == [json.dumps({name: col}, separators=(",", ":"))
+                                              + "\n" for name, col in cols.items()]
+    assert read_columns(text, what, TABLES[what], **counts) == list(cols.values())
+
+
 def test_views_of_two_growing_lists_are_stored_and_loaded_against_one_order():
     a, b = ["0.1"], ["1.1"]
     reads = [IdPrefix(a, 1)]
@@ -183,22 +223,30 @@ def test_jsonl_round_trip_ends_with_newline():
     ['{"a":[{"b":1}', '{"c":2}]}', '{"x":1},{"y":2}'],
     ['{"a":[1', ' {"c":2}]}', '{"x":1},{"y":2}'],
 ])
-def test_jsonl_objects_names_a_line_split_inside_an_array(lines):
+def test_read_columns_names_a_line_split_inside_an_array(lines):
     text = "\n".join(lines) + "\n"
     assert len(json.loads("[" + ",\n".join(lines) + "]")) == len(lines)
     with pytest.raises(ValueError, match="^h line 1 is not JSON"):
-        list(jsonl_objects(text, "h"))
+        read_columns(text, "h", {"a": ((dict,), None, "x")})
 
 
 # Nested objects, JSON's in-line whitespace at either end, CRLF line ends,
-# and blank lines, one of only U+3000.
+# and blank lines, one of only U+3000.  Line 1's value is an object, not a
+# column, so the reader names it; a table whose first column is a one-entry
+# list of objects takes line 1 and names line 3, past the blank line.
 @pytest.mark.parametrize("text", [
     '{"a":{"b":[{}]}}\n\n {"c":1}',
     ' \t{"a":{"b":[{}]}}\t \n\u3000\n\t{"c":1} ',
     '{"a":{"b":[{}]}}\r\n\r\n{"c":1}\r\n',
 ])
-def test_jsonl_objects_takes_nested_objects_on_their_own_lines(text):
-    assert list(jsonl_objects(text, "h")) == [(1, {"a": {"b": [{}]}}), (3, {"c": 1})]
+def test_read_columns_takes_nested_objects_on_their_own_lines(text):
+    table = {"a": ((dict,), None, "x"), "c": ((int,), None, "y")}
+    with pytest.raises(ValueError, match="^h line 1 is not the 'a' column$"):
+        read_columns(text, "h", table)
+    wrapped = text.replace('{"b":[{}]}', '[{"b":[{}]}]').replace('"c":1', '"c":[1]')
+    assert read_columns(wrapped, "h", table) == [[{"b": [{}]}], [1]]
+    with pytest.raises(ValueError, match="^h line 3 is not the 'd' column$"):
+        read_columns(wrapped, "h", {"a": table["a"], "d": table["c"]})
 
 
 def _gets(count):
@@ -236,14 +284,6 @@ def test_a_history_error_names_the_column_and_the_entry(edit, message):
     text = "".join(json.dumps({name: col}) + "\n" for name, col in columns.items())
     with pytest.raises(ValueError, match=message):
         events_from_jsonl(text)
-
-
-def test_jsonl_objects_parses_a_line_only_when_it_is_reached():
-    text = '{"op":["0.1"]}\n{\n'
-    objects = jsonl_objects(text, "h")
-    assert next(objects) == (1, {"op": ["0.1"]})
-    with pytest.raises(ValueError, match="^h line 2 is not JSON"):
-        next(objects)
 
 
 def test_pairing_completed_and_pending():

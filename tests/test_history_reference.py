@@ -136,7 +136,7 @@ def assert_decoders_agree(text: str):
 
 def _eventual_ops(events, probe_from_t):
     """The ops ``cli.run_checker`` hands the eventual checker."""
-    artifact = RunArtifact(events, AbTrace(3), None, probe_from_t, None)
+    artifact = RunArtifact(events, AbTrace.empty(3), None, probe_from_t, None)
     seen = []
 
     def record(completed, pending, checker, *, probe_ops):

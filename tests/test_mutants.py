@@ -147,18 +147,21 @@ def test_correct_protocols_pass_the_same_seeds(mode):
 
 
 # Each tag the checkers can emit: the mutant and checker that reach it, or
-# why no mutant does yet (the ROADMAP item it waits on, or the hand-built
-# history in tests/test_checkers.py that reaches it).
+# why no mutant does yet (the ROADMAP item it waits on, or the Hypothesis
+# test in tests/test_checkers.py whose histories reach it).
 TAG_MATRIX = {
     "A1": "waits on ROADMAP item 1: the atomic ack-at-request mutant passes 50 of 50 "
           "seeds while the broadcast orders a message at its call",
     "A2": ("sequential-get-ignores-its-floor", "atomic"),
     "A3": ("sequential-get-ignores-its-floor", "atomic"),
-    "A4": "a get would have to see an append invoked after it returned; reached by "
-          "TestAtomicChecker::test_get_before_append_cannot_see_the_record",
-    "S1": "reached by TestSequentialConsistencyChecker::test_own_appends_keep_their_order",
-    "S2": "a get would have to see its own client's later append; reached by "
-          "TestSequentialConsistencyChecker::test_get_cannot_see_own_future_append",
+    "A4": "a get would have to see an append invoked after it returned; reached by the "
+          "Hypothesis histories of test_checkers.py::"
+          "test_a_get_that_reads_another_clients_later_append_fails_a4",
+    "S1": "reached by the Hypothesis histories of test_checkers.py::"
+          "test_a_get_that_reads_a_clients_later_append_but_not_its_earlier_one_fails_s1",
+    "S2": "a get would have to see its own client's later append; reached by the "
+          "Hypothesis histories of test_checkers.py::"
+          "test_a_get_that_reads_its_own_clients_later_append_fails_s2",
     "S3": ("sequential-ack-leaves-the-floor", "sequential"),
     "S4": ("sequential-get-ignores-its-floor", "sequential"),
     "SeqSpec": ("atomic-ack-recorded-as-nack", "atomic"),

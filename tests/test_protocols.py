@@ -356,5 +356,5 @@ class TestConsensus:
         for seed in range(30):
             res = run_consensus(3, 1, ["a", "b", "c"], seed=seed)
             assert all(d is not None for d in res.decisions.values())
-            crashes = [s.crash for s in res.artifact.abtrace.servers if s.crash is not None]
+            crashes = [t for t in res.artifact.abtrace.crash if t is not None]
             assert len(crashes) == 1  # the adversarial default crashes f servers

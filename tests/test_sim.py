@@ -285,8 +285,8 @@ class TestCrashSemantics:
         art = run(scenario(seed=4, crash_schedule=[[1, 10]],
                            workload={"ops_per_client": 10, "append_ratio": 0.5}))
         trace = art.abtrace
-        assert trace.servers[1].crash == 10
-        assert max(trace.servers[1].t) <= 10
+        assert trace.crash[1] == 10
+        assert max(trace.delivered[1]) <= 10
         assert all(t <= 10 for sender, t in zip(trace.sender, trace.t) if sender == 1)
 
     def test_crash_before_any_op_still_completes_everything(self):
@@ -476,4 +476,4 @@ def test_event_order_matches_the_reference_heap(case):
     for kind, sid, t, _ in ran:
         if kind == "crash":
             first_crash.setdefault(sid, t)
-    assert [s.crash for s in sim.trace.servers] == [first_crash.get(sid) for sid in range(3)]
+    assert sim.trace.crash == [first_crash.get(sid) for sid in range(3)]

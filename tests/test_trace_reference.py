@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import test_cli
 from test_abcast import columnar_traces, edited_service_traces
 from test_history_reference import BREAKS_LINES, MUTATIONS, REFERENCE_ERRORS, _artifact, _mutants
-from ledgerlab.abcast import AbTrace, ServerTrace, trace_from_jsonl
+from ledgerlab.abcast import AbTrace, trace_from_jsonl
 from ledgerlab.ledger import is_int
 from ledgerlab.sim import run, scenario_from_dict
 
@@ -50,15 +50,13 @@ def reference_trace_from_jsonl(text: str, n: int) -> AbTrace:
         raise ValueError("a column of the wrong length")
     if not all(is_int(s) and 0 <= s < n for s in sender) or not all(map(is_int, t)):
         raise ValueError("malformed broadcast")
-    trace = AbTrace(n, sender, t)
-    for sid, (c, times) in enumerate(zip(crash, delivered)):
+    for c, times in zip(crash, delivered):
         if not ((c is None or is_int(c)) and isinstance(times, list)
                 and all(map(is_int, times))):
             raise ValueError("malformed server")
         if times != sorted(times) or c is not None and any(x > c for x in times):
             raise ValueError("a delivery out of order or after the crash")
-        trace.servers[sid] = ServerTrace(c, times)
-    return trace
+    return AbTrace(sender, t, crash, delivered)
 
 
 def assert_decoders_agree(text: str, n: int):
@@ -88,7 +86,7 @@ TABLE = _table()
 @pytest.mark.parametrize("ident,corrupt", TABLE, ids=[ident for ident, _ in TABLE])
 def test_malformed_table_rejected_by_both_decoders(ident, corrupt):
     artifact = run(scenario_from_dict(test_cli.BASE))
-    text = corrupt(artifact.abtrace.to_jsonl())
+    text = corrupt("".join(artifact.abtrace.lines()))
     assert assert_decoders_agree(text, artifact.scenario.n) is None
 
 
@@ -97,17 +95,17 @@ def traces_at_their_crashes(draw):
     """A trace in which servers with deliveries may crash a tick before their
     last one, at it, or a tick after it: the edge of the crash rule."""
     trace = draw(columnar_traces())
-    for s in trace.servers:
-        if s.t and draw(st.booleans()):
-            s.crash = max(s.t) + draw(st.sampled_from([-1, 0, 1]))
+    for sid, times in enumerate(trace.delivered):
+        if times and draw(st.booleans()):
+            trace.crash[sid] = max(times) + draw(st.sampled_from([-1, 0, 1]))
     return trace
 
 
 @given(st.one_of(columnar_traces(), edited_service_traces(), traces_at_their_crashes()))
 def test_hypothesis_traces_agree_with_the_reference(trace):
-    broken = any(s.t != sorted(s.t) or s.crash is not None and s.t and s.t[-1] > s.crash
-                 for s in trace.servers)
-    decoded = assert_decoders_agree(trace.to_jsonl(), trace.n)
+    broken = any(times != sorted(times) or crash is not None and times and times[-1] > crash
+                 for crash, times in zip(trace.crash, trace.delivered))
+    decoded = assert_decoders_agree("".join(trace.lines()), len(trace.crash))
     assert decoded == (None if broken else trace)
 
 
@@ -119,7 +117,7 @@ TRACE_MUTATIONS = sorted(set(MUTATIONS) - {"two-on-a-line-and-one-split"})
 @pytest.mark.parametrize("scenario", ["eventual", "atomic", "atomic-n5-f2"])
 def test_mutated_traces_agree_with_the_reference(scenario, mutation):
     artifact = _artifact(scenario)
-    for text in _mutants(artifact.abtrace.to_jsonl(), mutation):
+    for text in _mutants("".join(artifact.abtrace.lines()), mutation):
         trace = assert_decoders_agree(text, artifact.scenario.n)
         if mutation in BREAKS_LINES:
             assert trace is None
