@@ -18,7 +18,7 @@ from .abcast import check_abcast_trace
 from .histories import APPEND, ARTIFACT_JSON, GET, INVOKE, RESPONSE, pair_events
 from .ledger import ACK
 from .sim import ConfigError, RunArtifact, Scenario
-from .verdicts import DIVERGENCE, FAIL, Verdict
+from .verdicts import DIVERGENCE, FAIL, PASS, Verdict
 
 CHECKER_NAMES = ("atomic", "sequential", "eventual", "vspec", "abcast")
 
@@ -27,6 +27,8 @@ EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_FAIL = 3
 EXIT_DIVERGENCE = 4
+# "error" is a campaign seed that raised before its checker gave a verdict.
+EXIT_BY_STATUS = {PASS: EXIT_OK, FAIL: EXIT_FAIL, DIVERGENCE: EXIT_DIVERGENCE, "error": EXIT_FAIL}
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -98,14 +100,6 @@ def run_checker(name: str, artifact: RunArtifact) -> Verdict:
     raise ConfigError(f"unknown checker {name!r}; choose from {CHECKER_NAMES}")
 
 
-def _verdict_exit(v: Verdict) -> int:
-    if v.status == DIVERGENCE:
-        return EXIT_DIVERGENCE
-    if v.status == FAIL:
-        return EXIT_FAIL
-    return EXIT_OK
-
-
 # -- subcommands --------------------------------------------------------------
 
 def cmd_run(args) -> int:
@@ -140,7 +134,7 @@ def cmd_check(args) -> int:
     if verdict.violated:
         summary += f" violated={verdict.violated} witness={verdict.witness}"
     print(f"check {args.checker}: {summary}")
-    return _verdict_exit(verdict)
+    return EXIT_BY_STATUS[verdict.status]
 
 
 def _campaign_worker(payload: tuple[Scenario, int, tuple[str, ...]]) -> dict:
@@ -171,8 +165,7 @@ def run_campaign(scenario: Scenario, start: int, count: int,
     else:
         rows = [_campaign_worker(p) for p in payloads]
 
-    aggregate = {name: {"pass": 0, "fail": 0, "divergence": 0, "error": 0}
-                 for name in names}
+    aggregate = {name: dict.fromkeys(EXIT_BY_STATUS, 0) for name in names}
     failing = []
     for row in rows:
         bad = {}
@@ -256,11 +249,8 @@ def cmd_campaign(args) -> int:
         except OSError as e:
             raise ConfigError(f"cannot write the report: {e}") from e
 
-    if any(report["aggregate"][n]["divergence"] for n in names):
-        return EXIT_DIVERGENCE
-    if any(report["aggregate"][n]["fail"] or report["aggregate"][n]["error"] for n in names):
-        return EXIT_FAIL
-    return EXIT_OK
+    return max(EXIT_BY_STATUS[status] for agg in report["aggregate"].values()
+               for status, count in agg.items() if count)
 
 
 def cmd_consensus(args) -> int:

@@ -30,7 +30,7 @@ class DuplicateRecordError(Exception):
     """
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Record:
     """One ledger entry: globally unique id, creating process, payload.
 
@@ -39,16 +39,8 @@ class Record:
     """
 
     rid: str
-    creator: int
-    payload: str
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Record):
-            return NotImplemented
-        return self.rid == other.rid
-
-    def __hash__(self) -> int:
-        return hash(self.rid)
+    creator: int = field(compare=False)
+    payload: str = field(compare=False)
 
 
 def is_int(v) -> bool:
@@ -152,7 +144,7 @@ def _parse_transfer(payload: str):
     action, acct, amount = parts
     if action not in ("deposit", "withdraw") or not acct:
         return None
-    if not amount.isdigit():  # non-negative integers only
+    if not amount.isdecimal() or len(amount) > 640:  # 640: int()'s lowest digit limit
         return None
     return action, acct, int(amount)
 

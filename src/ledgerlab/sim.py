@@ -54,10 +54,10 @@ class Scenario:
     f: int
     clients: int
     mode: str
+    workload: object  # explicit per-client op lists or a generator spec
     seed: int = 0
     max_delay: int = 10
     probe_gets: int = 2
-    workload: object = None  # explicit per-client op lists or a generator spec
     crash_schedule: object = ()  # explicit [(server, t)] or {"random": {...}}
     client_crashes: tuple = ()
     predicate: ValidityPredicate | None = None
@@ -113,8 +113,6 @@ def _is_list(v) -> bool:
 
 
 def _require_uint(obj: Mapping, key: str, *, minimum: int = 0) -> int:
-    if key not in obj:
-        raise ConfigError(f"scenario missing required field {key!r}")
     return _uint(obj[key], f"scenario field {key!r} must be an integer >= {minimum}",
                  minimum=minimum)
 
@@ -127,17 +125,18 @@ def scenario_from_dict(obj: Mapping) -> Scenario:
     if unknown:
         raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
     obj = {**_SCENARIO_DEFAULTS, **obj}
+    for name in _SCENARIO_FIELDS:
+        if name not in obj:
+            raise ConfigError(f"scenario missing required field {name!r}")
 
     n = _require_uint(obj, "n", minimum=1)
     f = _require_uint(obj, "f")
     clients = _require_uint(obj, "clients", minimum=1)
-    mode = obj.get("mode")
+    mode = obj["mode"]
     if mode not in protocols.MODES:
         raise ConfigError(f"mode must be one of {protocols.MODES}, got {mode!r}")
-    if f >= n:
-        raise ConfigError(f"need f < n, got f={f} n={n}")
     # Every mode runs over the total-order broadcast service, which needs a
-    # majority of servers to survive.
+    # majority of servers to survive; this also refuses every f >= n.
     if 2 * f >= n:
         raise ConfigError(
             f"f={f} with n={n} violates the broadcast service's majority "
@@ -167,8 +166,6 @@ def scenario_from_dict(obj: Mapping) -> Scenario:
 
 
 def _validate_workload(workload, clients: int):
-    if workload is None:
-        raise ConfigError("scenario missing required field 'workload'")
     if isinstance(workload, Mapping):
         unknown = set(workload) - _WORKLOAD_SPEC_FIELDS
         if unknown:

@@ -2,12 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from ledgerlab.cli import load_scenario, main
+from ledgerlab import sim
+from ledgerlab.checkers import CheckerError
+from ledgerlab.cli import CHECKER_NAMES, load_scenario, main, run_checker
 from ledgerlab.histories import events_from_jsonl, events_to_jsonl
+from ledgerlab.protocols import MODES
 
 BASE = {
     "n": 3, "f": 1, "clients": 2, "mode": "atomic", "seed": 3,
@@ -499,6 +505,21 @@ def test_vspec_flags_acked_invalid_appends(scen_file, tmp_path):
     assert verdict["violated"] == "Def5-2a"
 
 
+# str.isdigit() accepts ² and ①, which int() refuses, and int() refuses more
+# digits than its limit: each amount makes an invalid record, never exit 1
+@pytest.mark.parametrize("amount", ["²", "①", pytest.param("1" * 641, id="641-digits")])
+def test_an_amount_int_cannot_read_is_an_invalid_record(scen_file, tmp_path, amount):
+    art = tmp_path / "art"
+    ops = [[["append", f"deposit:A:{amount}"], ["get", None]]]
+    assert main(["run", "--scenario",
+                 scen_file(clients=1, workload=ops,
+                           predicate={"kind": "account_balance", "balances": {"A": 0}}),
+                 "--out", str(art)]) == 0
+    # read-side repair acks the record, and the predicate rejects it
+    assert main(["check", str(art), "--checker", "vspec"]) == 3
+    assert json.loads((art / "verdict.json").read_text())["violated"] == "Def5-2a"
+
+
 def test_vspec_refuses_concurrent_histories(scen_file, tmp_path):
     art = tmp_path / "art"
     main(["run", "--scenario",
@@ -548,7 +569,6 @@ def test_campaign_parallel_workers_match_serial(scen_file, tmp_path):
 
 
 def test_vspec_campaign_parses_the_scenario_nowhere(monkeypatch):
-    from ledgerlab import sim
     from ledgerlab.cli import run_campaign
     sc = sim.scenario_from_dict({
         "n": 3, "f": 1, "clients": 1, "mode": "atomic",
@@ -655,11 +675,11 @@ def test_consensus_majority_check():
 
 
 def test_divergence_maps_to_exit_4():
-    from ledgerlab.cli import _verdict_exit
-    from ledgerlab.verdicts import Verdict
-    assert _verdict_exit(Verdict("divergence")) == 4
-    assert _verdict_exit(Verdict("fail", "A2", ["0.1"])) == 3
-    assert _verdict_exit(Verdict("pass")) == 0
+    from ledgerlab.cli import EXIT_BY_STATUS
+    assert EXIT_BY_STATUS["divergence"] == 4
+    assert EXIT_BY_STATUS["fail"] == 3
+    assert EXIT_BY_STATUS["pass"] == 0
+    assert EXIT_BY_STATUS["error"] == 3
 
 
 def out_decisions(text):
@@ -673,7 +693,6 @@ def out_decisions(text):
 
 def _raise_on_seed(monkeypatch, bad_seed):
     """Make sim.run raise RuntimeError on ``bad_seed`` and run every other seed."""
-    from ledgerlab import sim
     real_run = sim.run
 
     def run(scenario):
@@ -786,3 +805,32 @@ print(sorted(m for m in ("concurrent.futures.process", "multiprocessing") if m i
                          env={**os.environ, "PYTHONPATH": str(Path(ledgerlab.__file__).parents[1])}
                          ).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+# Tiny explicit-workload scenarios, with payloads of any text and transfers
+# whose amounts mix digits with what str.isdigit() or int() also accepts.
+_amounts = st.text(alphabet="0123456789²①٣_+- ", max_size=4) | st.just("1" * 641)
+_transfers = st.builds("{}:A:{}".format, st.sampled_from(["deposit", "withdraw"]), _amounts)
+_tiny_ops = st.just(["get", None]) | st.builds(lambda p: ["append", p], st.text() | _transfers)
+_tiny_scenarios = st.integers(1, 2).flatmap(lambda clients: st.fixed_dictionaries({
+    "n": st.just(3), "f": st.just(1), "clients": st.just(clients),
+    "mode": st.sampled_from(MODES),
+    "workload": st.lists(st.lists(_tiny_ops, max_size=4), min_size=clients, max_size=clients),
+    "predicate": st.none() | st.builds(
+        lambda a: {"kind": "account_balance", "balances": {"A": a}}, st.integers(0, 3)),
+}))
+
+
+@given(_tiny_scenarios)
+@example({"n": 3, "f": 1, "clients": 1, "mode": "atomic",
+          "workload": [[["append", "deposit:A:①"]]],
+          "predicate": {"kind": "account_balance", "balances": {"A": 0}}})
+def test_every_accepted_scenario_is_run_written_loaded_and_judged(obj):
+    artifact = sim.run(sim.scenario_from_dict(obj))
+    with tempfile.TemporaryDirectory() as d:
+        loaded = sim.load_artifact(artifact.write(d))
+    for name in CHECKER_NAMES:
+        try:
+            run_checker(name, loaded)
+        except CheckerError:  # a checker that cannot judge this run says so
+            pass

@@ -119,6 +119,18 @@ class TestPredicates:
     def test_malformed_payload_is_invalid(self, payload):
         assert not evaluate_predicate(account_balance({"A": 100}), [rec(1, payload)])
 
+    @pytest.mark.parametrize("amount, admitted, balance", [
+        ("²", False, 0), ("①", False, 0), ("٣", True, 3),
+        pytest.param("1" * 640, True, int("1" * 640), id="640-digits"),
+        pytest.param("1" * 641, False, 0, id="641-digits"),
+    ])
+    def test_step_reads_amounts_as_int_does(self, amount, admitted, balance):
+        # str.isdigit() accepts ² and ①, which int() refuses; ٣ is a decimal 3
+        pred = account_balance({})
+        state = pred.start()
+        assert pred.step(state, rec(1, f"deposit:A:{amount}")) is admitted
+        assert state.get("A", 0) == balance
+
     def test_config_round_trip(self):
         pred = predicate_from_config({"kind": "account_balance", "balances": {"A": 3}})
         assert pred == account_balance({"A": 3})
@@ -279,7 +291,7 @@ def reference_valid(pred, seq):
     for r in seq:
         parts = r.payload.split(":")
         if (len(parts) != 3 or parts[0] not in ("deposit", "withdraw") or not parts[1]
-                or not parts[2].isdigit()):
+                or not parts[2].isdecimal() or len(parts[2]) > 640):
             return False
         action, acct, amount = parts
         sign = 1 if action == "deposit" else -1
@@ -334,8 +346,12 @@ def reference_validated_spec(ops, pred):
 
 
 # Record ids come from a small pool so that streams repeat them; payloads
-# include ones the account grammar cannot parse.
-any_payloads = st.one_of(account_payloads, st.sampled_from(["junk", "", "deposit:A", "x:A:1"]))
+# include ones the account grammar cannot parse, amounts that str.isdigit()
+# accepts and int() does not, a decimal ٣, and the longest amount read and
+# one digit more.
+any_payloads = st.one_of(account_payloads, st.sampled_from(
+    ["junk", "", "deposit:A", "x:A:1", "deposit:A:²", "deposit:A:①", "deposit:A:٣",
+     "deposit:A:" + "1" * 641, "deposit:A:" + "1" * 640]))
 dup_streams = st.lists(st.tuples(st.integers(1, 6), any_payloads), max_size=25).map(
     lambda xs: [Record(f"0.{k}", 0, p) for k, p in xs])
 ref_predicates = st.one_of(predicates, st.just(account_balance({})))

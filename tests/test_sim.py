@@ -71,6 +71,10 @@ class TestScenarioValidation:
         pytest.param(without("n"), "scenario missing required field 'n'", id="no-n"),
         pytest.param(without("workload"), "scenario missing required field 'workload'",
                      id="no-workload"),
+        pytest.param(without("mode"), "scenario missing required field 'mode'", id="no-mode"),
+        pytest.param({**MINIMAL, "workload": None},
+                     "workload must be a generator spec or per-client op lists",
+                     id="null-workload"),
         *(pytest.param({**MINIMAL, "workload": {"ops_per_client": 4, "append_ratio": ratio}},
                        "workload.append_ratio must be in [0, 1]", id=f"append-ratio-{ratio}")
           for ratio in (1.5, True)),
@@ -93,9 +97,10 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match=re.escape(message)):
             scenario_from_dict(obj)
 
-    def test_majority_requirement_named_in_error(self):
+    @pytest.mark.parametrize("n, f", [(4, 2), (3, 3), (1, 1)])
+    def test_majority_requirement_named_in_error(self, n, f):
         with pytest.raises(ConfigError, match="majority"):
-            scenario(n=4, f=2)
+            scenario(n=n, f=f)
 
     def test_too_many_crashes_rejected(self):
         with pytest.raises(ConfigError, match="tolerance bound"):
