@@ -15,9 +15,10 @@ deliberately independent in spirit:
   O(gets + longest read).  A Python loop over the ids runs only for a
   history that fails, to name its first violation.  A check finds the last
   longest get and its ids' positions once, for every screen.
-* an exhaustive oracle -- for small histories, a pruned DFS over all
-  precedence-respecting permutations that replays the sequential ledger and
-  accepts iff some permutation reproduces every recorded return value.
+* a linearization search -- one greedy replay of the sequential ledger in
+  precedence order (`linearize`), which accepts iff some order reproduces
+  every recorded return value.  A ledger's state only grows, so the search
+  never branches; it runs on small histories.
 
 When both run and disagree, the verdict is `divergence` rather than silently
 trusting either side; it marks a bug, as the screens are exact.  Each screen
@@ -44,16 +45,11 @@ from .histories import APPEND, GET, Op
 from .ledger import ACK, NACK, Record, ValidityPredicate
 from .verdicts import DIVERGENCE, Verdict, failed, passed
 
-ORACLE_HARD_CAP = 12
 ORACLE_AUTO_LIMIT = 10
 
 
 class CheckerError(Exception):
     """The checker cannot run on this input (not a verdict about the history)."""
-
-
-class CapacityError(CheckerError):
-    """Input exceeds a hard enumeration bound."""
 
 
 def complete_history(completed: Sequence[Op], pending: Sequence[Op],
@@ -237,64 +233,43 @@ def check_eventual(ops: Sequence[Op], probe_ops: Sequence[Op]) -> Verdict:
     return passed()
 
 
-# -- exhaustive oracle -------------------------------------------------------
+# -- greedy replay -----------------------------------------------------------
 
 def linearize(ops: Sequence[Op], same_client_only: bool = False) -> list[Op] | None:
-    """Search for a permutation of ``ops``, in invoke order, that respects
-    real-time precedence, or only same-client precedence with
-    ``same_client_only``, and replays correctly.
+    """An order of ``ops``, in invoke order, that respects real-time
+    precedence, or only same-client precedence with ``same_client_only``, and
+    replays the ledger; None when there is none.
 
-    DFS over schedulable operations with the ledger state carried along:
-    an append extends the state, a get is schedulable only when its returned
-    sequence equals the state exactly.  Visited (scheduled-set, state) pairs
-    are memoized.  Returns the permutation, or None when none exists.
+    One greedy replay (Wing & Gong's search with Lowe's forced moves).  An op
+    is ready when no unplaced op precedes it.  Each step places every ready
+    get that reads the state; else every unplaced get must extend the state
+    by one next id, whose append must be ready; else, with no get left, every
+    ready append.  The state only grows, so no step has a choice to undo.
     """
-    n = len(ops)
-    if n > ORACLE_HARD_CAP:
-        raise CapacityError(
-            f"{n} operations exceed the oracle bound of {ORACLE_HARD_CAP}; "
-            f"use the property checks instead")
-    preds = [0] * n
-    for i, a in enumerate(ops):
-        for j, b in enumerate(ops):
-            if i == j or not a.precedes(b):
-                continue
-            if same_client_only and a.client != b.client:
-                continue
-            preds[j] |= 1 << i
-
-    target = (1 << n) - 1
-    seen: set[tuple[int, tuple[str, ...]]] = set()
-    order: list[Op] = []
-
-    def dfs(mask: int, state: tuple[str, ...]) -> bool:
-        if mask == target:
-            return True
-        key = (mask, state)
-        if key in seen:
-            return False
-        seen.add(key)
-        for i in range(n):
-            if mask >> i & 1 or preds[i] & ~mask:
-                continue
-            op = ops[i]
-            if op.kind == GET:
-                if op.seq != state:
-                    continue
-                new_state = state
-            else:
-                if op.result not in (ACK, None):
-                    continue
-                new_state = state + (op.op_id,)
-            order.append(op)
-            if dfs(mask | 1 << i, new_state):
-                return True
-            order.pop()
-        return False
-
-    found = dfs(0, ())
-    del dfs  # the closure holds itself: break that cycle, freeing ``seen`` too
-    return order if found else None
+    if any(op.kind == APPEND and op.result not in (ACK, None) for op in ops):
+        return None
+    left, order, state = list(ops), [], ()
+    group = attrgetter("client") if same_client_only else lambda op: None
+    while left:
+        due: dict = {}  # group -> the earliest response among its unplaced ops
+        for op in left:
+            due[group(op)] = min(due.get(group(op), math.inf), op.response_i)
+        ready = [op for op in left if op.invoke_i <= due[group(op)]]
+        gets = [op for op in left if op.kind == GET]
+        placed = [op for op in ready if op.kind == GET and op.seq == state]
+        if not placed and gets:
+            n = len(state)
+            if any(len(g.seq) <= n for g in gets) or len({g.seq[n] for g in gets}) > 1:
+                return None
+            placed = [op for op in ready if op.kind == APPEND and op.op_id == gets[0].seq[n]]
+            if not placed:
+                return None
+        elif not placed:
+            placed = ready  # only appends are left: any order of the ready ones replays
+        state += tuple(op.op_id for op in placed if op.kind == APPEND)
+        order += placed
+        left = [op for op in left if op not in placed]
+    return order
 
 
 # -- verification ------------------------------------------------------------
@@ -304,7 +279,7 @@ def verify_history(completed: Sequence[Op], pending: Sequence[Op], checker: str,
     """Run a named checker over the canonical completion of a history.
 
     ``checker`` is one of atomic / sequential / eventual.  For atomic and
-    sequential the permutation oracle also runs when the completion has at
+    sequential the linearization search also runs when the completion has at
     most ``ORACLE_AUTO_LIMIT`` operations; a property/oracle disagreement
     yields a divergence verdict.
     """

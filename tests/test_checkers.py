@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ledgerlab import checkers
 from ledgerlab.checkers import (
     ORACLE_AUTO_LIMIT,
-    CapacityError,
     CheckerError,
     check_atomic,
     check_eventual,
@@ -19,8 +18,8 @@ from ledgerlab.checkers import (
     linearize,
     verify_history,
 )
-from ledgerlab.histories import pair_events
-from ledgerlab.ledger import ALWAYS_TRUE, account_balance
+from ledgerlab.histories import GET, pair_events
+from ledgerlab.ledger import ACK, ALWAYS_TRUE, account_balance
 from ledgerlab.sim import run
 from ledgerlab.verdicts import DIVERGENCE, Verdict, failed, passed
 
@@ -89,6 +88,62 @@ class TestCompletion:
         assert check_atomic(hist(*completed)).violated == "Fabrication"
 
 
+ORACLE_HARD_CAP = 12
+
+
+def reference_linearize(ops, same_client_only=False):
+    """Reference: an exhaustive search for a linearization, the ground truth
+    for `linearize` on histories of at most ``ORACLE_HARD_CAP`` ops.
+
+    DFS over schedulable operations with the ledger state carried along:
+    an append extends the state, a get is schedulable only when its returned
+    sequence equals the state exactly.  Visited (scheduled-set, state) pairs
+    are memoized.  Returns the permutation, or None when none exists.
+    """
+    n = len(ops)
+    if n > ORACLE_HARD_CAP:
+        raise ValueError(f"{n} operations exceed the oracle bound of {ORACLE_HARD_CAP}")
+    preds = [0] * n
+    for i, a in enumerate(ops):
+        for j, b in enumerate(ops):
+            if i == j or not a.precedes(b):
+                continue
+            if same_client_only and a.client != b.client:
+                continue
+            preds[j] |= 1 << i
+
+    target = (1 << n) - 1
+    seen = set()
+    order = []
+
+    def dfs(mask, state):
+        if mask == target:
+            return True
+        key = (mask, state)
+        if key in seen:
+            return False
+        seen.add(key)
+        for i in range(n):
+            if mask >> i & 1 or preds[i] & ~mask:
+                continue
+            op = ops[i]
+            if op.kind == GET:
+                if op.seq != state:
+                    continue
+                new_state = state
+            else:
+                if op.result not in (ACK, None):
+                    continue
+                new_state = state + (op.op_id,)
+            order.append(op)
+            if dfs(mask | 1 << i, new_state):
+                return True
+            order.pop()
+        return False
+
+    return order if dfs(0, ()) else None
+
+
 def enumerated_completions(completed, pending):
     """Reference: all 2^k include/exclude completions, most-inclusive first."""
     appends = [o for o in pending if o.kind == "append"]
@@ -101,8 +156,8 @@ def enumerated_completions(completed, pending):
 
 def enumerated_verdict(completed, pending, checker, probe_ops=()):
     """Reference aggregation over the enumeration: pass iff some candidate
-    passes, else the most-inclusive candidate's failure; the oracle runs over
-    every candidate when all fit under ORACLE_AUTO_LIMIT."""
+    passes, else the most-inclusive candidate's failure; the reference search
+    runs over every candidate when all fit under ORACLE_AUTO_LIMIT."""
     candidates = enumerated_completions(completed, pending)
     prop = {"atomic": check_atomic, "sequential": check_sequential_consistency,
             "eventual": lambda h: check_eventual(h, probe_ops)}[checker]
@@ -114,7 +169,8 @@ def enumerated_verdict(completed, pending, checker, probe_ops=()):
     result = verdicts[-1] if verdicts[-1].ok else verdicts[0]
     if checker != "eventual" and max(len(c) for c in candidates) <= ORACLE_AUTO_LIMIT:
         same_client_only = checker == "sequential"
-        oracle_ok = any(linearize(c, same_client_only) is not None for c in candidates)
+        oracle_ok = any(reference_linearize(c, same_client_only) is not None
+                        for c in candidates)
         if oracle_ok != result.ok:
             return Verdict(DIVERGENCE, result.violated, list(result.witness), oracle_used=True)
         result.oracle_used = True
@@ -508,10 +564,12 @@ class TestOracle:
     def test_empty_history_linearizes_trivially(self):
         assert linearize(hist()) == []
 
-    def test_capacity_guard(self):
-        ops = tuple(op(f"{i}.1", "append", 2 * i, 2 * i + 1) for i in range(13))
-        with pytest.raises(CapacityError):
-            linearize(hist(*ops))
+    @pytest.mark.parametrize("n_ops", [13, 40])
+    def test_histories_past_the_reference_cap_get_an_order_that_replays(self, n_ops):
+        h = random_history(random.Random(n_ops), n_clients=4, n_ops=n_ops, noise=0)
+        assert len(h) == n_ops > ORACLE_HARD_CAP
+        for same_client_only in (False, True):
+            assert is_linearization(linearize(h, same_client_only), h, same_client_only)
 
     def test_oracle_results_always_replay_clean(self):
         for seed in range(25):
@@ -682,6 +740,79 @@ class TestPropertyOracleEquivalence:
                 assert prop_ok == oracle_ok, (h, same_client_only)
                 passes += prop_ok
         assert passes > 100  # both outcomes are represented
+
+
+def is_linearization(order, h, same_client_only):
+    """``order`` holds each op of ``h`` once, respects its precedence, and
+    replays the ledger, a pending append taking effect as an ack."""
+    at = {o.op_id: i for i, o in enumerate(order)}
+    return (len(order) == len(h) and at.keys() == {o.op_id for o in h}
+            and all(at[a.op_id] < at[b.op_id] for a in h for b in h
+                    if a.precedes(b) and (not same_client_only or a.client == b.client))
+            and check_validated_spec([o._replace(result=ACK) if o.kind == "append"
+                                      and o.result is None else o for o in order],
+                                     ALWAYS_TRUE).ok)
+
+
+def small_history(rng):
+    """A `random_history` of 1..12 ops on 1..4 clients, in any of its noise
+    modes, with about 15 % of its appends left pending and 5 % nacked."""
+    h = random_history(rng, n_clients=rng.randint(1, 4), n_ops=rng.randint(1, ORACLE_HARD_CAP),
+                       noise=rng.choice((None, 0, 0.05, 0.2, 0.5)))
+    out = []
+    for o in h:
+        r = rng.random() if o.kind == "append" else 1
+        if r < 0.15:
+            o = o._replace(response_i=math.inf, response_t=None, result=None)
+        elif r < 0.2:
+            o = o._replace(result="nack")
+        out.append(o)
+    return tuple(out)
+
+
+def search_matches_the_reference(h, same_client_only):
+    """`linearize` finds an order iff the exhaustive reference does, and any
+    order it returns is a linearization; returns whether one was found."""
+    order = linearize(h, same_client_only)
+    assert (order is None) == (reference_linearize(h, same_client_only) is None), \
+        (h, same_client_only, order)
+    assert order is None or is_linearization(order, h, same_client_only), (h, order)
+    return order is not None
+
+
+class TestSearchAgainstTheReference:
+    def test_agrees_on_random_histories(self):
+        rng = random.Random("search-vs-reference")
+        found = Counter()
+        for _ in range(1500):
+            h = small_history(rng)
+            for same_client_only in (False, True):
+                found[search_matches_the_reference(h, same_client_only)] += 1
+        assert found[True] > 600 and found[False] > 600, found  # both outcomes are represented
+
+    def test_agrees_with_the_screens_at_campaign_scale(self):
+        # perfbench's campaign shape: about 70 ops a history, past any
+        # exhaustive search, in all three modes so both outcomes occur
+        found = Counter()
+        for mode in ("atomic", "sequential", "eventual"):
+            sc = scenario(clients=4, mode=mode,
+                          workload={"ops_per_client": 20, "append_ratio": 0.6},
+                          crash_schedule={"random": {"max_crashes": 1, "until": 150}},
+                          client_crashes=[[3, 60]])
+            for seed in range(20):
+                h = complete_history(*pair_events(run(sc.with_seed(seed)).history))
+                for screens, same_client_only in ((check_atomic, False),
+                                                  (check_sequential_consistency, True)):
+                    order = linearize(h, same_client_only)
+                    assert (order is not None) == screens(h).ok, (mode, seed, same_client_only)
+                    assert order is None or is_linearization(order, h, same_client_only)
+                    found[order is not None] += 1
+        assert found[True] > 60 and found[False] > 20, found
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_linearize_matches_the_exhaustive_reference(rng, same_client_only):
+    search_matches_the_reference(small_history(rng), same_client_only)
 
 
 class TestWitnessMinimality:
