@@ -75,8 +75,8 @@ def run_checker(name: str, artifact: RunArtifact) -> Verdict:
     if name == "eventual":
         workload = [op for op in completed if op.response_t < probe_from_t]
         probes = [op for op in completed if op.invoke_t >= probe_from_t]
-        if len(workload) + len(probes) != len(completed):
-            raise ConfigError("artifact corrupt: an operation spans the probe phase's start")
+        if any((op.response_t < probe_from_t) == (op.invoke_t >= probe_from_t) for op in completed):
+            raise ConfigError("artifact corrupt: an operation is not wholly in one phase")
         if any(op.kind != GET for op in probes):
             raise ConfigError("artifact corrupt: the probe phase holds an append")
         if any(op.invoke_t >= probe_from_t for op in pending):

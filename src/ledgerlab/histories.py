@@ -2,10 +2,11 @@
 
 A history is an ordered sequence of events; the order of the list is the
 real-time order.  Its JSONL file has a line per column, ``{"<name>":[...]}``,
-in the order of `_COLUMNS`: ``op`` ("<id>"), ``client``, ``ev``
-("invoke"|"response"), ``kind`` ("get"|"append"), ``c`` and ``t``, one entry
-per event; ``payload`` ("<str>") per append invoke; ``result`` ("ack"|"nack")
-per append response; and ``p`` and ``tail`` (["<rid>",...]) per get response.
+in the order of `_COLUMNS`: ``client``, ``ev`` ("invoke"|"response"),
+``kind`` ("get"|"append"), ``c`` and ``t``, one entry per event; ``payload``
+("<str>") per append invoke; ``result`` ("ack"|"nack") per append response;
+and ``p`` and ``tail`` (["<rid>",...]) per get response.  An event's op id is
+``<client>.<c>`` of its own columns, and is not stored.
 
 A get's sequence is stored against ``ref``, the longest sequence among the
 get responses before it (``()`` before the first; a later response replaces
@@ -55,8 +56,8 @@ class HistoryEvent:
 
 
 # Each column in file order, a row of the table `read_columns` takes.
-_COLUMNS = {"op": ((str,), None, "event"), "client": ((int,), None, "event"),
-            "ev": ((str,), {INVOKE, RESPONSE}, "event"), "kind": ((str,), {GET, APPEND}, "event"),
+_COLUMNS = {"client": ((int,), None, "event"), "ev": ((str,), {INVOKE, RESPONSE}, "event"),
+            "kind": ((str,), {GET, APPEND}, "event"),
             "c": ((int,), None, "event"), "t": ((int,), None, "event"),
             "payload": ((str,), None, {"kind": APPEND, "ev": INVOKE}),
             "result": ((str,), {ACK, NACK}, {"kind": APPEND, "ev": RESPONSE}),
@@ -84,7 +85,7 @@ def column_lines(columns: Iterable[tuple[str, Sequence]]) -> Iterator[str]:
 
 def _history_columns(events: Sequence[HistoryEvent]) -> Iterator[list]:
     """The history's columns in `_COLUMNS` order, each built when it is reached."""
-    for attr in ("op_id", "client", "ev", "kind", "c", "t"):
+    for attr in ("client", "ev", "kind", "c", "t"):
         yield list(map(attrgetter(attr), events))
     yield [e.payload for e in events if e.kind == APPEND and e.ev == INVOKE]
     yield [e.result for e in events if e.kind == APPEND and e.ev == RESPONSE]
@@ -184,10 +185,10 @@ def events_from_jsonl(text: str) -> list[HistoryEvent]:
     """Parse history JSONL, its columns checked by `read_columns`; a get that
     does not diverge from the longest read before it is an `IdPrefix` view of
     that read's list."""
-    op, client, ev, kind, c, t, payload, result, p, tail = read_columns(text, "history", _COLUMNS)
+    client, ev, kind, c, t, payload, result, p, tail = read_columns(text, "history", _COLUMNS)
     payloads, results, reads = iter(payload), iter(result), enumerate(zip(p, tail))
     ref: list[str] = []  # only grows: a longer diverging read starts a new list
-    events = list(map(HistoryEvent, op, client, ev, kind, c, t))
+    events = list(map(HistoryEvent, map(make_rid, client, c), client, ev, kind, c, t))
     for e in events:
         if e.kind == APPEND:
             if e.ev == INVOKE:
@@ -241,18 +242,15 @@ def pair_events(events: Sequence[HistoryEvent]) -> tuple[list[Op], list[Op]]:
     """Match invokes with responses; returns (completed ops in response
     order, pending ops in invoke order).
 
-    Raises ValueError on malformed histories (an invoke whose op id is not
-    `<client>.<c>`, a response that is not its client's open operation, an
-    op id invoked twice, or a client with two operations in flight at once).
+    Raises ValueError on malformed histories (a response that is not its
+    client's open operation, an op id invoked twice, or a client with two
+    operations in flight at once).
     """
     open_ops: dict[int, tuple[int, HistoryEvent]] = {}  # client -> its one op in flight
     invoked: set[str] = set()
     completed: list[Op] = []
     for i, e in enumerate(events):
         if e.ev == INVOKE:
-            rid = make_rid(e.client, e.c)
-            if e.op_id != rid:
-                raise ValueError(f"op id {e.op_id} is not <client>.<c>, {rid}")
             if e.op_id in invoked:
                 raise ValueError(f"duplicate invoke for op {e.op_id}")
             invoked.add(e.op_id)

@@ -336,8 +336,9 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
             raise ValueError("scenario_sha256 does not match the scenario")
         if not (is_int(meta["seed"]) and meta["seed"] == scenario.seed):
             raise ValueError("seed does not match the scenario")
-        if not (meta["probe_from_t"] is None or is_int(meta["probe_from_t"])):
-            raise ValueError("probe_from_t must be an integer or null")
+        probe_from_t = meta["probe_from_t"]
+        if not (is_int(probe_from_t) if scenario.probe_gets else probe_from_t is None):
+            raise ValueError("probe_from_t must be null exactly when probe_gets is 0, else an int")
         history = events_from_jsonl((d / "history.jsonl").read_text())
         abtrace = trace_from_jsonl((d / "abtrace.jsonl").read_text(), scenario.n)
     except FileNotFoundError as e:
@@ -346,7 +347,7 @@ def load_artifact(artifact_dir: str | Path) -> RunArtifact:
         raise ConfigError(f"artifact unreadable: {e}") from e
     except (AttributeError, ConfigError, KeyError, RecursionError, TypeError, ValueError) as e:
         raise ConfigError(f"artifact corrupt: {type(e).__name__}: {e}") from e
-    return RunArtifact(history, abtrace, None, meta["probe_from_t"], scenario)
+    return RunArtifact(history, abtrace, None, probe_from_t, scenario)
 
 
 def _delay_chunks(getrandbits, max_delay: int):

@@ -637,6 +637,10 @@ class TestVerifyHistory:
         v = verify_history(completed, [], "atomic")
         assert v.status == "fail" and v.witness
 
+    def test_an_unknown_checker_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown checker 'bogus'$"):
+            verify_history([], [], "bogus")
+
 
 def violates_named_property(tag, witness_ops):
     """Evaluate a property's defining condition on the witness ops alone.

@@ -196,6 +196,14 @@ def _line_edit(edit):
     return corrupt
 
 
+def _op_line_first(text):
+    """The history in the earlier ten-line layout: its op ids, ``<client>.<c>``,
+    as an ``op`` column before the others."""
+    columns = _columns(text)
+    ops = [f"{client}.{c}" for client, c in zip(columns["client"], columns["c"])]
+    return json.dumps({"op": ops}, separators=(",", ":")) + "\n" + text
+
+
 def _one_event_per_line(text):
     """The history in the earlier layout: one event per line, each carrying
     its own payload, result or p and tail."""
@@ -207,8 +215,8 @@ def _one_event_per_line(text):
                                    for p, tail in zip(columns["p"], columns["tail"])]),
     }
     lines = []
-    for op, client, ev, kind, c, t in zip(*list(columns.values())[:6]):
-        obj = {"op": op, "client": client, "ev": ev, "kind": kind, "c": c, "t": t,
+    for client, ev, kind, c, t in zip(*list(columns.values())[:5]):
+        obj = {"op": f"{client}.{c}", "client": client, "ev": ev, "kind": kind, "c": c, "t": t,
                **next(carried.get((ev, kind), iter([{}])))}
         lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
     return "".join(lines)
@@ -232,11 +240,20 @@ def _meta_field(path, value):
     return corrupt
 
 
+def _without_probes(text):
+    """Set the scenario's probe_gets to 0, its hash to match, and keep
+    probe_from_t."""
+    meta = json.loads(text)
+    meta["scenario"]["probe_gets"] = 0
+    meta["scenario_sha256"] = sim.scenario_from_dict(meta["scenario"]).sha256
+    return json.dumps(meta)
+
+
 @pytest.mark.parametrize("name,corrupt,checker", [
     ("history.jsonl", _entry("c", "c"), "atomic"),
     ("meta.json", lambda _: "[]", "atomic"),
     ("history.jsonl", _entry("client", [0]), "atomic"),
-    ("history.jsonl", _entry("op", ["x"]), "atomic"),
+    ("history.jsonl", _op_line_first, "atomic"),
     ("history.jsonl", _entry("t", "x"), "eventual"),
     ("history.jsonl", _entry("c", True), "atomic"),
     ("history.jsonl", _entry("ev", "done"), "atomic"),
@@ -301,8 +318,11 @@ def _meta_field(path, value):
     ("abtrace.jsonl", _line_edit(lambda lines: lines.insert(2, lines[2])), "abcast"),
     ("abtrace.jsonl", _line_edit(lambda lines: lines.insert(2, lines.pop(3))), "abcast"),
     ("abtrace.jsonl", _old_trace_layout, "abcast"),
+    ("meta.json", _meta_field(("probe_from_t",), None), "atomic"),
+    ("meta.json", _meta_field(("probe_from_t",), None), "eventual"),
+    ("meta.json", _without_probes, "atomic"),
 ], ids=["history-string-counter", "meta-list", "history-list-client",
-        "history-list-op", "history-string-time-eventual", "history-bool-counter",
+        "history-op-line-first", "history-string-time-eventual", "history-bool-counter",
         "history-unknown-ev", "history-unknown-kind", "history-string-seq",
         "history-int-in-seq", "history-int-payload", "history-list-result",
         "history-unknown-result", "abtrace-sender-out-of-range",
@@ -325,7 +345,9 @@ def _meta_field(path, value):
         "history-one-event-per-line", "abtrace-crash-one-short", "abtrace-crash-one-long",
         "abtrace-delivered-one-long", "abtrace-delivered-entry-not-a-list",
         "abtrace-missing-column-line", "abtrace-repeated-column-line",
-        "abtrace-swapped-column-lines", "abtrace-old-layout"])
+        "abtrace-swapped-column-lines", "abtrace-old-layout",
+        "meta-null-probe-from-t-with-probes", "meta-null-probe-from-t-with-probes-eventual",
+        "meta-probe-from-t-without-probes"])
 def test_malformed_artifact_exits_2(scen_file, tmp_path, capsys, name, corrupt, checker):
     art = tmp_path / "art"
     main(["run", "--scenario", scen_file(), "--out", str(art)])
@@ -443,11 +465,13 @@ def _phases(art):
 
 
 def _probe_reuses_a_workload_id(art):
+    # One client: the first probe's counter becomes the first workload op's,
+    # and so does its op id, <client>.<c>.
     workload, probes, _ = _phases(art)
-    first_probe = probes[0].op_id
+    first_probe = probes[0].c
     for e in probes:
-        if e.op_id == first_probe:
-            e.op_id = workload[0].op_id
+        if e.c == first_probe:
+            e.c = workload[0].c
     return workload + probes
 
 
@@ -462,12 +486,22 @@ def _op_spans_the_probe_start(art):
     return workload + probes
 
 
+def _ops_cross_the_probe_start_both_ways(art):
+    # The last workload op answers in the probe phase, and the first probe
+    # answers before it: as many ops lie in both phases as in neither.
+    workload, probes, probe_from_t = _phases(art)
+    workload[-1].t = probe_from_t
+    probes[1].t = 0  # one client: the first probe's response
+    return workload + probes
+
+
 @pytest.mark.parametrize("edit,atomic_exit", [
     (_probe_reuses_a_workload_id, 2),
     (_probe_while_workload_pending, 2),
     (_op_spans_the_probe_start, 0),
+    (_ops_cross_the_probe_start_both_ways, 0),
 ], ids=["probe-reuses-workload-op-id", "probe-while-workload-op-pending",
-        "op-spans-probe-start"])
+        "op-spans-probe-start", "ops-cross-probe-start-both-ways"])
 def test_cross_phase_pairing_errors_exit_2(scen_file, tmp_path, capsys, edit, atomic_exit):
     # The eventual checker pairs the whole history, as atomic does, before it
     # splits the ops at the probe phase's start.
@@ -738,7 +772,7 @@ def test_campaign_exits_4_when_the_oracle_disagrees(scen_file, tmp_path, monkeyp
 def _without_the_last_event(columns):
     """Drop the last event, a get response, from the columns that hold it."""
     assert (columns["ev"][-1], columns["kind"][-1]) == ("response", "get")
-    for name in ("op", "client", "ev", "kind", "c", "t", "p", "tail"):
+    for name in ("client", "ev", "kind", "c", "t", "p", "tail"):
         columns[name].pop()
 
 
@@ -788,6 +822,25 @@ def test_campaign_counts_the_verdicts_a_seed_gave_before_it_raised(scen_file, tm
                                   "error": "RuntimeError: boom"}]
     shown = f"atomic={atomic}(P) " if atomic else ""
     assert f"seed 0: {shown}ERROR RuntimeError: boom" in capsys.readouterr().out
+
+
+def test_run_checker_refuses_an_unknown_name():
+    with pytest.raises(sim.ConfigError, match="^unknown checker 'bogus'"):
+        run_checker("bogus", sim.run(sim.scenario_from_dict(BASE)))
+
+
+@pytest.mark.parametrize("module", ["ledgerlab", "ledgerlab.cli"])
+def test_python_m_exits_with_the_code_of_main(scen_file, tmp_path, module):
+    import ledgerlab
+    env = {**os.environ, "PYTHONPATH": str(Path(ledgerlab.__file__).parents[1])}
+
+    def exit_code(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], capture_output=True,
+                              env=env).returncode
+    art = str(tmp_path / "art")
+    assert exit_code("run", "--scenario", scen_file(), "--out", art) == 0
+    assert exit_code("check", art, "--checker", "atomic") == 0
+    assert exit_code("run", "--scenario", scen_file(n=3, f=2), "--out", art + "2") == 2
 
 
 def test_run_check_and_a_one_process_campaign_load_no_process_pool(scen_file, tmp_path):

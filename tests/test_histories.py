@@ -34,9 +34,9 @@ def test_columns_come_in_a_fixed_order():
         ev("1.1", 1, "invoke", "append", 1, 3, payload="x"),
     ])
     assert text.splitlines() == [
-        '{"op":["1.2","1.1"]}', '{"client":[1,1]}', '{"ev":["response","invoke"]}',
-        '{"kind":["get","append"]}', '{"c":[2,1]}', '{"t":[9,3]}', '{"payload":["x"]}',
-        '{"result":[]}', '{"p":[0]}', '{"tail":[["0.1"]]}']
+        '{"client":[1,1]}', '{"ev":["response","invoke"]}', '{"kind":["get","append"]}',
+        '{"c":[2,1]}', '{"t":[9,3]}', '{"payload":["x"]}', '{"result":[]}', '{"p":[0]}',
+        '{"tail":[["0.1"]]}']
 
 
 def test_each_read_is_stored_against_the_longest_earlier_read():
@@ -57,8 +57,10 @@ TEXT = st.text('0.1"\\\n\x1céΩ𝄞', max_size=4)
 
 
 def _events(ev_, kind, **fields):
-    return st.builds(lambda op, cl, c, t, **rest: HistoryEvent(op, cl, ev_, kind, c, t, **rest),
-                     TEXT, st.integers(), st.integers(), st.integers(), **fields)
+    # The file stores no op id: the loader gives each event <client>.<c>.
+    def event(cl, c, t, **rest):
+        return HistoryEvent(f"{cl}.{c}", cl, ev_, kind, c, t, **rest)
+    return st.builds(event, st.integers(), st.integers(), st.integers(), **fields)
 
 
 # Events of every (ev, kind); get responses, drawn twice as often so that
@@ -106,7 +108,7 @@ def histories(draw):
 def reference_jsonl(events):
     """The history writer as one json.dumps per column, over the layout of
     the module docstring; `events_to_jsonl` must give the same bytes."""
-    columns = {"op": [e.op_id for e in events], "client": [e.client for e in events],
+    columns = {"client": [e.client for e in events],
                "ev": [e.ev for e in events], "kind": [e.kind for e in events],
                "c": [e.c for e in events], "t": [e.t for e in events],
                "payload": [e.payload for e in events if (e.ev, e.kind) == ("invoke", "append")],
@@ -216,6 +218,12 @@ def test_jsonl_round_trip_ends_with_newline():
     assert events_from_jsonl(events_to_jsonl([])) == []
 
 
+def test_the_op_id_is_not_stored_but_derived_as_client_dot_c():
+    text = events_to_jsonl([ev("x", 3, "invoke", "get", 7, 0)])
+    assert '"x"' not in text
+    assert [e.op_id for e in events_from_jsonl(text)] == ["3.7"]
+
+
 # Each text joins into as many top-level objects as it has lines, every line
 # opening with "{", yet its first line alone is not JSON: a separator falls
 # inside an array, and the "{" after it opens a nested object.
@@ -263,7 +271,7 @@ def test_a_history_error_names_a_line_that_is_not_json_first(count):
     with pytest.raises(ValueError, match=f"^history line {len(lines)} is not JSON"):
         events_from_jsonl("\n".join(lines) + "\n")
     lines.pop()
-    with pytest.raises(ValueError, match="^history has 9 lines, want 10: one per column$"):
+    with pytest.raises(ValueError, match="^history has 8 lines, want 9: one per column$"):
         events_from_jsonl("\n".join(lines) + "\n")
 
 
@@ -331,17 +339,10 @@ def test_real_time_precedence_comes_from_event_positions():
      "duplicate invoke"),
     ([ev("0.1", 0, "invoke", "get", 1, 0), ev("0.2", 0, "invoke", "get", 2, 1)],
      "while"),
-    ([ev("0.1", 0, "invoke", "append", 1, 0, payload="x"),
-      ev("0.1", 0, "response", "append", 1, 1, result="ack"),
-      ev("0.2", 0, "invoke", "append", 1, 2, payload="y")],
-     "op id 0.2 is not <client>.<c>, 0.1"),
-    ([ev("0.2", 0, "invoke", "get", 1, 0)], "op id 0.2 is not <client>.<c>, 0.1"),
     ([ev("0.1", 0, "invoke", "get", 1, 0), ev("0.1", 0, "response", "get", 1, 1, seq=()),
       ev("0.1", 0, "invoke", "get", 1, 2)],
      "duplicate invoke for op 0.1"),
-    ([ev("0.1", 0, "invoke", "get", 1, 0), ev("0.1", 0, "response", "get", 1, 1, seq=()),
-      ev("0.1", 1, "invoke", "get", 1, 2)],
-     "op id 0.1 is not <client>.<c>, 1.1"),
+    ([ev("0.1", 0, "done", "get", 1, 0)], "^unknown event type 'done'$"),
 ])
 def test_malformed_histories_rejected(events, msg):
     with pytest.raises(ValueError, match=msg):

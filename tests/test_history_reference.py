@@ -44,7 +44,7 @@ from ledgerlab.sim import ConfigError, RunArtifact, run, scenario_from_dict
 
 # -- the references ------------------------------------------------------------
 
-COLUMNS = ["op", "client", "ev", "kind", "c", "t", "payload", "result", "p", "tail"]
+COLUMNS = ["client", "ev", "kind", "c", "t", "payload", "result", "p", "tail"]
 
 
 def _unique_keys(pairs):
@@ -54,11 +54,12 @@ def _unique_keys(pairs):
 
 
 def reference_events_from_jsonl(text: str) -> list[HistoryEvent]:
-    """The history loader as README's "Run artifacts" states the layout: ten
+    """The history loader as README's "Run artifacts" states the layout: nine
     lines, each one object holding one column, in order; the event columns
-    of one length; then the payload of each append invoke, the result of
-    each append response, and the ``p`` and ``tail`` of each get response,
-    in event order."""
+    of one length, each event's op id ``<client>.<c>`` of its own columns;
+    then the payload of each append invoke, the result of each append
+    response, and the ``p`` and ``tail`` of each get response, in event
+    order."""
     objs = [json.loads(line, object_pairs_hook=_unique_keys)
             for line in text.splitlines() if line.strip()]
     if [list(obj) for obj in objs] != [[name] for name in COLUMNS]:
@@ -66,14 +67,14 @@ def reference_events_from_jsonl(text: str) -> list[HistoryEvent]:
     columns = {name: obj[name] for obj, name in zip(objs, COLUMNS)}
     if not all(isinstance(col, list) for col in columns.values()):
         raise ValueError("a column is not an array")
-    if len({len(columns[name]) for name in COLUMNS[:6]}) != 1:
+    if len({len(columns[name]) for name in COLUMNS[:5]}) != 1:
         raise ValueError("event columns of unequal length")
     events = []
-    for op, client, ev, kind, c, t in zip(*(columns[name] for name in COLUMNS[:6])):
-        if not (isinstance(op, str) and is_int(client) and is_int(c) and is_int(t)
+    for client, ev, kind, c, t in zip(*(columns[name] for name in COLUMNS[:5])):
+        if not (is_int(client) and is_int(c) and is_int(t)
                 and ev in (INVOKE, RESPONSE) and kind in (GET, APPEND)):
             raise ValueError("malformed event")
-        events.append(HistoryEvent(op, client, ev, kind, c, t))
+        events.append(HistoryEvent(f"{client}.{c}", client, ev, kind, c, t))
 
     def of(ev, kind, *names):
         chosen = [e for e in events if (e.ev, e.kind) == (ev, kind)]
@@ -202,9 +203,8 @@ def test_malformed_table_rejected_by_both_decoders(ident, corrupt):
 
 # -- inputs: Hypothesis histories --------------------------------------------------
 
-# Few op ids, clients and times, so duplicates, interleavings, ops in flight
-# across the probe start and responses without invokes all come up.
-OP_IDS = st.sampled_from(["0.1", "0.2", "1.1", "1.2", "2.1"])
+# Few clients, counters and times, so duplicate op ids, interleavings, ops in
+# flight across the probe start and responses without invokes all come up.
 RIDS = st.lists(st.sampled_from(["0.1", "0.2", "1.1", "1.2", "2.1", "9.9"]), max_size=4)
 
 
@@ -212,9 +212,9 @@ RIDS = st.lists(st.sampled_from(["0.1", "0.2", "1.1", "1.2", "2.1", "9.9"]), max
 def raw_events(draw):
     ev, kind = draw(st.sampled_from([(INVOKE, GET), (INVOKE, APPEND),
                                      (RESPONSE, GET), (RESPONSE, APPEND)]))
+    client, c = draw(st.integers(0, 2)), draw(st.integers(1, 2))
     return HistoryEvent(
-        draw(OP_IDS), draw(st.integers(0, 2)), ev, kind, draw(st.integers(1, 2)),
-        draw(st.integers(0, 6)),
+        f"{client}.{c}", client, ev, kind, c, draw(st.integers(0, 6)),
         payload=draw(st.sampled_from(["x", "y"])) if (ev, kind) == (INVOKE, APPEND) else None,
         result=draw(st.sampled_from([ACK, NACK])) if (ev, kind) == (RESPONSE, APPEND) else None,
         seq=tuple(draw(RIDS)) if (ev, kind) == (RESPONSE, GET) else None)

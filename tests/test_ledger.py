@@ -14,6 +14,7 @@ from ledgerlab.ledger import (
     Ledger,
     Record,
     ValidatedLedger,
+    ValidityPredicate,
     account_balance,
     evaluate_predicate,
     filter_valid,
@@ -146,6 +147,10 @@ class TestPredicates:
     def test_bad_config_rejected(self, cfg):
         with pytest.raises(ValueError):
             predicate_from_config(cfg)
+
+    def test_an_unknown_kind_has_no_start_state(self):
+        with pytest.raises(ValueError, match="^unknown predicate kind 'bogus'$"):
+            ValidityPredicate("bogus").start()
 
 
 class TestFilterValid:

@@ -45,27 +45,27 @@ SCENARIOS = {
 
 PINNED = {
     "atomic": {
-        "history.jsonl": "34cdd188c5371564427c06a165dd4690cfeacda34773e4639225f8a20d41059f",
+        "history.jsonl": "9edd7548f37bb5d93dfdfedf954125f5ef610063a3ec98d7a001436d1b1ec29a",
         "abtrace.jsonl": "d2bc93a0e06fda5fa40f9ea6a36b53eea6acaa9e745c5083c5657eb1683d388e",
         "meta.json": "e0a937c34e15ca075946bea6b4fe580173353709a9702c34a12e831c8e6875f8",
     },
     "sequential": {
-        "history.jsonl": "e0076de955714f06dc8e2df86c47b1079d440d481ebe16ca4ef327b610465905",
+        "history.jsonl": "a4106afbb2b4b1e2ff992e22ad3bc15f13b52a8160b8d8933b56b0eebbafddb5",
         "abtrace.jsonl": "9ecfcdc11a84a7305a17c5d5452f2dc69047576cac844cd9e80807a0e9711d73",
         "meta.json": "830675e96d5f51df90d76d327bafbb8eabaffa6760592795bfb4590b59f447bd",
     },
     "eventual": {
-        "history.jsonl": "077d9e0e90874101bfc73478639d2f1effa0b3e06769d01d7772bd0fa7088c85",
+        "history.jsonl": "51b8201b19162be83bc36f61c896d5b0c0fc8239b9359ca7e2cb8e079ac63dbf",
         "abtrace.jsonl": "21058d9e691ea59bba7e0ee171e48ee74b2e891d4f3446dcc21dd0616d50ce9a",
         "meta.json": "78016f77a199c113bd45a414672e3dab119b7e69e29400aeff64e0d780bb8702",
     },
     "read-repair": {
-        "history.jsonl": "7faecc11c3f57ac8662189ce3b3ae1f2f84736606aae98a94e82f25086fe79d4",
+        "history.jsonl": "2ea41cde6ac3e7d3afd83be3c3d3c56d9ba54d8a427a26bec22802c2dec833e3",
         "abtrace.jsonl": "b25d0e4575302e1f5080212dfd420b918f952a63729c2c809a6a927d1eb60936",
         "meta.json": "bde38bbeaeb06c55ecc096d772738200420121a95260322714842d4e9a7878a5",
     },
     "consensus": {
-        "history.jsonl": "ecf631b6a6720fe1fc84598035dc9ccb10f8f4373aee038bacf283425ced8249",
+        "history.jsonl": "53fa0bdf66ebb2a6062aa5fe83d35a3fceab0cbb8a14762ad5495e9a82b2b261",
         "abtrace.jsonl": "7c7310eafd551e292c9d14152054af86e6df98ad6b5a8163032d6984f2bb69ba",
         "meta.json": "9ec2a45864c23b6edf294918f4cd906d8322734d09524adb2151955004961b7a",
     },
@@ -95,9 +95,9 @@ def test_artifact_bytes_match_the_pinned_hashes(name, tmp_path):
 CAMPAIGN_SEEDS = range(30)
 
 CAMPAIGN_DIGESTS = {
-    "atomic": "ba41d408056764c0d5c9e20e98fbfdc9801dd37a35916aa3f80b3c4451630e40",
-    "sequential": "d21ed74d7204eee9b2d2ee0932324a41d37985c8d8dccc2dc06a6fae2311e12a",
-    "eventual": "bfd7b56911b8997c2242e725cb02649b179b68b5bfe75c79cb2cd342787b9a9b",
+    "atomic": "c4ed00e7cf024586cb62836bc0ebf11d02913fed510184b38dd9cd58c60a200c",
+    "sequential": "f00f845a3a7fe71df9f8ad0a3968d56a6967491d9a4105af4371a9e044224b44",
+    "eventual": "4e7c01f8457d26e129a4021e006eca1ad5fb3d278b673f7e9f35e43f8d7e9634",
 }
 
 

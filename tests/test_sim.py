@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ledgerlab import protocols
 from ledgerlab.abcast import check_abcast_trace
+from ledgerlab.cli import run_campaign
 from ledgerlab.histories import events_to_jsonl, pair_events
 from ledgerlab.sim import (
     ConfigError,
+    SimulationError,
     Simulator,
     expand_crashes,
     generate_workload,
@@ -86,6 +89,12 @@ class TestScenarioValidation:
                      "token payloads take no extra fields", id="token-payload-extra-field"),
         pytest.param({**MINIMAL, "crash_schedule": {"fixed": {"max_crashes": 1}}},
                      "crash generator must be {'random': {...}}", id="crash-generator-not-random"),
+        pytest.param({**MINIMAL, "crash_schedule": {"random": {"until": 5, "bogus": 1}}},
+                     "crash generator takes max_crashes and until",
+                     id="crash-generator-unknown-field"),
+        pytest.param({**MINIMAL, "crash_schedule": {"random": 5}},
+                     "crash generator takes max_crashes and until",
+                     id="crash-generator-not-an-object"),
         *(pytest.param({**MINIMAL, field: entries}, message, id=f"{field}-{ident}")
           for field, label in (("crash_schedule", "server"), ("client_crashes", "client"))
           for entries, message, ident in (
@@ -339,6 +348,18 @@ class TestProbePhase:
     def test_probe_gets_zero_disables_the_phase(self):
         art = run(scenario(seed=6, probe_gets=0))
         assert art.probe_from_t is None
+
+
+def test_a_client_left_pending_at_quiescence_violates_liveness(monkeypatch):
+    monkeypatch.setattr(protocols.Server, "on_get", lambda *args: None)  # drop every get
+    one_get = scenario(clients=1, workload=[[["get", None]]])
+    with pytest.raises(SimulationError,
+                       match="^quiescent with client 0 still pending: liveness violated$"):
+        run(one_get)
+    report = run_campaign(one_get, 0, 2, ("atomic",))
+    assert [row["error"] for row in report["rows"]] == [
+        "SimulationError: quiescent with client 0 still pending: liveness violated"] * 2
+    assert report["aggregate"]["atomic"]["error"] == 2
 
 
 def _each_line(edit):
